@@ -224,7 +224,7 @@ class TreeHDecomposition:
         occ: dict[int, list[int]] = {v: [] for v in range(g.n)}
         for i, b in enumerate(self.bags):
             for v in b:
-                if v >= g.n:
+                if not 0 <= v < g.n:
                     errs.append(f"node {i}: bag vertex {v} out of range")
                     return errs
                 occ[v].append(i)
@@ -445,28 +445,39 @@ def to_json(obj) -> str:
 
 
 def from_json(text: str):
+    """Read a decomposition document; ValueError when it is malformed."""
     doc = json.loads(text)
+    try:
+        return _from_doc(doc)
+    except (KeyError, TypeError, IndexError, AttributeError) as e:
+        raise ValueError(f"malformed document: {type(e).__name__} {e}") from e
+
+
+def _ints(values) -> list[int]:
+    out = list(values)
+    if not all(type(v) is int for v in out):
+        raise ValueError("parents, bags and L must hold integers")
+    return out
+
+
+def _from_doc(doc):
     kind = doc["kind"]
     cls = _cls_from_json(doc["class"])
     nodes = sorted(doc["nodes"], key=lambda d: d["id"])
     if [d["id"] for d in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be dense 0-based")
+    parents = _ints(d["parent"] for d in nodes)
+    bags = [frozenset(_ints(d["bag"])) for d in nodes]
     if kind == "elimination-forest":
         forest = EliminationForest(
-            [ForestNode(frozenset(d["bag"]), d["parent"], d["leaf"]) for d in nodes],
-            cls,
+            [ForestNode(b, p, d["leaf"]) for b, p, d in zip(bags, parents, nodes)], cls
         )
         if forest.depth != doc["depth"]:
             raise ValueError("stored depth disagrees with the structure")
         return forest
     if kind in ("tree-h-decomposition", "nice"):
         klass = NiceTreeHDecomposition if kind == "nice" else TreeHDecomposition
-        dec = klass(
-            [d["parent"] for d in nodes],
-            [frozenset(d["bag"]) for d in nodes],
-            frozenset(doc["L"]),
-            cls,
-        )
+        dec = klass(parents, bags, frozenset(_ints(doc["L"])), cls)
         if dec.width != doc["width"]:
             raise ValueError("stored width disagrees with the structure")
         ch = dec.children()
@@ -674,13 +685,21 @@ def _min_fill_order(g: Graph) -> list[int]:
     alive = g.full_mask()
     order = []
     while alive:
-        best_v, best_fill = -1, None
-        for v in bits(alive):
+        best_v, best_fill = -1, g.n * g.n  # above any fill count
+        m = alive
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
             nb = adj[v] & alive
             fill = 0
-            for a in bits(nb):
-                fill += bin(nb & ~adj[a] & ~(1 << a)).count("1")
-            if best_fill is None or fill < best_fill:
+            rest = nb
+            # stop once v cannot beat the best; strict < keeps the smallest id
+            while rest and fill < best_fill:
+                a = rest & -rest
+                fill += (nb & ~adj[a.bit_length() - 1] & ~a).bit_count()
+                rest ^= a
+            if fill < best_fill:
                 best_v, best_fill = v, fill
         nb = adj[best_v] & alive
         for a in bits(nb):

@@ -160,11 +160,12 @@ def reach_mask(g: Graph, start: int, within: int) -> int:
     masks = g._adj_masks
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= masks[v]
-        nxt &= within & ~seen
-        seen |= nxt
-        frontier = nxt
+        while frontier:
+            b = frontier & -frontier
+            nxt |= masks[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & within & ~seen
+        seen |= frontier
     return seen
 
 

@@ -170,7 +170,7 @@ def find_separation_forbidden(
 
     def rec(alive: int, budget: int, depth: int) -> Optional[tuple[int, int]]:
         if stats is not None and depth > 0:
-            stats.tick(budget)
+            stats.tick()
         comp = reach_mask(g, zmask, alive)
         obstruction = find_induced_obstruction(g, cls, set_of(comp))
         if obstruction is None:
@@ -247,7 +247,7 @@ def find_separation_restricted(
 
     def rec(alive: int, budget: int, fam: list[int], depth: int) -> Optional[tuple[frozenset, frozenset]]:
         if stats is not None and depth > 0:
-            stats.tick(budget)
+            stats.tick()
         comp = reach_mask(g, zmask, alive)
         fam = [f for f in fam if f & ~comp == 0]
         if len(fam) <= budget:

@@ -3,8 +3,10 @@
 The flow model splits each deletable vertex v into v_in -> v_out with unit
 capacity; terminal vertices are not split (they are never deleted).  Edges
 carry infinite capacity in both directions.  The farthest minimum cut is
-extracted from the set of residual states that reach the sink; it is the
-unique minimum separator S with R_S(X) inclusion-maximal.
+extracted by one reverse BFS from the sink over the residual arcs: the cut
+vertices are those whose out-state reaches the sink and whose in-state does
+not.  It is the unique minimum separator S with R_S(X) inclusion-maximal, so
+it does not depend on which maximum flow was found.
 
 All internal computations use vertex bitmasks for speed; the public API
 speaks frozensets.
@@ -13,7 +15,7 @@ speaks frozensets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .graphs import Graph, bits, mask_of, reach_mask, set_of
@@ -41,12 +43,9 @@ class SearchStats:
     """Mutable counter for recursion-size instrumentation."""
 
     nodes: int = 0
-    by_budget: dict[int, int] = field(default_factory=dict)
 
-    def tick(self, budget: Optional[int] = None):
+    def tick(self):
         self.nodes += 1
-        if budget is not None:
-            self.by_budget[budget] = self.by_budget.get(budget, 0) + 1
 
 
 # -- flow kernel -------------------------------------------------------------
@@ -64,121 +63,106 @@ def _vertex_flow(g: Graph, alive: int, xmask: int, ymask: int, cap: int):
     adj = g._adj_masks
     xmask &= alive
     ymask &= alive
-    for v in bits(xmask):
-        if adj[v] & ymask:
+    m = xmask
+    while m:
+        b = m & -m
+        if adj[b.bit_length() - 1] & ymask:
             return _INFEASIBLE
+        m ^= b
     if cap < 0:
         return None
     free = alive & ~xmask & ~ymask
     used = 0  # vertices carrying one unit of flow
-    eflow = [0] * g.n  # bit u of eflow[v]: one unit flows v -> u
+    fout: dict[int, int] = {}  # bit u of fout[v]: one unit flows v -> u
+    fin: dict[int, int] = {}  # bit v of fin[u]: one unit flows v -> u
     flow_value = 0
-    nstates = 2 * g.n
-    parent = [-2] * nstates
-    while flow_value <= cap:
-        # BFS for an augmenting path from X out-states to any Y in-state
-        for i in range(nstates):
-            parent[i] = -2
-        queue = []
-        for v in bits(xmask):
-            queue.append(2 * v + 1)
-            parent[2 * v + 1] = -1
-        target = -1
-        qi = 0
-        while qi < len(queue) and target < 0:
-            s = queue[qi]
-            qi += 1
-            v, is_out = s >> 1, s & 1
-            if is_out:
-                # forward edge arcs v_out -> u_in (infinite capacity)
-                for u in bits(adj[v] & alive):
-                    if ymask >> u & 1:
-                        parent[2 * u] = s
-                        target = 2 * u
-                        break
-                    t = 2 * u
-                    if parent[t] == -2:
-                        parent[t] = s
-                        queue.append(t)
-                if target >= 0:
-                    break
-                # reverse internal arc v_out -> v_in (when saturated)
-                if used >> v & 1 and parent[2 * v] == -2:
-                    parent[2 * v] = s
-                    queue.append(2 * v)
-            else:
-                # forward internal arc v_in -> v_out (vertex still unused)
-                if free >> v & 1 and not used >> v & 1:
-                    t = 2 * v + 1
-                    if parent[t] == -2:
-                        parent[t] = s
-                        queue.append(t)
-                # reverse edge arcs v_in -> u_out (cancel flow u -> v)
-                for u in bits(adj[v] & alive):
-                    if eflow[u] >> v & 1:
-                        t = 2 * u + 1
-                        if parent[t] == -2:
-                            parent[t] = s
-                            queue.append(t)
-        if target < 0:
+    while True:
+        # BFS from the X out-states, one layer of (in-states, out-states)
+        # masks per distance; X in-states are dead ends and never entered
+        layers = [(0, xmask)]
+        seen_in, seen_out = 0, xmask
+        fr_in, fr_out = 0, xmask
+        hit = 0
+        while fr_in or fr_out:
+            nin = fr_out & used  # reverse internal arcs v_out -> v_in
+            m = fr_out
+            while m:  # edge arcs v_out -> u_in
+                b = m & -m
+                nin |= adj[b.bit_length() - 1]
+                m ^= b
+            hit = nin & ymask
+            if hit:
+                break
+            nin &= free & ~seen_in
+            nout = fr_in & ~used  # internal arcs v_in -> v_out
+            m = fr_in & used
+            while m:  # reverse edge arcs v_in -> u_out (cancel flow u -> v)
+                b = m & -m
+                nout |= fin[b.bit_length() - 1]
+                m ^= b
+            nout &= ~seen_out
+            seen_in |= nin
+            seen_out |= nout
+            fr_in, fr_out = nin, nout
+            layers.append((nin, nout))
+        if not hit:
             break
         flow_value += 1
         if flow_value > cap:
             return None
-        # retrace and update flow
-        s = target
-        while parent[s] != -1:
-            p = parent[s]
-            pv, p_out = p >> 1, p & 1
-            sv, s_out = s >> 1, s & 1
-            if pv == sv:
-                if p_out == 0:  # v_in -> v_out
-                    used |= 1 << pv
-                else:  # v_out -> v_in (reverse internal)
-                    used &= ~(1 << pv)
+        # retrace a shortest path from the Y in-state, one layer per step
+        v, is_out = (hit & -hit).bit_length() - 1, 0
+        path = [(v, 0)]
+        for lin, lout in reversed(layers):
+            if is_out:
+                if used >> v & 1:  # u_in -> v_out cancels flow v -> u
+                    m = fout[v] & lin
+                    v = (m & -m).bit_length() - 1
+                is_out = 0  # else v_in -> v_out
             else:
-                if p_out == 1 and s_out == 0:  # pv_out -> sv_in (edge forward)
-                    if eflow[sv] >> pv & 1:
-                        eflow[sv] &= ~(1 << pv)
-                    else:
-                        eflow[pv] |= 1 << sv
-                else:  # pv_in -> sv_out (edge reverse, cancel sv -> pv)
-                    eflow[sv] &= ~(1 << pv)
-            s = p
-    # farthest min cut: states that reach a sink in-state in the residual
-    instate_b = ymask
-    outstate_b = 0
-    changed = True
-    while changed:
-        changed = False
-        for v in bits(alive):
-            vb = 1 << v
-            if not outstate_b >> v & 1:
-                # v_out -> u_in forward arcs
-                if adj[v] & instate_b & alive:
-                    outstate_b |= vb
-                    changed = True
-                # v_out -> v_in reverse internal
-                elif used >> v & 1 and instate_b >> v & 1:
-                    outstate_b |= vb
-                    changed = True
-            if not instate_b >> v & 1:
-                # v_in -> v_out forward internal
-                if free >> v & 1 and not used >> v & 1 and outstate_b >> v & 1:
-                    instate_b |= vb
-                    changed = True
+                m = adj[v] & lout  # u_out -> v_in by an edge
+                if m:
+                    v = (m & -m).bit_length() - 1
+                is_out = 1  # else v_out -> v_in, cancelling v's unit
+            path.append((v, is_out))
+        # push one unit along each arc p -> s of the path
+        for (s, _), (p, p_out) in zip(path, path[1:]):
+            if p == s:
+                if p_out:
+                    used &= ~(1 << p)
                 else:
-                    # v_in -> u_out reverse edge arcs (flow u -> v present)
-                    for u in bits(adj[v] & alive):
-                        if eflow[u] >> v & 1 and outstate_b >> u & 1:
-                            instate_b |= vb
-                            changed = True
-                            break
-    cut = 0
-    for v in bits(free):
-        if outstate_b >> v & 1 and not instate_b >> v & 1:
-            cut |= 1 << v
-    return flow_value, cut
+                    used |= 1 << p
+            elif not p_out or fout.get(s, 0) >> p & 1:  # cancel flow s -> p
+                fout[s] &= ~(1 << p)
+                fin[p] &= ~(1 << s)
+            else:
+                fout[p] = fout.get(p, 0) | 1 << s
+                fin[s] = fin.get(s, 0) | 1 << p
+    # farthest min cut: reverse BFS from the Y in-states over residual arcs
+    front = in_r = ymask
+    out_r = 0
+    while front:
+        # predecessors of v_in: u_out for every alive neighbour u, and v_out
+        # when v carries flow
+        nout = front & used
+        m = front
+        while m:
+            b = m & -m
+            nout |= adj[b.bit_length() - 1]
+            m ^= b
+        nout &= alive & ~out_r
+        out_r |= nout
+        # predecessors of v_out: v_in when v is free and unused, and u_in for
+        # each u that v sends flow to
+        nin = nout & free & ~used
+        m = nout & (used | xmask)  # the vertices that send flow
+        while m:
+            b = m & -m
+            nin |= fout.get(b.bit_length() - 1, 0)
+            m ^= b
+        front = nin & ~in_r
+        in_r |= front
+    return flow_value, free & out_r & ~in_r
 
 
 def reachable(g: Graph, X: Iterable[int], S: Iterable[int]) -> frozenset[int]:
@@ -249,7 +233,7 @@ def enumerate_important_separators(
     def rec(alive: int, xmask: int, budget: int, acc: int):
         nonlocal count
         if stats is not None:
-            stats.tick(budget)
+            stats.tick()
         res = _vertex_flow(g, alive, xmask, ymask0, budget)
         if res == _INFEASIBLE or res is None:
             return

@@ -4,7 +4,7 @@ import pytest
 
 from hdecomp.cli import main
 from hdecomp.graphs import Graph, write_family, write_gr
-from hdecomp.decomposition import from_json, to_json, build_ed_forest
+from hdecomp.decomposition import build_ed_forest, build_tree_h_decomposition, from_json, to_json
 from hdecomp.graphs import GraphClassSpec
 
 
@@ -115,6 +115,33 @@ def test_verify_rejects_planted_violation(files, capsys):
     bad = put("bad.json", json.dumps(doc))
     code, out, _ = run(capsys, "verify", bad, g)
     assert code == 1
+
+
+def test_malformed_decomposition_json_exit_1(files, capsys):
+    tmp, put = files
+    g = put("k3.gr", write_gr(Graph.complete(3)))
+    run(capsys, "decompose", "--class", "bip", "--mode", "ed", "--k", "1", g, "--out", str(tmp / "dec.json"))
+    doc = json.loads((tmp / "dec.json").read_text())
+    doc["nodes"][-1]["parent"] = "0"
+    bad = {"kind": put("kind.json", '{"kind":"nice"}'), "parent": put("parent.json", json.dumps(doc))}
+    for name, path in bad.items():
+        for argv in (["verify", path, g], ["solve", "--problem", "oct", "--decomp", path, g]):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, (name, argv)
+            assert err.startswith("error: cannot read decomposition"), (name, err)
+
+
+def test_verify_rejects_negative_bag_vertex(files, capsys):
+    tmp, put = files
+    g = put("k3.gr", write_gr(Graph.complete(3)))
+    dec = build_tree_h_decomposition(Graph.complete(3), 1, GraphClassSpec.bipartite()).decomposition
+    doc = json.loads(to_json(dec))
+    doc["nodes"][0]["bag"] = [-1] + doc["nodes"][0]["bag"][1:]
+    bad = put("bad.json", json.dumps(doc))
+    code, out, _ = run(capsys, "verify", bad, g)
+    assert code == 1 and "out of range" in out
+    code, _, err = run(capsys, "solve", "--problem", "oct", "--via", "dp", "--decomp", bad, g)
+    assert code == 1 and "out of range" in err
 
 
 def test_solve_examples(files, capsys):

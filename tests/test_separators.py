@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -115,6 +116,40 @@ def test_min_separator_size_matches_brute_minimum():
         brute = brute_important_separators(g, {x}, {y}, g.n)
         assert sep is not None
         assert len(sep) == min(len(s) for s in brute)
+
+
+def test_min_separator_is_the_farthest_minimum_cut():
+    """Brute force over all separators: the returned one is minimum, its
+    reach contains the reach of every other minimum separator, and the cap
+    boundary holds exactly at the minimum."""
+    rng = random.Random(23)
+    checked = ties = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(4, 9), rng.choice([0.35, 0.5, 0.65]))
+        vs = list(range(g.n))
+        rng.shuffle(vs)
+        x = frozenset(vs[: rng.randint(1, 2)])
+        far = [v for v in vs if v not in x and not any(g.has_edge(v, a) for a in x)]
+        if not far:
+            continue
+        y = frozenset(far[: rng.randint(1, 3)])
+        free = [v for v in vs if v not in x | y]
+        for size in range(len(free) + 1):
+            minimum = [
+                frozenset(s)
+                for s in itertools.combinations(free, size)
+                if not reachable(g, x, s) & y
+            ]
+            if minimum:
+                break
+        sep = min_vertex_separator(g, x, y, size)
+        assert sep in minimum
+        reach = reachable(g, x, sep)
+        assert all(reachable(g, x, s) <= reach for s in minimum)
+        assert min_vertex_separator(g, x, y, size - 1) is None
+        checked += 1
+        ties += len({reachable(g, x, s) for s in minimum}) > 1
+    assert checked >= 200 and ties >= 15
 
 
 def test_stats_counts_recursion_nodes():
