@@ -239,7 +239,8 @@ class TreeHDecomposition:
             if count_roots != 1:
                 errs.append(f"vertex {v}: occurrence subtree disconnected")
         for u, v in g.edges:
-            if not any(u in self.bags[i] and v in self.bags[i] for i in range(n_nodes)):
+            a, b = (u, v) if len(occ[u]) <= len(occ[v]) else (v, u)
+            if not any(b in self.bags[i] for i in occ[a]):
                 errs.append(f"edge ({u},{v}) not covered by any bag")
         for v in self.L:
             nodes = occ.get(v, [])
@@ -1319,28 +1320,7 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
             parents[c] = t1
         new_node(bags[host] | part, t2)
 
-    # -- renumber in DFS order so parents precede children ------------------
-    ch2: list[list[int]] = [[] for _ in parents]
-    root2 = -1
-    for i, p in enumerate(parents):
-        if p < 0:
-            root2 = i
-        else:
-            ch2[p].append(i)
-    order = []
-    stack = [root2]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for c in reversed(ch2[x]):
-            stack.append(c)
-    inv = {old: new for new, old in enumerate(order)}
-    return NiceTreeHDecomposition(
-        [inv[parents[old]] if parents[old] >= 0 else -1 for old in order],
-        [bags[old] for old in order],
-        L,
-        dec.cls,
-    )
+    return _renumber(NiceTreeHDecomposition(parents, bags, L, dec.cls))
 
 
 # ---------------------------------------------------------------------------

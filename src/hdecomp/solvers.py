@@ -1,11 +1,12 @@
 """Vertex-deletion solvers on top of decompositions.
 
-Branching solvers walk elimination forests top-down, annotating ancestors
-(3-way for odd cycle transversal, 2-way for vertex cover and clique
-deletion) and solving an annotated polynomial case in the base components.
-Dynamic-programming solvers run over nice tree decompositions with numpy
-tables indexed by base-3 (OCT) or base-2 (VC) encodings of the bag
-partition.
+All branching solvers share one skeleton (`_branch`): it walks an
+elimination forest top-down, deletes each ancestor or puts it on a side
+(two sides for odd cycle transversal, one for vertex cover and clique
+deletion), and solves an annotated polynomial case in the base components.
+Both dynamic-programming solvers share one engine (`_nice_dp`) over nice
+tree decompositions, with numpy tables indexed by base-3 (OCT) or base-2
+(VC) encodings of the bag partition.
 
 The failure value bottom is represented by None and absorbs through unions.
 """
@@ -146,90 +147,86 @@ def vc_bipartite(g: Graph) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# branching solvers on elimination forests
+# annotated branching on elimination forests
 # ---------------------------------------------------------------------------
 
 
-def _check_forest(g: Graph, forest: EliminationForest):
+def _has_edge_within(g: Graph, m: int) -> bool:
+    return any(g.adj_mask(v) & m for v in bits(m))
+
+
+def _branch(
+    g: Graph,
+    forest: EliminationForest,
+    sides: int,
+    leaf: Callable[[int, tuple[int, ...], int], Optional[frozenset[int]]],
+) -> frozenset[int]:
+    """Minimum deletion set by annotated branching down an elimination forest.
+
+    Each internal vertex is deleted or put on one of `sides` sides, tried in
+    that order; the first branch of smallest size wins.  At a leaf t of
+    depth d, `leaf(t, side_masks, d)` solves the base component given the
+    annotated ancestors on each side (bit masks) and returns a deletion set,
+    or None when the annotation is infeasible.
+    """
     errs = forest.validate(g)
     if errs:
         raise ValueError("invalid elimination forest: " + "; ".join(errs))
-
-
-def _has_edge_within(g: Graph, vs: frozenset[int]) -> bool:
-    m = mask_of(vs)
-    return any(g.adj_mask(v) & m for v in vs)
-
-
-def solve_oct_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
-    """Minimum odd cycle transversal via 3-way branching on a bipartite-class
-    elimination forest; base components solved as ABC instances with budget
-    equal to the leaf depth."""
-    _check_forest(g, forest)
     ch = forest.children()
     depths = forest.depths()
 
-    def rec(t: int, s1: frozenset[int], s2: frozenset[int]) -> Optional[frozenset[int]]:
+    def rec(t: int, ann: tuple[int, ...]) -> Optional[frozenset[int]]:
         node = forest.nodes[t]
         if node.leaf:
-            if _has_edge_within(g, s1) or _has_edge_within(g, s2):
-                return None
-            bagmask = mask_of(node.bag)
-            b1 = set_of(neighborhood_mask(g, mask_of(s1)) & bagmask)
-            b2 = set_of(neighborhood_mask(g, mask_of(s2)) & bagmask)
-            return _abc_within(g, node.bag, b1, b2, depths[t])
+            return leaf(t, ann, depths[t])
         v = next(iter(node.bag))
         kids = sorted(ch[t])
-        xx = union_bot(frozenset({v}), *(rec(c, s1, s2) for c in kids))
-        x1 = union_bot(*(rec(c, s1 | {v}, s2) for c in kids))
-        x2 = union_bot(*(rec(c, s1, s2 | {v}) for c in kids))
-        best = None
-        for cand in (xx, x1, x2):
+        best = union_bot(frozenset({v}), *(rec(c, ann) for c in kids))
+        for s in range(sides):
+            side = ann[:s] + (ann[s] | 1 << v,) + ann[s + 1 :]
+            cand = union_bot(*(rec(c, side) for c in kids))
             if cand is not None and (best is None or len(cand) < len(best)):
                 best = cand
         return best
 
     total: set[int] = set()
     for r in forest.roots():
-        res = rec(r, frozenset(), frozenset())
+        res = rec(r, (0,) * sides)
         assert res is not None, "the all-deleted branch is always feasible"
         total |= res
     return frozenset(total)
 
 
-def solve_vc_elim(
-    g: Graph,
-    forest: EliminationForest,
-    base_solver: Callable[[Graph, frozenset], frozenset] = _vc_bipartite_within,
-) -> frozenset[int]:
+def solve_oct_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
+    """Minimum odd cycle transversal via 3-way branching on a bipartite-class
+    elimination forest; base components solved as ABC instances with budget
+    equal to the leaf depth."""
+
+    def leaf(t: int, ann: tuple[int, ...], depth: int) -> Optional[frozenset[int]]:
+        if any(_has_edge_within(g, m) for m in ann):
+            return None
+        bag = forest.nodes[t].bag
+        bagmask = mask_of(bag)
+        b1, b2 = (set_of(neighborhood_mask(g, m) & bagmask) for m in ann)
+        return _abc_within(g, bag, b1, b2, depth)
+
+    return _branch(g, forest, 2, leaf)
+
+
+def solve_vc_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
     """Minimum vertex cover via 2-way branching; base components are solved
-    by `base_solver` after removing neighbors of the out-side annotation."""
-    _check_forest(g, forest)
-    ch = forest.children()
+    by Koenig's theorem after forcing the neighbors of out-vertices into the
+    cover."""
 
-    def rec(t: int, s_o: frozenset[int]) -> Optional[frozenset[int]]:
-        node = forest.nodes[t]
-        if node.leaf:
-            if _has_edge_within(g, s_o):
-                return None
-            bagmask = mask_of(node.bag)
-            forced = set_of(neighborhood_mask(g, mask_of(s_o)) & bagmask)
-            rest = node.bag - forced
-            return base_solver(g, rest) | forced
-        v = next(iter(node.bag))
-        kids = sorted(ch[t])
-        xi = union_bot(frozenset({v}), *(rec(c, s_o) for c in kids))
-        xo = union_bot(*(rec(c, s_o | {v}) for c in kids))
-        if xi is not None and (xo is None or len(xi) <= len(xo)):
-            return xi
-        return xo
+    def leaf(t: int, ann: tuple[int, ...], depth: int) -> Optional[frozenset[int]]:
+        (out,) = ann
+        if _has_edge_within(g, out):
+            return None
+        bag = forest.nodes[t].bag
+        forced = set_of(neighborhood_mask(g, out) & mask_of(bag))
+        return _vc_bipartite_within(g, bag - forced) | forced
 
-    total: set[int] = set()
-    for r in forest.roots():
-        res = rec(r, frozenset())
-        assert res is not None
-        total |= res
-    return frozenset(total)
+    return _branch(g, forest, 1, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -309,41 +306,20 @@ def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozense
     """Minimum K_ell-free deletion set via 2-way branching; base components
     are finished by the forbidden-vertex branching solver with the leaf
     depth as budget."""
-    _check_forest(g, forest)
-    ch = forest.children()
-    depths = forest.depths()
 
-    def rec(t: int, s_o: frozenset[int]) -> Optional[frozenset[int]]:
-        node = forest.nodes[t]
-        if node.leaf:
-            if _find_clique(g, mask_of(s_o), ell) is not None:
-                return None
-            return solve_klfree_fdfv(g, s_o, depths[t], ell, node.bag | s_o)
-        v = next(iter(node.bag))
-        kids = sorted(ch[t])
-        xi = union_bot(frozenset({v}), *(rec(c, s_o) for c in kids))
-        xo = union_bot(*(rec(c, s_o | {v}) for c in kids))
-        if xi is not None and (xo is None or len(xi) <= len(xo)):
-            return xi
-        return xo
+    def leaf(t: int, ann: tuple[int, ...], depth: int) -> Optional[frozenset[int]]:
+        (out,) = ann
+        if _find_clique(g, out, ell) is not None:
+            return None
+        kept = set_of(out)
+        return solve_klfree_fdfv(g, kept, depth, ell, forest.nodes[t].bag | kept)
 
-    total: set[int] = set()
-    for r in forest.roots():
-        res = rec(r, frozenset())
-        assert res is not None
-        total |= res
-    return frozenset(total)
+    return _branch(g, forest, 1, leaf)
 
 
 # ---------------------------------------------------------------------------
 # dynamic programming over nice tree decompositions
 # ---------------------------------------------------------------------------
-
-
-def _check_nice(g: Graph, dec: NiceTreeHDecomposition):
-    errs = dec.validate(g)
-    if errs:
-        raise ValueError("invalid nice tree decomposition: " + "; ".join(errs))
 
 
 def _assign_edges(g: Graph, dec: NiceTreeHDecomposition) -> list[list[tuple[int, int]]]:
@@ -353,15 +329,16 @@ def _assign_edges(g: Graph, dec: NiceTreeHDecomposition) -> list[list[tuple[int,
     for i, p in enumerate(dec.parents):
         if p >= 0:
             depth[i] = depth[p] + 1
+    occ: list[list[int]] = [[] for _ in range(g.n)]
+    for i, bag in enumerate(dec.bags):
+        for v in bag:
+            occ[v].append(i)
     assigned: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     for u, v in sorted(g.edges):
-        best = -1
-        for i in range(n_nodes):
-            if u in dec.bags[i] and v in dec.bags[i]:
-                if best < 0 or depth[i] > depth[best]:
-                    best = i
-        assert best >= 0, "edge not covered"
-        assigned[best].append((u, v))
+        a, b = (u, v) if len(occ[u]) <= len(occ[v]) else (v, u)
+        covering = [i for i in occ[a] if b in dec.bags[i]]  # in node order
+        assert covering, "edge not covered"
+        assigned[max(covering, key=depth.__getitem__)].append((u, v))
     return assigned
 
 
@@ -372,8 +349,7 @@ class _NodePlan:
     child_pos: Optional[int] = None  # position of the changing vertex
 
 
-def _plan_nodes(g: Graph, dec: NiceTreeHDecomposition) -> list[_NodePlan]:
-    ch = dec.children()
+def _plan_nodes(dec: NiceTreeHDecomposition, ch: list[list[int]]) -> list[_NodePlan]:
     plans = []
     for t in range(len(dec.parents)):
         bagvars = sorted(dec.bags[t] - dec.L)
@@ -396,288 +372,143 @@ def _plan_nodes(g: Graph, dec: NiceTreeHDecomposition) -> list[_NodePlan]:
     return plans
 
 
-def _drop_index(idx: np.ndarray, pos: int, base: int) -> np.ndarray:
+def _drop_index(idx, pos: int, base: int):
+    """Index with digit `pos` removed (ints or arrays)."""
+    return idx % base**pos + idx // base ** (pos + 1) * base**pos
+
+
+def _insert_indices(idx, pos: int, base: int) -> list:
+    """The indices with each digit 0..base-1 inserted at `pos`."""
     low = idx % base**pos
-    high = idx // base ** (pos + 1)
-    return low + high * base**pos
+    high = idx // base**pos * base ** (pos + 1)
+    return [low + d * base**pos + high for d in range(base)]
 
 
-def _digit(idx, pos: int, base: int):
-    return (idx // base**pos) % base
-
-
-def _digit_count(size: int, base: int, npos: int, digit: int) -> np.ndarray:
-    idx = np.arange(size)
-    out = np.zeros(size, dtype=np.int64)
-    for p in range(npos):
-        out += _digit(idx, p, base) == digit
-    return out
-
-
-def solve_oct_dp(
-    g: Graph, dec: NiceTreeHDecomposition, tight_budget: bool = False
-) -> tuple[int, frozenset[int]]:
-    """Minimum odd cycle transversal by DP over bag triples (L_t, R_t, W_t).
-
-    Digits per non-base bag vertex: 0 = left class, 1 = right class,
-    2 = deleted.  Base parts are finished with ABC at the leaves (budget =
-    base size, or width+1 under `tight_budget`).
-    """
-    _check_nice(g, dec)
-    if dec.cls is None or dec.cls.kind != GraphClassSpec.BIPARTITE:
-        raise ValueError("odd cycle transversal needs a bipartite-class decomposition")
-    n_nodes = len(dec.parents)
-    ch = dec.children()
-    plans = _plan_nodes(g, dec)
-    assigned = _assign_edges(g, dec)
-    tables: list[np.ndarray] = [None] * n_nodes  # type: ignore[list-item]
-    abc_memo: dict[tuple[int, frozenset, frozenset], Optional[frozenset]] = {}
-
-    def leaf_abc(t: int, b1: frozenset[int], b2: frozenset[int]) -> Optional[frozenset[int]]:
-        base = dec.bags[t] & dec.L
-        key = (t, b1, b2)
-        if key not in abc_memo:
-            budget = (dec.width + 1) if tight_budget else len(base)
-            abc_memo[key] = _abc_within(g, base, b1, b2, budget)
-        return abc_memo[key]
-
-    def violation_mask(t: int) -> np.ndarray:
-        plan = plans[t]
-        size = 3 ** len(plan.bagvars)
-        idx = np.arange(size)
-        bad = np.zeros(size, dtype=bool)
-        pos = {v: i for i, v in enumerate(plan.bagvars)}
-        for u, v in assigned[t]:
-            if u in pos and v in pos:
-                du, dv = _digit(idx, pos[u], 3), _digit(idx, pos[v], 3)
-                bad |= (du == dv) & (du != 2)
-        return bad
-
-    def leaf_table(t: int) -> np.ndarray:
-        plan = plans[t]
-        b = len(plan.bagvars)
-        size = 3**b
-        f = np.full(size, INF, dtype=np.int64)
-        bad = violation_mask(t)
-        base = dec.bags[t] & dec.L
-        basemask = mask_of(base)
-        nbr = [g.adj_mask(v) & basemask for v in plan.bagvars]
-        for idx in range(size):
-            if bad[idx]:
-                continue
-            w = 0
-            b1m = b2m = 0
-            for p in range(b):
-                d = idx // 3**p % 3
-                if d == 2:
-                    w += 1
-                elif d == 0:
-                    b1m |= nbr[p]
-                else:
-                    b2m |= nbr[p]
-            sol = leaf_abc(t, set_of(b1m), set_of(b2m))
-            if sol is not None:
-                f[idx] = w + len(sol)
-        return f
-
-    for t in range(n_nodes - 1, -1, -1):
-        plan = plans[t]
-        size = 3 ** len(plan.bagvars)
-        if plan.kind == "leaf":
-            tables[t] = leaf_table(t)
-            continue
-        kids = ch[t]
-        if plan.kind == "join":
-            wcount = _digit_count(size, 3, len(plan.bagvars), 2)
-            f = tables[kids[0]] + tables[kids[1]] - wcount
-        elif plan.kind == "identity":
-            f = tables[kids[0]].copy()
-        elif plan.kind == "introduce":
-            idx = np.arange(size)
-            sub = _drop_index(idx, plan.child_pos, 3)
-            f = tables[kids[0]][sub] + (_digit(idx, plan.child_pos, 3) == 2)
-        else:  # forget
-            cf = tables[kids[0]]
-            cpos = plan.child_pos
-            idx = np.arange(size)
-            low = idx % 3**cpos
-            high = idx // 3**cpos
-            choices = [cf[low + d * 3**cpos + high * 3 ** (cpos + 1)] for d in range(3)]
-            f = np.minimum(np.minimum(choices[0], choices[1]), choices[2])
-        bad = violation_mask(t)
-        f = np.where(bad, INF, f)
-        f = np.minimum(f, INF)
-        tables[t] = f
-
-    root = dec.root()
-    best_idx = int(np.argmin(tables[root]))
-    best = int(tables[root][best_idx])
-    assert best < INF
-
-    # reconstruct by walking the argmin back down
-    solution: set[int] = set()
-
-    def walk(t: int, idx: int):
-        plan = plans[t]
-        for p, v in enumerate(plan.bagvars):
-            if idx // 3**p % 3 == 2:
-                solution.add(v)
-        if plan.kind == "leaf":
-            b = len(plan.bagvars)
-            basemask = mask_of(dec.bags[t] & dec.L)
-            b1m = b2m = 0
-            for p in range(b):
-                d = idx // 3**p % 3
-                if d == 0:
-                    b1m |= g.adj_mask(plan.bagvars[p]) & basemask
-                elif d == 1:
-                    b2m |= g.adj_mask(plan.bagvars[p]) & basemask
-            sol = leaf_abc(t, set_of(b1m), set_of(b2m))
-            assert sol is not None
-            solution.update(sol)
-            return
-        kids = ch[t]
-        if plan.kind == "join":
-            walk(kids[0], idx)
-            walk(kids[1], idx)
-        elif plan.kind == "identity":
-            walk(kids[0], idx)
-        elif plan.kind == "introduce":
-            walk(kids[0], int(_drop_index(np.int64(idx), plan.child_pos, 3)))
-        else:
-            cf = tables[kids[0]]
-            cpos = plan.child_pos
-            low = idx % 3**cpos
-            high = idx // 3**cpos
-            vals = [int(cf[low + d * 3**cpos + high * 3 ** (cpos + 1)]) for d in range(3)]
-            d = vals.index(min(vals))
-            walk(kids[0], low + d * 3**cpos + high * 3 ** (cpos + 1))
-
-    walk(root, best_idx)
-    assert len(solution) == best
-    return best, frozenset(solution)
-
-
-def solve_vc_dp(
+def _nice_dp(
     g: Graph,
     dec: NiceTreeHDecomposition,
-    base_solver: Callable[[Graph, frozenset], frozenset] = _vc_bipartite_within,
+    sides: int,
+    leaf: Callable[[int, tuple[int, ...]], Optional[frozenset[int]]],
 ) -> tuple[int, frozenset[int]]:
-    """Minimum vertex cover by 0/1-assignment DP over nice decompositions;
-    base parts are finished by `base_solver` after forcing the neighbors of
-    out-vertices into the cover."""
-    _check_nice(g, dec)
-    n_nodes = len(dec.parents)
+    """Minimum deletion set by DP over a nice tree H-decomposition.
+
+    Each non-base bag vertex gets one digit in base sides+1: digits
+    0..sides-1 put it on that side, digit `sides` deletes it.  An edge is bad
+    when both ends carry the same side digit.  At a leaf t,
+    `leaf(t, side_masks)` finishes the base part, where side_masks[s] holds
+    the base vertices adjacent to side s; it returns a deletion set or None
+    and is called once per distinct (t, side_masks).
+    """
+    errs = dec.validate(g)
+    if errs:
+        raise ValueError("invalid nice tree decomposition: " + "; ".join(errs))
+    base = sides + 1
     ch = dec.children()
-    plans = _plan_nodes(g, dec)
+    plans = _plan_nodes(dec, ch)
     assigned = _assign_edges(g, dec)
-    tables: list[np.ndarray] = [None] * n_nodes  # type: ignore[list-item]
-    leaf_memo: dict[tuple[int, int], frozenset[int]] = {}
+    tables: list[np.ndarray] = [None] * len(plans)  # type: ignore[list-item]
+    nbr: dict[int, list[int]] = {}  # leaf -> base neighbors of each bag vertex
+    memo: dict[tuple[int, tuple[int, ...]], Optional[frozenset[int]]] = {}
 
-    def leaf_solution(t: int, forced: int) -> frozenset[int]:
-        key = (t, forced)
-        if key not in leaf_memo:
-            rest = (dec.bags[t] & dec.L) - set_of(forced)
-            leaf_memo[key] = base_solver(g, rest) | set_of(forced)
-        return leaf_memo[key]
+    def finish(t: int, idx: int) -> Optional[frozenset[int]]:
+        masks = [0] * sides
+        for p, m in enumerate(nbr[t]):
+            d = idx // base**p % base
+            if d < sides:
+                masks[d] |= m
+        key = (t, tuple(masks))
+        if key not in memo:
+            memo[key] = leaf(*key)
+        return memo[key]
 
-    def violation_mask(t: int) -> np.ndarray:
+    for t in range(len(plans) - 1, -1, -1):
         plan = plans[t]
-        size = 2 ** len(plan.bagvars)
+        size = base ** len(plan.bagvars)
         idx = np.arange(size)
-        bad = np.zeros(size, dtype=bool)
+        digits = idx[:, None] // base ** np.arange(len(plan.bagvars)) % base
+        deleted = (digits == sides).sum(axis=1)
         pos = {v: i for i, v in enumerate(plan.bagvars)}
+        bad = np.zeros(size, dtype=bool)
         for u, v in assigned[t]:
             if u in pos and v in pos:
-                bad |= (_digit(idx, pos[u], 2) == 0) & (_digit(idx, pos[v], 2) == 0)
-        return bad
-
-    for t in range(n_nodes - 1, -1, -1):
-        plan = plans[t]
-        b = len(plan.bagvars)
-        size = 2**b
-        if plan.kind == "leaf":
-            f = np.full(size, INF, dtype=np.int64)
-            bad = violation_mask(t)
-            basemask = mask_of(dec.bags[t] & dec.L)
-            nbr = [g.adj_mask(v) & basemask for v in plan.bagvars]
-            for idx in range(size):
-                if bad[idx]:
-                    continue
-                ones = 0
-                forced = 0
-                for p in range(b):
-                    if idx >> p & 1:
-                        ones += 1
-                    else:
-                        forced |= nbr[p]
-                f[idx] = ones + len(leaf_solution(t, forced))
-            tables[t] = f
-            continue
+                du = digits[:, pos[u]]
+                bad |= (du == digits[:, pos[v]]) & (du != sides)
         kids = ch[t]
-        if plan.kind == "join":
-            onecount = _digit_count(size, 2, b, 1)
-            f = tables[kids[0]] + tables[kids[1]] - onecount
+        if plan.kind == "leaf":
+            basemask = mask_of(dec.bags[t] & dec.L)
+            nbr[t] = [g.adj_mask(v) & basemask for v in plan.bagvars]
+            f = np.full(size, INF, dtype=np.int64)
+            for i in range(size):
+                if not bad[i]:
+                    sol = finish(t, i)
+                    if sol is not None:
+                        f[i] = deleted[i] + len(sol)
+        elif plan.kind == "join":
+            f = tables[kids[0]] + tables[kids[1]] - deleted
         elif plan.kind == "identity":
-            f = tables[kids[0]].copy()
+            f = tables[kids[0]]
         elif plan.kind == "introduce":
-            idx = np.arange(size)
-            sub = _drop_index(idx, plan.child_pos, 2)
-            f = tables[kids[0]][sub] + (_digit(idx, plan.child_pos, 2) == 1)
-        else:
-            cf = tables[kids[0]]
             cpos = plan.child_pos
-            idx = np.arange(size)
-            low = idx % 2**cpos
-            high = idx // 2**cpos
-            f = np.minimum(
-                cf[low + high * 2 ** (cpos + 1)],
-                cf[low + 2**cpos + high * 2 ** (cpos + 1)],
-            )
-        bad = violation_mask(t)
-        f = np.where(bad, INF, f)
-        tables[t] = f
+            f = tables[kids[0]][_drop_index(idx, cpos, base)] + (digits[:, cpos] == sides)
+        else:  # forget: best digit of the forgotten vertex
+            cf = tables[kids[0]]
+            f = np.min([cf[i] for i in _insert_indices(idx, plan.child_pos, base)], axis=0)
+        tables[t] = np.minimum(np.where(bad, INF, f), INF)
 
     root = dec.root()
     best_idx = int(np.argmin(tables[root]))
     best = int(tables[root][best_idx])
     assert best < INF
 
+    # walk the argmin back down, first minimum on forgets
     solution: set[int] = set()
-
-    def walk(t: int, idx: int):
+    stack = [(root, best_idx)]
+    while stack:
+        t, idx = stack.pop()
         plan = plans[t]
-        for p, v in enumerate(plan.bagvars):
-            if idx >> p & 1:
-                solution.add(v)
-        if plan.kind == "leaf":
-            forced = 0
-            basemask = mask_of(dec.bags[t] & dec.L)
-            for p, v in enumerate(plan.bagvars):
-                if not idx >> p & 1:
-                    forced |= g.adj_mask(v) & basemask
-            solution.update(leaf_solution(t, forced))
-            return
+        solution.update(v for p, v in enumerate(plan.bagvars) if idx // base**p % base == sides)
         kids = ch[t]
-        if plan.kind == "join":
-            walk(kids[0], idx)
-            walk(kids[1], idx)
+        if plan.kind == "leaf":
+            sol = finish(t, idx)
+            assert sol is not None
+            solution |= sol
+        elif plan.kind == "join":
+            stack += [(kids[0], idx), (kids[1], idx)]
         elif plan.kind == "identity":
-            walk(kids[0], idx)
+            stack.append((kids[0], idx))
         elif plan.kind == "introduce":
-            walk(kids[0], int(_drop_index(np.int64(idx), plan.child_pos, 2)))
+            stack.append((kids[0], _drop_index(idx, plan.child_pos, base)))
         else:
             cf = tables[kids[0]]
-            cpos = plan.child_pos
-            low = idx % 2**cpos
-            high = idx // 2**cpos
-            i0 = low + high * 2 ** (cpos + 1)
-            i1 = low + 2**cpos + high * 2 ** (cpos + 1)
-            walk(kids[0], i0 if cf[i0] <= cf[i1] else i1)
-
-    walk(root, best_idx)
+            stack.append((kids[0], min(_insert_indices(idx, plan.child_pos, base), key=cf.__getitem__)))
     assert len(solution) == best
     return best, frozenset(solution)
+
+
+def solve_oct_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[int]]:
+    """Minimum odd cycle transversal by DP over bag triples (L_t, R_t, W_t):
+    two sides plus deletion.  Base parts are finished with ABC at the
+    leaves, with the base size as budget."""
+    if dec.cls is None or dec.cls.kind != GraphClassSpec.BIPARTITE:
+        raise ValueError("odd cycle transversal needs a bipartite-class decomposition")
+
+    def leaf(t: int, masks: tuple[int, ...]) -> Optional[frozenset[int]]:
+        base = dec.bags[t] & dec.L
+        return _abc_within(g, base, set_of(masks[0]), set_of(masks[1]), len(base))
+
+    return _nice_dp(g, dec, 2, leaf)
+
+
+def solve_vc_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[int]]:
+    """Minimum vertex cover by DP over nice decompositions: one side (out of
+    the cover) plus deletion.  Base parts are finished by Koenig's theorem
+    after forcing the neighbors of out-vertices into the cover."""
+
+    def leaf(t: int, masks: tuple[int, ...]) -> frozenset[int]:
+        forced = set_of(masks[0])
+        return _vc_bipartite_within(g, (dec.bags[t] & dec.L) - forced) | forced
+
+    return _nice_dp(g, dec, 1, leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,15 @@ def test_validator_catches_duplicate_base_vertex():
     assert dec.validate(g)
 
 
+def test_validator_reports_uncovered_edge():
+    # path 0-1-2 whose bags {0,1}, {1}, {2} miss the edge (1,2)
+    g = Graph(3, [(0, 1), (1, 2)])
+    dec = TreeHDecomposition(
+        [-1, 0, 1], [frozenset({0, 1}), frozenset({1}), frozenset({2})], frozenset(), None
+    )
+    assert dec.validate(g) == ["edge (1,2) not covered by any bag"]
+
+
 def test_validator_catches_wrong_graph():
     k3 = Graph.complete(3)
     dec = build_tree_h_decomposition(k3, 1, BIP).decomposition

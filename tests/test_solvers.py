@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from hdecomp.graphs import Graph, GraphClassSpec, is_member
 from hdecomp.decomposition import (
+    TreeHDecomposition,
     build_ed_forest,
     build_tree_h_decomposition,
     ed_to_tree_decomposition,
@@ -28,6 +29,7 @@ from hdecomp.solvers import (
     solve_vc_elim,
     vc_bipartite,
 )
+from hdecomp.solvers import _assign_edges
 
 from .conftest import connected_graphs_st, random_graph
 
@@ -236,12 +238,63 @@ def test_solvers_agree_across_decompositions():
         assert all(r == want for r in routes)
 
 
-def test_oct_dp_tight_budget_flag():
-    rng = random.Random(91)
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(2, 8), 0.4)
-        nice = bip_nice(g)
-        assert solve_oct_dp(g, nice, tight_budget=True)[0] == solve_oct_dp(g, nice)[0]
+def triangle_chain(p):
+    """p triangles {3i, 3i+1, 3i+2} joined by the bridges (3i+2, 3i+3), with a
+    tree H-decomposition (bipartite base): path node P_i holds the bridge
+    ends of triangles i and i+1, and a leaf under P_i adds the rest of
+    triangle i."""
+    edges = []
+    for i in range(p):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(a, b), (b, c), (a, c)]
+        if i + 1 < p:
+            edges.append((c, c + 1))
+    keep = [{3 * i, 3 * i + 2} if i + 1 < p else {3 * i} for i in range(p)]
+    parents, bags, base = [], [], set()
+    for i in range(p):
+        rest = set(range(3 * i, 3 * i + 3)) - keep[i]
+        base |= rest
+        parents += [2 * i - 2 if i else -1, 2 * i]
+        bags += [keep[i] | (keep[i + 1] if i + 1 < p else set()), keep[i] | rest]
+    return Graph(3 * p, edges), TreeHDecomposition(parents, bags, frozenset(base), BIP)
+
+
+def test_dp_on_deep_nice_decomposition():
+    g, dec = triangle_chain(200)
+    assert not dec.validate(g)
+    nice = make_nice(dec)
+    assert len(nice.parents) > 1000
+    size, x = solve_oct_dp(g, nice)
+    assert size == len(x) == 200
+    assert is_member(g, BIP, frozenset(range(g.n)) - x)
+    size, x = solve_vc_dp(g, nice)
+    assert size == len(x) == 400
+    assert all(u in x or v in x for u, v in g.edges)
+
+
+def assign_edges_reference(g, dec):
+    depth = [0] * len(dec.parents)
+    for i, p in enumerate(dec.parents):
+        if p >= 0:
+            depth[i] = depth[p] + 1
+    assigned = [[] for _ in dec.parents]
+    for u, v in sorted(g.edges):
+        best = -1
+        for i in range(len(dec.parents)):
+            if u in dec.bags[i] and v in dec.bags[i]:
+                if best < 0 or depth[i] > depth[best]:
+                    best = i
+        assigned[best].append((u, v))
+    return assigned
+
+
+def test_assign_edges_matches_reference():
+    rng = random.Random(29)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.4, 0.6)))
+        k = rng.randint(0, 2)
+        nice = make_nice(ed_to_tree_decomposition(bip_forest(g, k)))
+        assert _assign_edges(g, nice) == assign_edges_reference(g, nice)
 
 
 def test_solution_block_format():
