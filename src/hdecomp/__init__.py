@@ -4,7 +4,6 @@ with vertex-deletion solvers running on top of them."""
 from .graphs import (
     Graph,
     GraphClassSpec,
-    TriSeparation,
     connected_components,
     contract_sets,
     find_induced_obstruction,
@@ -47,12 +46,10 @@ from .decomposition import (
     exact_treedepth,
     exact_treewidth,
     from_json,
-    kappa_pi,
     make_nice,
     quotient,
     to_json,
     tree_decomp_from_sepdecomp,
-    validate,
 )
 from .solvers import (
     AbcInstance,

@@ -164,6 +164,14 @@ def _auto_nice(g: Graph, cls: GraphClassSpec) -> NiceTreeHDecomposition:
     raise CliError("auto mode failed to satisfy the promise check")
 
 
+def _solved(solver, *args):
+    """Run a solver, which validates its decomposition; its ValueError exits 1."""
+    try:
+        return solver(*args)
+    except ValueError as e:
+        raise CliError(str(e))
+
+
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     if args.problem == "klfree":
@@ -187,15 +195,12 @@ def cmd_solve(args) -> int:
             forest = decomp
         else:
             raise CliError("--via elim needs an elimination forest")
-        errs = forest.validate(g)
-        if errs:
-            raise CliError("invalid decomposition: " + "; ".join(errs))
         if args.problem == "oct":
-            x = solve_oct_elim(g, forest)
+            x = _solved(solve_oct_elim, g, forest)
         elif args.problem == "vc":
-            x = solve_vc_elim(g, forest)
+            x = _solved(solve_vc_elim, g, forest)
         else:
-            x = solve_klfree_elim(g, forest, args.l)
+            x = _solved(solve_klfree_elim, g, forest, args.l)
     else:
         if decomp is None:
             nice = _auto_nice(g, cls)
@@ -204,17 +209,15 @@ def cmd_solve(args) -> int:
         elif isinstance(decomp, NiceTreeHDecomposition):
             nice = decomp
         else:
+            # make_nice assumes a valid input
             errs = decomp.validate(g)
             if errs:
                 raise CliError("invalid decomposition: " + "; ".join(errs))
             nice = make_nice(decomp)
-        errs = nice.validate(g)
-        if errs:
-            raise CliError("invalid decomposition: " + "; ".join(errs))
         if args.problem == "oct":
-            _, x = solve_oct_dp(g, nice)
+            _, x = _solved(solve_oct_dp, g, nice)
         else:
-            _, x = solve_vc_dp(g, nice)
+            _, x = _solved(solve_vc_dp, g, nice)
     sys.stdout.write(solution_block(args.problem, x))
     return 0
 

@@ -25,6 +25,7 @@ from .graphs import (
     Graph,
     GraphClassSpec,
     bits,
+    components,
     connected_components,
     contract_sets,
     is_member,
@@ -41,6 +42,7 @@ from .separation import (
     find_separation_restricted,
 )
 from .separators import SearchStats
+from .tree import children, preorder, renumber
 
 #: documented constant for the make_nice size guarantee
 ALPHA = 32
@@ -73,11 +75,7 @@ class EliminationForest:
         self.cls = cls
 
     def children(self) -> list[list[int]]:
-        ch: list[list[int]] = [[] for _ in self.nodes]
-        for i, node in enumerate(self.nodes):
-            if node.parent >= 0:
-                ch[node.parent].append(i)
-        return ch
+        return children([node.parent for node in self.nodes])
 
     def roots(self) -> list[int]:
         return [i for i, node in enumerate(self.nodes) if node.parent < 0]
@@ -123,6 +121,9 @@ class EliminationForest:
                 continue
             if node.parent >= i:
                 errs.append(f"node {i}: parent {node.parent} does not precede it")
+            if any(not 0 <= v < g.n for v in node.bag):
+                errs.append(f"node {i}: bag vertex out of range")
+                continue
             if node.leaf:
                 if ch[i]:
                     errs.append(f"node {i}: leaf with children")
@@ -144,7 +145,6 @@ class EliminationForest:
         if errs:
             return errs
         # ancestor-descendant condition for edges
-        depths = self.depths()
         owner = {}
         for i, node in enumerate(self.nodes):
             for v in node.bag:
@@ -157,7 +157,6 @@ class EliminationForest:
             a, b = owner[u], owner[v]
             if a != b and a not in anc[b] and b not in anc[a]:
                 errs.append(f"edge ({u},{v}) crosses unrelated subtrees")
-        _ = depths
         return errs
 
 
@@ -179,11 +178,7 @@ class TreeHDecomposition:
         self.cls = cls
 
     def children(self) -> list[list[int]]:
-        ch: list[list[int]] = [[] for _ in self.parents]
-        for i, p in enumerate(self.parents):
-            if p >= 0:
-                ch[p].append(i)
-        return ch
+        return children(self.parents)
 
     def root(self) -> int:
         roots = [i for i, p in enumerate(self.parents) if p < 0]
@@ -311,11 +306,7 @@ class SeparationDecomposition:
         self.cls = cls
 
     def children(self) -> list[list[int]]:
-        ch: list[list[int]] = [[] for _ in self.nodes]
-        for i, node in enumerate(self.nodes):
-            if node.parent >= 0:
-                ch[node.parent].append(i)
-        return ch
+        return children([node.parent for node in self.nodes])
 
     def ancestors(self, t: int) -> list[int]:
         out = []
@@ -489,11 +480,6 @@ def _from_doc(doc):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def validate(obj, g: Graph) -> list[str]:
-    """Uniform validation entry point for any decomposition structure."""
-    return obj.validate(g)
-
-
 # ---------------------------------------------------------------------------
 # exact treedepth / treewidth of small graphs
 # ---------------------------------------------------------------------------
@@ -542,6 +528,8 @@ def exact_treedepth(g: Graph) -> TreedepthResult:
         return best
 
     def td_parts(mask: int) -> int:
+        # the hot loop of the 2^q DP: inlined, since calling components()
+        # here cost 10-15% on a 16-vertex quotient
         value = 0
         pool = mask
         while pool:
@@ -553,51 +541,35 @@ def exact_treedepth(g: Graph) -> TreedepthResult:
     def heuristic_root(mask: int) -> int:
         best_v, best_sz = -1, g.n + 1
         for v in bits(mask):
-            rem = mask & ~(1 << v)
-            worst = 0
-            pool = rem
-            while pool:
-                comp = reach_mask(g, pool & -pool, pool)
-                worst = max(worst, bin(comp).count("1"))
-                pool &= ~comp
+            worst = max(c.bit_count() for c in components(g, mask & ~(1 << v)))
             if worst < best_sz:
                 best_v, best_sz = v, worst
         return best_v
 
     nodes: list[ForestNode] = []
-
-    def build(mask: int, parent: int):
-        pool = mask
-        comps = []
-        while pool:
-            comp = reach_mask(g, pool & -pool, pool)
-            comps.append(comp)
-            pool &= ~comp
-        for comp in comps:
-            if comp & (comp - 1) == 0:
-                v = comp.bit_length() - 1
-                i = len(nodes)
-                nodes.append(ForestNode(frozenset({v}), parent, False))
-                nodes.append(ForestNode(frozenset(), i, True))
-                continue
-            if exact:
-                target = td_conn(comp)
-                root = -1
-                for v in bits(comp):
-                    if 1 + td_parts(comp & ~(1 << v)) == target:
-                        root = v
-                        break
-            else:
-                root = heuristic_root(comp)
-            i = len(nodes)
-            nodes.append(ForestNode(frozenset({root}), parent, False))
-            build(comp & ~(1 << root), i)
-
     full = g.full_mask()
     if g.n == 0:
         nodes.append(ForestNode(frozenset(), -1, True))
-    else:
-        build(full, -1)
+    # depth-first: (component, parent node), the first component on top
+    stack = [(comp, -1) for comp in reversed(components(g, full))]
+    while stack:
+        comp, parent = stack.pop()
+        i = len(nodes)
+        if comp & (comp - 1) == 0:
+            nodes.append(ForestNode(frozenset({comp.bit_length() - 1}), parent, False))
+            nodes.append(ForestNode(frozenset(), i, True))
+            continue
+        if exact:
+            target = td_conn(comp)
+            root = -1
+            for v in bits(comp):
+                if 1 + td_parts(comp & ~(1 << v)) == target:
+                    root = v
+                    break
+        else:
+            root = heuristic_root(comp)
+        nodes.append(ForestNode(frozenset({root}), parent, False))
+        stack += [(c, i) for c in reversed(components(g, comp & ~(1 << root)))]
     forest = EliminationForest(nodes, None)
     value = td_parts(full) if exact else forest.depth
     assert forest.depth == value
@@ -627,14 +599,8 @@ def _td_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeHDecomposi
         else:
             parents[i] = n - 1
     # reverse so parents precede children (root = last eliminated)
-    perm = list(range(n - 1, -1, -1))
-    inv = {old: new for new, old in enumerate(perm)}
-    new_parents = [-1] * n
-    new_bags: list[frozenset[int]] = [frozenset()] * n
-    for old in range(n):
-        new_bags[inv[old]] = bags[old]
-        new_parents[inv[old]] = inv[parents[old]] if parents[old] >= 0 else -1
-    return TreeHDecomposition(new_parents, new_bags, frozenset(), None)
+    order = range(n - 1, -1, -1)
+    return TreeHDecomposition(renumber(parents, order), bags[::-1], frozenset(), None)
 
 
 def exact_treewidth(g: Graph) -> TreewidthResult:
@@ -807,15 +773,7 @@ def build_separation_decomposition(
             pu |= path_union[parent]
         path_union.append(pu)
         depth.append(0 if parent < 0 else depth[parent] + 1)
-        rest = region_mask & ~mask_of(zp)
-        comps = []
-        pool = rest
-        while pool:
-            comp = reach_mask(g, pool & -pool, pool)
-            comps.append(comp)
-            pool &= ~comp
-        for comp in reversed(comps):
-            stack.append(comp)
+        stack.extend(reversed(components(g, region_mask & ~mask_of(zp))))
     return SeparationDecomposition(nodes, k, k2, restricted, cls)
 
 
@@ -829,160 +787,72 @@ def quotient(g: Graph, dec: SeparationDecomposition) -> tuple[Graph, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-class _Internal:
-    __slots__ = ("v", "children")
-
-    def __init__(self, v: int):
-        self.v = v
-        self.children: list = []
-
-
-class _Leaf:
-    __slots__ = ("bag",)
-
-    def __init__(self, bag: int):
-        self.bag = bag
-
-
-def _nested_from_forest(forest: EliminationForest) -> list[_Internal]:
-    """Vertex-only nested view of a standard elimination forest."""
-    objs: list = []
-    for node in forest.nodes:
-        if node.leaf:
-            objs.append(None)
-        else:
-            objs.append(_Internal(next(iter(node.bag))))
-    roots = []
-    for i, node in enumerate(forest.nodes):
-        if objs[i] is None:
-            continue
-        if node.parent < 0:
-            roots.append(objs[i])
-        else:
-            objs[node.parent].children.append(objs[i])
-    return roots
-
-
-def _restrict_nested(trees: list, keep: int) -> list:
-    out = []
-    for tree in trees:
-        if isinstance(tree, _Leaf):
-            bag = tree.bag & keep
-            if bag:
-                out.append(_Leaf(bag))
-            continue
-        sub = _restrict_nested(tree.children, keep)
-        if keep >> tree.v & 1:
-            node = _Internal(tree.v)
-            node.children = sub
-            out.append(node)
-        else:
-            out.extend(sub)
-    return out
-
-
 def ed_forest_from_sepdecomp(
     g: Graph, dec: SeparationDecomposition, quotient_forest: EliminationForest
 ) -> EliminationForest:
     """Turn an elimination forest of the quotient graph into an elimination
     forest of G with class base components (induction of the depth-d*k2
     conversion: the quotient root's separator becomes a rooted path, the
-    pieces inside C_j become leaves, the rest recurses)."""
+    pieces inside C_j become leaves, the rest recurses).
+
+    The output is emitted in depth-first preorder.  A work item is a
+    connected vertex set H plus `keep`, the vertices outside C_j | S_j of
+    every enclosing piece j: the conversion of H drops the other vertices
+    (they hang elsewhere), and the children of a dropped path vertex attach
+    to its nearest kept ancestor.
+    """
     if quotient_forest.cls is not None:
         raise ValueError("quotient forest must be standard (cls=None)")
-    qroots = _nested_from_forest(quotient_forest)
-    qvertices = set()
-
-    def collect(tree):
-        qvertices.add(tree.v)
-        for c in tree.children:
-            collect(c)
-
-    for r in qroots:
-        collect(r)
-    if qvertices != set(range(len(dec.nodes))):
+    nt = len(dec.nodes)
+    qabove: dict[int, int] = {}  # quotient vertex -> mask of its ancestors
+    path_mask = [0] * len(quotient_forest.nodes)  # root path of a node, inclusive
+    for i, node in enumerate(quotient_forest.nodes):
+        above = path_mask[node.parent] if node.parent >= 0 else 0
+        if not node.leaf:
+            t = next(iter(node.bag))
+            qabove[t] = above
+            path_mask[i] = above | 1 << t
+    if set(qabove) != set(range(nt)):
         raise ValueError("quotient forest does not match the decomposition")
-    triples = {
-        i: (mask_of(n.V), mask_of(n.C), mask_of(n.S)) for i, n in enumerate(dec.nodes)
-    }
-
-    def convert(hmask: int, tri: dict, qtrees: list) -> list:
-        if hmask == 0:
-            return []
-        roots_out = []
-        pool = hmask
-        while pool:
-            comp = reach_mask(g, pool & -pool, pool)
-            pool &= ~comp
-            idx = {i for i, (vm, _, _) in tri.items() if vm & comp}
-            ktrees = _restrict_q(qtrees, idx)
-            assert len(ktrees) == 1, "connected piece must sit in one quotient tree"
-            troot = ktrees[0]
-            j = troot.v
-            vm, cm, sm = tri[j]
-            cmk, smk = cm & comp, sm & comp
-            h2 = comp & ~vm
-            tri2 = {
-                i: (vm2, cm2 & h2, sm2 & h2)
-                for i, (vm2, cm2, sm2) in tri.items()
-                if i != j and vm2 & h2
-            }
-            sub = convert(h2, tri2, troot.children)
-            keep = comp & ~(cmk | smk)
-            restricted = _restrict_nested(sub, keep)
-            leaves = []
-            pool2 = comp & ~smk
-            while pool2:
-                piece = reach_mask(g, pool2 & -pool2, pool2)
-                pool2 &= ~piece
-                if piece & ~cmk == 0:
-                    leaves.append(_Leaf(piece))
-            if smk == 0:
-                assert not restricted
-                roots_out.extend(leaves)
-                continue
-            path = sorted(bits(smk))
-            top = _Internal(path[0])
-            cur = top
-            for v in path[1:]:
-                nxt = _Internal(v)
-                cur.children.append(nxt)
-                cur = nxt
-            cur.children.extend(restricted)
-            cur.children.extend(leaves)
-            roots_out.append(top)
-        return roots_out
-
-    def _restrict_q(trees: list, idx: set) -> list:
-        out = []
-        for tree in trees:
-            sub = _restrict_q(tree.children, idx)
-            if tree.v in idx:
-                node = _Internal(tree.v)
-                node.children = sub
-                out.append(node)
-            else:
-                out.extend(sub)
-        return out
-
-    roots = convert(g.full_mask(), triples, qroots)
+    vm = [mask_of(n.V) for n in dec.nodes]
+    cm = [mask_of(n.C) for n in dec.nodes]
+    sm = [mask_of(n.S) for n in dec.nodes]
     nodes: list[ForestNode] = []
 
-    def commit(tree, parent: int):
-        if isinstance(tree, _Leaf):
-            nodes.append(ForestNode(set_of(tree.bag), parent, True))
-            return
-        i = len(nodes)
-        nodes.append(ForestNode(frozenset({tree.v}), parent, False))
-        if not tree.children:
-            nodes.append(ForestNode(frozenset(), i, True))
-        for c in tree.children:
-            commit(c, i)
+    def emit(bag: frozenset[int], parent: int, leaf: bool) -> int:
+        last = len(nodes) - 1
+        if last >= 0 and not nodes[last].leaf and parent != last:
+            nodes.append(ForestNode(frozenset(), last, True))  # auxiliary leaf
+        nodes.append(ForestNode(bag, parent, leaf))
+        return len(nodes) - 1
 
     if g.n == 0:
-        nodes.append(ForestNode(frozenset(), -1, True))
-    for r in roots:
-        commit(r, -1)
+        emit(frozenset(), -1, True)
+    full = g.full_mask()
+    # (vertex set, keep, parent node, is a leaf bag); the first item on top
+    stack = [(comp, full, -1, False) for comp in reversed(components(g, full))]
+    while stack:
+        h, keep, parent, leaf = stack.pop()
+        if leaf:
+            if h & keep:
+                emit(set_of(h & keep), parent, True)
+            continue
+        pieces = mask_of(t for t in range(nt) if vm[t] & h)
+        tops = [t for t in bits(pieces) if not qabove[t] & pieces]
+        assert len(tops) == 1, "connected piece must sit in one quotient tree"
+        j = tops[0]
+        cmk, smk = cm[j] & h, sm[j] & h
+        assert smk or not h & ~vm[j] & ~cmk, "nothing to hang the rest under"
+        top = parent
+        for v in bits(smk):
+            if keep >> v & 1:
+                top = emit(frozenset({v}), top, False)
+        leaves = [p for p in components(g, h & ~smk) if not p & ~cmk]
+        stack += [(p, keep, top, True) for p in reversed(leaves)]
+        rest_keep = keep & ~(cmk | smk)
+        stack += [(c, rest_keep, top, False) for c in reversed(components(g, h & ~vm[j]))]
+    if nodes and not nodes[-1].leaf:
+        nodes.append(ForestNode(frozenset(), len(nodes) - 1, True))
     return EliminationForest(nodes, dec.cls)
 
 
@@ -1131,26 +1001,8 @@ def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDec
 
 
 def _renumber(dec: TreeHDecomposition) -> TreeHDecomposition:
-    order = []
-    ch: list[list[int]] = [[] for _ in dec.parents]
-    root = -1
-    for i, p in enumerate(dec.parents):
-        if p < 0:
-            root = i
-        else:
-            ch[p].append(i)
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for c in reversed(ch[x]):
-            stack.append(c)
-    inv = {old: new for new, old in enumerate(order)}
-    parents = [
-        inv[dec.parents[old]] if dec.parents[old] >= 0 else -1 for old in order
-    ]
-    bags = [dec.bags[old] for old in order]
-    return type(dec)(parents, bags, dec.L, dec.cls)
+    order = preorder(dec.children(), [dec.root()])
+    return type(dec)(renumber(dec.parents, order), [dec.bags[x] for x in order], dec.L, dec.cls)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,18 +1016,12 @@ def ed_to_tree_decomposition(forest: EliminationForest) -> TreeHDecomposition:
     ch = forest.children()
     leaves = []
     anc_sets: list[frozenset[int]] = [frozenset()] * len(forest.nodes)
-
-    def walk(i: int, above: frozenset[int]):
-        anc_sets[i] = above
-        if forest.nodes[i].leaf:
+    for i in preorder(ch, forest.roots()):
+        node = forest.nodes[i]
+        if node.leaf:
             leaves.append(i)
-            return
-        below = above | forest.nodes[i].bag
-        for c in sorted(ch[i]):
-            walk(c, below)
-
-    for r in forest.roots():
-        walk(r, frozenset())
+        for c in ch[i]:
+            anc_sets[c] = anc_sets[i] | node.bag
     L = forest.base_vertices()
     if not leaves:
         return TreeHDecomposition([-1], [frozenset()], L, forest.cls)
@@ -1210,10 +1056,7 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
     # -- compress the scaffold: drop L, contract comparable adjacent bags ---
     sbags = {x: dec.bags[x] - L for x in range(len(dec.bags))}
     sparent = dict(enumerate(dec.parents))
-    schildren: dict[int, set[int]] = {x: set() for x in sbags}
-    for x, p in sparent.items():
-        if p >= 0:
-            schildren[p].add(x)
+    schildren = {x: set(kids) for x, kids in enumerate(dec.children())}
     changed = True
     while changed:
         changed = False
@@ -1258,52 +1101,35 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
         bags.append(bag)
         return len(parents) - 1
 
-    def build(x: int, parent: int) -> int:
-        """Gadget for scaffold node x; the returned top node has bag sbags[x]."""
-        bx = sbags[x]
-        kids = sorted(schildren[x])
-        if not kids:
-            return new_node(bx, parent)
-        if len(kids) == 1:
-            return _leg(bx, kids[0], parent)
+    # A task (parent, bag, items) builds a subtree with top bag `bag` over
+    # the gadgets of the scaffold nodes `items`: none makes a leaf, one makes
+    # a leg of single-vertex steps down to that item's own task, and more
+    # make an equal-bag join over two halves.
+    tasks = [(-1, sbags[sroot], sorted(schildren[sroot]))]
+    while tasks:
+        parent, bx, items = tasks.pop()
+        if len(items) == 1:
+            (c,) = items
+            bc = sbags[c]
+            if bx != bc:
+                seq = []
+                cur = bx
+                for v in sorted(bx - bc):
+                    cur = cur - {v}
+                    seq.append(cur)
+                for v in sorted(bc - bx):
+                    cur = cur | {v}
+                    seq.append(cur)
+                parent = new_node(bx, parent)
+                for b in seq[:-1]:
+                    parent = new_node(b, parent)
+                assert len(bags[parent] ^ bc) == 1
+            tasks.append((parent, bc, sorted(schildren[c])))
+            continue
         top = new_node(bx, parent)
-        _attach_join(top, bx, kids)
-        return top
-
-    def _leg(bx: frozenset[int], c: int, parent: int) -> int:
-        """A node with bag bx above the gadget of c, stepping one vertex at a
-        time; compression guarantees bx != sbags[c] here only for scaffold
-        edges, but equal bags are tolerated (the gadget top is reused)."""
-        bc = sbags[c]
-        if bx == bc:
-            return build(c, parent)
-        seq = []
-        cur = bx
-        for v in sorted(bx - bc):
-            cur = cur - {v}
-            seq.append(cur)
-        for v in sorted(bc - bx):
-            cur = cur | {v}
-            seq.append(cur)
-        top = new_node(bx, parent)
-        prev = top
-        for b in seq[:-1]:
-            prev = new_node(b, prev)
-        sub = build(c, prev)
-        assert bags[sub] == bc and len(bags[prev] ^ bc) == 1
-        return top
-
-    def _attach_join(node: int, bx: frozenset[int], items: list[int]):
-        """Give `node` (bag bx) exactly two children with bag bx each."""
-        mid = (len(items) + 1) // 2
-        for half in (items[:mid], items[mid:]):
-            if len(half) == 1:
-                _leg(bx, half[0], node)
-            else:
-                sub = new_node(bx, node)
-                _attach_join(sub, bx, half)
-
-    build(sroot, -1)
+        if items:
+            mid = (len(items) + 1) // 2
+            tasks += [(top, bx, items[mid:]), (top, bx, items[:mid])]
 
     # -- splice base parts (two equal-bag copies plus a widened leaf) -------
     for need, part in base_parts:
@@ -1321,23 +1147,3 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
         new_node(bags[host] | part, t2)
 
     return _renumber(NiceTreeHDecomposition(parents, bags, L, dec.cls))
-
-
-# ---------------------------------------------------------------------------
-# kappa / pi
-# ---------------------------------------------------------------------------
-
-
-def kappa_pi(dec: NiceTreeHDecomposition, t: int) -> tuple[frozenset[int], frozenset[int]]:
-    """(kappa(t), pi(t)): pi is the parent bag (empty at the root); kappa is
-    the union of subtree bags minus pi."""
-    parent = dec.parents[t]
-    pi = dec.bags[parent] if parent >= 0 else frozenset()
-    ch = dec.children()
-    acc: set[int] = set()
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        acc |= dec.bags[x]
-        stack.extend(ch[x])
-    return frozenset(acc) - pi, pi

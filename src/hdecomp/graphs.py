@@ -9,7 +9,6 @@ reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -42,10 +41,6 @@ class Graph:
         self._hash = hash((n, self.edges))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -91,9 +86,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edge_mask(self) -> int:
         mask = 0
@@ -231,12 +223,6 @@ class GraphClassSpec:
     def kl_free(cls, ell: int) -> "GraphClassSpec":
         return cls.forbidden(Graph.complete(ell))
 
-    @property
-    def max_obstruction_size(self) -> int:
-        if self.kind == self.BIPARTITE:
-            return 0
-        return max(f.n for f in self.family)
-
     def h_value(self, x: int) -> int:
         """Separator guarantee h(x) of the class' separation finder."""
         return 2 * x if self.kind == self.BIPARTITE else x
@@ -256,40 +242,23 @@ class GraphClassSpec:
         return f"GraphClassSpec(forbidden-induced, sizes=[{sizes}])"
 
 
-@dataclass(frozen=True)
-class TriSeparation:
-    """A partition (A, X, B) of V(G) with no A-B edges."""
-
-    A: frozenset[int]
-    X: frozenset[int]
-    B: frozenset[int]
-
-    def validate(self, g: Graph) -> list[str]:
-        errs = []
-        if self.A & self.X or self.A & self.B or self.X & self.B:
-            errs.append("parts overlap")
-        if self.A | self.X | self.B != frozenset(range(g.n)):
-            errs.append("parts do not partition V(G)")
-        for u in self.A:
-            if g.adj_mask(u) & mask_of(self.B):
-                errs.append(f"edge between A and B at {u}")
-                break
-        return errs
-
-
 # -- operations --------------------------------------------------------------
+
+
+def components(g: Graph, pool: int) -> list[int]:
+    """Component masks of G[pool], in order of their smallest vertex."""
+    comps = []
+    while pool:
+        comp = reach_mask(g, pool & -pool, pool)
+        comps.append(comp)
+        pool &= ~comp
+    return comps
 
 
 def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
     """Connected components of G[within], ordered by smallest member."""
     pool = g.full_mask() if within is None else mask_of(within)
-    comps = []
-    while pool:
-        start = pool & -pool
-        comp = reach_mask(g, start, pool)
-        comps.append(set_of(comp))
-        pool &= ~comp
-    return comps
+    return [set_of(comp) for comp in components(g, pool)]
 
 
 def is_connected_set(g: Graph, vertices: Iterable[int]) -> bool:

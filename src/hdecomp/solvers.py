@@ -110,20 +110,32 @@ def _vc_bipartite_within(g: Graph, within: frozenset[int]) -> frozenset[int]:
     right = {v for v in within if coloring[v] == 2}
     match: dict[int, int] = {}  # right -> left
     match_left: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for w in g.neighbors(u):
-            if w in right and w not in seen:
-                seen.add(w)
-                if w not in match or augment(match[w], seen):
-                    match[w] = u
-                    match_left[u] = w
-                    return True
-        return False
-
-    for u in left:
-        if u not in match_left:
-            augment(u, set())
+    for root in left:
+        if root in match_left:
+            continue
+        # depth-first augmenting path search: stack[i] is a left vertex with
+        # its unscanned neighbours, path[i] the right vertex it tries
+        seen: set[int] = set()
+        stack = [(root, iter(g.neighbors(root)))]
+        path: list[int] = []
+        while stack:
+            for w in stack[-1][1]:
+                if w in right and w not in seen:
+                    seen.add(w)
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(w)
+            if w in match:
+                stack.append((match[w], iter(g.neighbors(match[w]))))
+                continue
+            for (u, _), w in zip(stack, path):
+                match[w] = u
+                match_left[u] = w
+            break
     # Koenig: alternating reachability from unmatched left vertices
     z: set[int] = {u for u in left if u not in match_left}
     frontier = list(z)

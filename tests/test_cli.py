@@ -4,8 +4,18 @@ import pytest
 
 from hdecomp.cli import main
 from hdecomp.graphs import Graph, write_family, write_gr
-from hdecomp.decomposition import build_ed_forest, build_tree_h_decomposition, from_json, to_json
+from hdecomp.decomposition import (
+    build_ed_forest,
+    build_tree_h_decomposition,
+    from_json,
+    make_nice,
+    to_json,
+)
 from hdecomp.graphs import GraphClassSpec
+
+from .test_solvers import long_path
+
+BIP = GraphClassSpec.bipartite()
 
 
 @pytest.fixture
@@ -177,6 +187,27 @@ def test_solve_with_explicit_decomposition(files, capsys):
     run(capsys, "decompose", "--class", "bip", "--mode", "ed", "--k", "1", k3, "--out", dec_path)
     code, out, _ = run(capsys, "solve", "--problem", "oct", "--decomp", dec_path, k3)
     assert code == 0 and out.splitlines()[0] == "SOLUTION oct 1"
+
+
+def test_solve_rejects_decomposition_of_another_graph(files, capsys):
+    tmp, put = files
+    c5 = put("c5.gr", write_gr(Graph.cycle(5)))
+    for other in (Graph.path(5), Graph.cycle(7)):
+        forest = build_ed_forest(other, 1, BIP).forest
+        nice = make_nice(build_tree_h_decomposition(other, 1, BIP).decomposition)
+        for via, doc in (("elim", forest), ("dp", nice)):
+            path = put(f"{via}.json", to_json(doc))
+            argv = ("solve", "--problem", "oct", "--via", via, "--decomp", path, c5)
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and not out, (other, via)
+            assert err.startswith("error: invalid "), (other, via, err)
+
+
+def test_solve_vc_on_long_augmenting_path(files, capsys):
+    tmp, put = files
+    path = put("path.gr", write_gr(long_path(1200)))
+    code, out, _ = run(capsys, "solve", "--problem", "vc", path)
+    assert code == 0 and out.splitlines()[0] == "SOLUTION vc 1201"
 
 
 def test_solve_rejects_class_mismatch(files, capsys):

@@ -19,7 +19,6 @@ from hdecomp.decomposition import (
     exact_treedepth,
     exact_treewidth,
     from_json,
-    kappa_pi,
     make_nice,
     quotient,
     to_json,
@@ -301,7 +300,7 @@ def test_ed_to_tree_width_at_most_depth(g):
     assert dec.width <= max(forest.depth, 0)
 
 
-# -- make_nice and kappa/pi -----------------------------------------------------
+# -- make_nice -----------------------------------------------------------------
 
 
 def test_make_nice_trivial_edgeless():
@@ -331,43 +330,6 @@ def test_make_nice_preserves_l_and_width():
         assert nice.L == dec.L
         assert nice.width <= dec.width
         assert len(nice.parents) <= ALPHA * max(1, dec.width + 1) * max(1, g.n)
-
-
-def test_kappa_pi_properties():
-    rng = random.Random(41)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(1, 7), 0.5)
-        k = brute_ed(g, BIP)
-        nice = make_nice(build_tree_h_decomposition(g, k, BIP).decomposition)
-        root = nice.root()
-        kap, pi = kappa_pi(nice, root)
-        assert kap == frozenset(range(g.n)) and pi == frozenset()
-        ch = nice.children()
-        for t in range(len(nice.parents)):
-            kap_t, pi_t = kappa_pi(nice, t)
-            if nice.parents[t] >= 0:
-                kap_p, _ = kappa_pi(nice, nice.parents[t])
-                assert kap_t <= kap_p
-            kids = ch[t]
-            if len(kids) == 2:
-                k1, _ = kappa_pi(nice, kids[0])
-                k2, _ = kappa_pi(nice, kids[1])
-                assert not (k1 & k2)
-            # tri-separation extracted from kappa/pi has no cross edges
-            x = nice.bags[t] & pi_t
-            a = kap_t - x
-            b = frozenset(range(g.n)) - a - x
-            assert not any((v in a and w in b) or (v in b and w in a) for v, w in g.edges)
-
-
-def test_kappa_at_strip_leaf():
-    k3 = Graph.complete(3)
-    nice = make_nice(build_tree_h_decomposition(k3, 1, BIP).decomposition)
-    ch = nice.children()
-    for t in range(len(nice.parents)):
-        if not ch[t] and nice.bags[t] & nice.L:
-            kap, _ = kappa_pi(nice, t)
-            assert kap == nice.bags[t] & nice.L
 
 
 # -- validators on planted violations -------------------------------------------

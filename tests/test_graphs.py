@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hdecomp.graphs import (
     Graph,
     GraphClassSpec,
-    TriSeparation,
     connected_components,
     contract_sets,
     find_induced_obstruction,
@@ -164,14 +163,6 @@ def test_gr_round_trip():
 def test_family_file_round_trip():
     fam = [Graph.complete(3), Graph.path(4)]
     assert parse_family(write_family(fam)) == fam
-
-
-def test_triseparation_validates():
-    g = Graph.path(3)
-    ts = TriSeparation(frozenset({0}), frozenset({1}), frozenset({2}))
-    assert ts.validate(g) == []
-    bad = TriSeparation(frozenset({0, 1}), frozenset(), frozenset({2}))
-    assert bad.validate(g)
 
 
 def test_small_graph_counts():

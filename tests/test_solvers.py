@@ -106,6 +106,21 @@ def test_vc_bipartite_matches_brute():
         assert len(got) == brute_min_vertex_cover(g)[0]
 
 
+def long_path(n):
+    """The path R0-L1-R1-...-Ln-Rn-L(n+1), with L_i = i-1 and R_i = 2n+1-i: each
+    L_i first tries R_i, so L(n+1) needs an augmenting path through all n."""
+    same = [(i - 1, 2 * n + 1 - i) for i in range(1, n + 1)]  # L_i-R_i
+    prev = [(i - 1, 2 * n + 2 - i) for i in range(1, n + 2)]  # L_i-R_(i-1)
+    return Graph(2 * n + 2, same + prev)
+
+
+def test_vc_bipartite_long_augmenting_path():
+    g = long_path(1200)
+    got = vc_bipartite(g)
+    assert len(got) == 1201
+    assert all(u in got or v in got for u, v in g.edges)
+
+
 # -- OCT -----------------------------------------------------------------------
 
 
@@ -260,15 +275,15 @@ def triangle_chain(p):
 
 
 def test_dp_on_deep_nice_decomposition():
-    g, dec = triangle_chain(200)
+    g, dec = triangle_chain(1000)
     assert not dec.validate(g)
     nice = make_nice(dec)
-    assert len(nice.parents) > 1000
+    assert len(nice.parents) > 6000
     size, x = solve_oct_dp(g, nice)
-    assert size == len(x) == 200
+    assert size == len(x) == 1000
     assert is_member(g, BIP, frozenset(range(g.n)) - x)
     size, x = solve_vc_dp(g, nice)
-    assert size == len(x) == 400
+    assert size == len(x) == 2000
     assert all(u in x or v in x for u, v in g.edges)
 
 
