@@ -113,10 +113,12 @@ class EliminationForest:
 
     def validate(self, g: Graph) -> list[str]:
         errs = []
-        ch = self.children()
+        n_nodes = len(self.nodes)
+        # a dangling parent is reported below, not followed
+        ch = children([node.parent if node.parent < n_nodes else -1 for node in self.nodes])
         seen: set[int] = set()
         for i, node in enumerate(self.nodes):
-            if node.parent >= len(self.nodes):
+            if node.parent >= n_nodes:
                 errs.append(f"node {i}: dangling parent")
                 continue
             if node.parent >= i:
@@ -521,9 +523,16 @@ def exact_treedepth(g: Graph) -> TreedepthResult:
         if mask & (mask - 1) == 0:
             memo[mask] = 1
             return 1
-        best = g.n + 1
+        # td(C - v) <= td(C) <= 1 + td(C - v) for every v in a connected C:
+        # once the best upper bound meets the largest lower bound, the
+        # remaining roots cannot change the value
+        best, lb = g.n + 1, 0
         for v in bits(mask):
-            best = min(best, 1 + td_parts(mask & ~(1 << v)))
+            sub = td_parts(mask & ~(1 << v))
+            best = min(best, 1 + sub)
+            lb = max(lb, sub)
+            if best == lb:
+                break
         memo[mask] = best
         return best
 
@@ -604,8 +613,9 @@ def _td_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeHDecomposi
 
 
 def exact_treewidth(g: Graph) -> TreewidthResult:
-    """Exact treewidth by dynamic programming over elimination prefixes
-    (guarded to TW_EXACT_GUARD vertices; min-fill heuristic beyond)."""
+    """Exact treewidth by a forward dynamic programme over elimination
+    prefixes, bounded by the min-fill width (guarded to TW_EXACT_GUARD
+    vertices; min-fill heuristic beyond)."""
     n = g.n
     if n == 0:
         return TreewidthResult(
@@ -616,24 +626,61 @@ def exact_treewidth(g: Graph) -> TreewidthResult:
         dec = _td_from_elimination_order(g, order)
         return TreewidthResult(dec.width, dec, False)
     full = g.full_mask()
-
-    def q_count(wmask: int, v: int) -> int:
-        r = reach_mask(g, 1 << v, wmask | (1 << v))
-        return bin(neighborhood_mask(g, r) & ~wmask).count("1")
-
-    f = [0] * (1 << n)
+    adj = g._adj_masks
+    # f[s] = min over v in s of max(f[s - v], Q(s - v, v)), where Q(w, v) is
+    # the degree of v once the prefix w is eliminated; ties go to the
+    # smallest v. Pushed forward from each prefix w in increasing order.
+    # Prefixes with f[w] > ub (the min-fill width) are skipped. This is safe:
+    # by induction every s with true f[s] <= ub gets all its true minimisers
+    # exactly, and a skipped candidate has value > ub >= f[s], so it can
+    # neither win nor tie. f never increases along the recovery path from
+    # `full`, so every state on it is exact.
+    ub = _td_from_elimination_order(g, _min_fill_order(g)).width
+    f = [n + 1] * (1 << n)
+    f[0] = 0
     choice = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        best = n + 1
-        bv = -1
-        for v in bits(s):
-            rest = s & ~(1 << v)
-            val = max(f[rest], q_count(rest, v))
-            if val < best:
-                best = val
-                bv = v
-        f[s] = best
-        choice[s] = bv
+    # closed[u]: the component of G[w] holding u plus its neighbourhood
+    closed = [0] * n
+    for w in range(full):
+        fw = f[w]
+        if fw > ub:
+            continue
+        # the hot loop: one search per component of G[w], inlined
+        pool = w
+        while pool:
+            comp = frontier = pool & -pool
+            cl = comp
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nb = adj[b.bit_length() - 1]
+                cl |= nb
+                frontier |= nb & pool & ~comp
+                comp |= nb & pool
+            pool &= ~comp
+            while comp:
+                b = comp & -comp
+                comp ^= b
+                closed[b.bit_length() - 1] = cl
+        out = full & ~w
+        while out:
+            b = out & -out
+            out ^= b
+            s = w | b
+            if fw > f[s]:
+                continue
+            v = b.bit_length() - 1
+            reach = adj[v]
+            inner = reach & w
+            while inner:
+                cl = closed[(inner & -inner).bit_length() - 1]
+                reach |= cl
+                inner &= ~cl
+            val = max(fw, (reach & ~w & ~b).bit_count())
+            if val < f[s] or (val == f[s] and v < choice[s]):
+                f[s] = val
+                choice[s] = v
+    assert f[full] <= ub
     # recover an optimal elimination order (first eliminated first)
     order = []
     s = full
@@ -1132,18 +1179,24 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
             tasks += [(top, bx, items[mid:]), (top, bx, items[:mid])]
 
     # -- splice base parts (two equal-bag copies plus a widened leaf) -------
+    # The host is the first node whose bag holds `need`. Spliced copies come
+    # later and share their host's bag (the leaf only adds L), so the
+    # occurrence lists of the scaffold alone find it.
+    occ: dict[int, list[int]] = {}
+    for i, b in enumerate(bags):
+        for v in b:
+            occ.setdefault(v, []).append(i)
+    kids = children(parents)
     for need, part in base_parts:
-        host = -1
-        for i in range(len(parents)):
-            if need <= bags[i]:
-                host = i
-                break
+        cands = occ.get(min(need), []) if need else [0]
+        host = next((i for i in cands if need <= bags[i]), -1)
         assert host >= 0, "every original bag survives the scaffold"
-        old_kids = [c for c in range(len(parents)) if parents[c] == host]
         t1 = new_node(bags[host], host)
         t2 = new_node(bags[host], host)
-        for c in old_kids:
+        leaf = new_node(bags[host] | part, t2)
+        for c in kids[host]:
             parents[c] = t1
-        new_node(bags[host] | part, t2)
+        kids += [kids[host], [leaf], []]
+        kids[host] = [t1, t2]
 
     return _renumber(NiceTreeHDecomposition(parents, bags, L, dec.cls))

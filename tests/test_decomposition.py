@@ -4,12 +4,22 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hdecomp.graphs import Graph, GraphClassSpec, connected_components
+from hdecomp.graphs import (
+    Graph,
+    GraphClassSpec,
+    bits,
+    components,
+    connected_components,
+    neighborhood_mask,
+    reach_mask,
+)
 from hdecomp.decomposition import (
     ALPHA,
     EliminationForest,
     ForestNode,
     NiceTreeHDecomposition,
+    TD_EXACT_GUARD,
+    TW_EXACT_GUARD,
     TreeHDecomposition,
     build_ed_forest,
     build_separation_decomposition,
@@ -24,7 +34,7 @@ from hdecomp.decomposition import (
     to_json,
     tree_decomp_from_sepdecomp,
 )
-from hdecomp.decomposition import _min_fill_order
+from hdecomp.decomposition import _min_fill_order, _td_from_elimination_order
 from hdecomp.oracles import brute_ed
 
 from .conftest import connected_graphs_st, random_graph
@@ -86,6 +96,82 @@ def test_treewidth_heuristic_fallback_is_flagged():
     assert not r.exact
     assert not r.decomposition.validate(g)
     assert r.decomposition.width == r.value == 1  # min-fill is exact on paths
+
+
+def treedepth_reference(g):
+    """The plain memoized root branching, every root of every set tried."""
+    memo = {}
+
+    def td_conn(mask):
+        if mask not in memo:
+            if mask & (mask - 1) == 0:
+                memo[mask] = 1
+            else:
+                memo[mask] = min(1 + td_parts(mask & ~(1 << v)) for v in bits(mask))
+        return memo[mask]
+
+    def td_parts(mask):
+        return max((td_conn(c) for c in components(g, mask)), default=0)
+
+    nodes = [] if g.n else [ForestNode(frozenset(), -1, True)]
+    stack = [(c, -1) for c in reversed(components(g, g.full_mask()))]
+    while stack:
+        comp, parent = stack.pop()
+        i = len(nodes)
+        target = td_conn(comp)
+        root = next(v for v in bits(comp) if 1 + td_parts(comp & ~(1 << v)) == target)
+        nodes.append(ForestNode(frozenset({root}), parent, False))
+        rest = components(g, comp & ~(1 << root))
+        if not rest:
+            nodes.append(ForestNode(frozenset(), i, True))
+        stack += [(c, i) for c in reversed(rest)]
+    return td_parts(g.full_mask()), EliminationForest(nodes, None)
+
+
+def treewidth_reference(g):
+    """The plain subset DP over elimination prefixes, smallest v on ties."""
+    n = g.n
+    f = [0] * (1 << n)
+    choice = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        best, bv = n + 1, -1
+        for v in bits(s):
+            rest = s & ~(1 << v)
+            r = reach_mask(g, 1 << v, rest | (1 << v))
+            val = max(f[rest], bin(neighborhood_mask(g, r) & ~rest).count("1"))
+            if val < best:
+                best, bv = val, v
+        f[s], choice[s] = best, bv
+    order, s = [], g.full_mask()
+    while s:
+        order.append(choice[s])
+        s &= ~(1 << choice[s])
+    return f[-1], _td_from_elimination_order(g, order[::-1])
+
+
+def test_exact_dps_match_the_unpruned_references():
+    rng = random.Random(5)
+    sizes = [rng.randint(1, 11) for _ in range(300)] + [13, 13, 14, 15]
+    for n in sizes:
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        td, tw = exact_treedepth(g), exact_treewidth(g)
+        value, forest = treedepth_reference(g)
+        assert (td.value, td.exact, to_json(td.forest)) == (value, True, to_json(forest))
+        value, dec = treewidth_reference(g)
+        assert (tw.value, tw.exact, to_json(tw.decomposition)) == (value, True, to_json(dec))
+
+
+def test_exact_dps_at_the_guards():
+    assert (TD_EXACT_GUARD, TW_EXACT_GUARD) == (20, 18)
+    star = Graph(20, [(0, v) for v in range(1, 20)])
+    for g, value in ((star, 2), (Graph.path(20), 5)):
+        r = exact_treedepth(g)
+        assert (r.value, r.exact) == (value, True)
+    # the 3 x 6 grid
+    grid = Graph(18, [(v, v + 1) for v in range(18) if v % 6 < 5] + [(v, v + 6) for v in range(12)])
+    for g, value in ((Graph.path(18), 1), (grid, 3)):
+        r = exact_treewidth(g)
+        assert (r.value, r.exact) == (value, True)
 
 
 def _min_fill_reference(g):
@@ -346,6 +432,13 @@ def test_validator_catches_crossing_edge():
         BIP,
     )
     assert any("crosses" in e for e in forest.validate(g))
+
+
+def test_validator_reports_dangling_parent():
+    forest = EliminationForest(
+        [ForestNode(frozenset({0}), -1, False), ForestNode(frozenset(), 7, True)], None
+    )
+    assert "node 1: dangling parent" in forest.validate(Graph(1))
 
 
 def test_validator_catches_duplicate_base_vertex():
