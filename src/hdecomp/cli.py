@@ -114,6 +114,8 @@ def _decompose_one(path: str, cls: GraphClassSpec, mode: str, k: int):
 
 
 def cmd_decompose(args) -> int:
+    if args.k < 0:
+        raise CliError("--k must be nonnegative")
     cls = _parse_class(args.cls)
     if args.batch:
         files = sorted(Path(args.batch).glob("*.gr"))
@@ -175,6 +177,8 @@ def _solved(solver, *args):
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     if args.problem == "klfree":
+        if not 2 <= args.l <= 5:
+            raise CliError("--l must be between 2 and 5")
         cls = GraphClassSpec.kl_free(args.l)
     else:
         cls = GraphClassSpec.bipartite()
@@ -239,6 +243,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
+    if args.what in ("deletion", "ed") and args.cls is None:
+        raise CliError(f"--what {args.what} needs --class")
     try:
         if args.what == "deletion":
             cls = _parse_class(args.cls)

@@ -41,7 +41,6 @@ from .separation import (
     find_separation_forbidden,
     find_separation_restricted,
 )
-from .separators import SearchStats
 from .tree import children, preorder, renumber
 
 #: documented constant for the make_nice size guarantee
@@ -728,11 +727,11 @@ def _min_fill_order(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _extremal_finder(cls: GraphClassSpec, restricted: bool, k: int, stats: Optional[SearchStats]):
+def _extremal_finder(cls: GraphClassSpec, restricted: bool, k: int):
     if cls.kind == GraphClassSpec.FORBIDDEN:
         # the exact finder satisfies the restricted guarantee for free
         def finder(g, Z, kk, family):
-            return find_separation_forbidden(g, Z, kk, cls, stats=stats)
+            return find_separation_forbidden(g, Z, kk, cls)
 
         k2 = k + 1
         return finder, k2
@@ -752,7 +751,6 @@ def _extremal_finder(cls: GraphClassSpec, restricted: bool, k: int, stats: Optio
             cls,
             family,
             lambda g2, Z2, k2_, w: find_separation_bip(g2, Z2, k2_, within=w),
-            stats=stats,
         )
 
     return finder, cls.h_value(k) + k + 1
@@ -763,7 +761,6 @@ def build_separation_decomposition(
     k: int,
     cls: GraphClassSpec,
     restricted: bool = False,
-    stats: Optional[SearchStats] = None,
 ) -> SeparationDecomposition:
     """Recursive construction of a (restricted) (cls, k, k2)-separation
     decomposition of a connected graph; k2 is determined by the class finder.
@@ -776,7 +773,7 @@ def build_separation_decomposition(
         raise ValueError("graph must be nonempty")
     if len(connected_components(g)) != 1:
         raise ValueError("graph must be connected (split components first)")
-    finder, k2 = _extremal_finder(cls, restricted, k, stats)
+    finder, k2 = _extremal_finder(cls, restricted, k)
     nodes: list[SepNode] = []
     saturated: list[bool] = []
     path_union: list[int] = []  # root-path union of V_t & S_t masks

@@ -300,25 +300,56 @@ def proper_2_coloring(g: Graph, within: Optional[Iterable[int]] = None) -> Optio
     return color
 
 
-def _find_embedding_image(g: Graph, pattern: Graph, within_mask: int) -> Optional[frozenset[int]]:
-    """Lexicographically smallest vertex set of G[within] inducing `pattern`."""
-    candidates = sorted(bits(within_mask))
-    if pattern.n > len(candidates):
-        return None
-    for combo in itertools.combinations(candidates, pattern.n):
-        sub = [[g.has_edge(u, v) for v in combo] for u in combo]
-        # brute-force isomorphism test; patterns are capped at 6 vertices
-        for perm in itertools.permutations(range(pattern.n)):
-            ok = True
-            for i in range(pattern.n):
-                for j in range(i + 1, pattern.n):
-                    if pattern.has_edge(perm[i], perm[j]) != sub[i][j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return frozenset(combo)
+def _find_embedding_image(g: Graph, pattern: Graph, within_mask: int) -> Optional[int]:
+    """Mask of the lexicographically smallest vertex set of G[within] that
+    induces the connected `pattern`, or None.
+
+    Backtracking over vertex sets in increasing order that keeps every
+    partial isomorphism onto the pattern agreeing with G.  An image is
+    connected, so it lies within distance q - 1 of its smallest vertex v in
+    G[within] restricted to the vertices >= v.
+    """
+    q, padj, adj = pattern.n, pattern._adj_masks, g._adj_masks
+    full = (1 << q) - 1
+    chosen: list[int] = []
+
+    def extend(cand: int, maps: list[tuple[int, tuple[int, ...]]]) -> bool:
+        # maps: (pattern vertices used, the pattern bit of each chosen vertex)
+        if len(chosen) == q:
+            return True
+        while cand.bit_count() >= q - len(chosen):
+            w = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            hits = [i for i, u in enumerate(chosen) if adj[w] >> u & 1]
+            nxt = []
+            for used, img in maps:
+                need = 0
+                for i in hits:
+                    need |= img[i]
+                free = ~used & full
+                while free:
+                    p = free & -free
+                    free ^= p
+                    if padj[p.bit_length() - 1] & used == need:
+                        nxt.append((used | p, img + (p,)))
+            chosen.append(w)
+            if nxt and extend(cand, nxt):
+                return True
+            chosen.pop()
+        return False
+
+    rest = within_mask
+    while rest.bit_count() >= q:
+        v = rest & -rest
+        ball = front = v
+        for _ in range(q - 1):
+            front = neighborhood_mask(g, front, rest & ~ball)
+            ball |= front
+        chosen.append(v.bit_length() - 1)
+        if extend(ball ^ v, [(1 << p, (1 << p,)) for p in range(q)]):
+            return mask_of(chosen)
+        chosen.pop()
+        rest ^= v
     return None
 
 
@@ -337,7 +368,7 @@ def find_induced_obstruction(
     for pattern in cls.family:
         image = _find_embedding_image(g, pattern, mask)
         if image is not None:
-            return image
+            return set_of(image)
     return None
 
 

@@ -14,7 +14,6 @@ from typing import Callable, Optional, Sequence
 from .graphs import (
     Graph,
     GraphClassSpec,
-    bits,
     find_induced_obstruction,
     is_member,
     mask_of,
@@ -26,8 +25,8 @@ from .graphs import (
 from .separators import (
     ImportantSeparatorQuery,
     SearchStats,
+    _vertex_flow,
     enumerate_important_separators,
-    min_vertex_separator,
 )
 
 
@@ -102,41 +101,18 @@ def find_separation_bip(
         return None
     class1 = mask_of(v for v, c in coloring.items() if c == 1)
     class2 = zmask & ~class1
-    # identify the color classes of Z into v1 / v2 inside G[comp]
-    rest = sorted(bits(comp & ~zmask))
-    index = {v: i for i, v in enumerate(rest)}
-    nrest = len(rest)
-    v1 = nrest
-    v2 = nrest + 1 if class2 else None
-    nz = nrest + (2 if class2 else 1)
-    gz_edges = set()
-    for u in rest:
-        au = g.adj_mask(u)
-        for w in g.neighbors(u):
-            if w in index and u < w:
-                gz_edges.add((index[u], index[w]))
-        if au & class1:
-            gz_edges.add((index[u], v1))
-        if v2 is not None and au & class2:
-            gz_edges.add((index[u], v2))
-    if v2 is not None:
-        gz_edges.add((v1, v2))  # Z is connected, so the classes touch
-    # parity graph: copies 2u (even side) and 2u+1 (odd side)
-    parity_edges = []
-    for a, b in gz_edges:
-        parity_edges.append((2 * a, 2 * b + 1))
-        parity_edges.append((2 * a + 1, 2 * b))
-    gp = Graph(2 * nz, parity_edges)
-    if v2 is not None:
-        xterm = {2 * v1, 2 * v2 + 1}
-        yterm = {2 * v1 + 1, 2 * v2}
-    else:
-        xterm = {2 * v1}
-        yterm = {2 * v1 + 1}
-    cut = min_vertex_separator(gp, xterm, yterm, 2 * k)
-    if cut is None:
+    # parity graph inside G[comp]: state v is the even copy of v and v + n
+    # the odd copy, and every edge joins copies of opposite parity.  An odd
+    # cycle through Z joins X (class 1 even, class 2 odd) to Y (the others).
+    n = g.n
+    adj = [a << n for a in g._adj_masks] + list(g._adj_masks)
+    res = _vertex_flow(
+        adj, comp | comp << n, class1 | class2 << n, class1 << n | class2, 2 * k
+    )
+    if res is None:
         return None
-    deleted = mask_of(rest[c // 2] for c in cut)
+    cut = res[1]
+    deleted = (cut | cut >> n) & comp
     cmask = reach_mask(g, zmask, comp & ~deleted)
     smask = neighborhood_mask(g, cmask, comp)
     sep = Separation(set_of(cmask), set_of(smask), bip, 2 * k)
@@ -152,7 +128,6 @@ def find_separation_forbidden(
     Z: frozenset[int],
     k: int,
     cls: GraphClassSpec,
-    within: Optional[frozenset[int]] = None,
     stats: Optional[SearchStats] = None,
 ) -> Optional[Separation]:
     """Exact (class, h(x)=x)-separation finding by branching on obstructions.
@@ -164,9 +139,8 @@ def find_separation_forbidden(
     """
     if cls.kind != GraphClassSpec.FORBIDDEN:
         raise ValueError("find_separation_forbidden needs a forbidden-induced class")
-    alive0 = g.full_mask() if within is None else mask_of(within)
     zmask = mask_of(Z)
-    _require_connected_z(g, zmask, alive0)
+    _require_connected_z(g, zmask, g.full_mask())
 
     def rec(alive: int, budget: int, depth: int) -> Optional[tuple[int, int]]:
         if stats is not None and depth > 0:
@@ -199,7 +173,7 @@ def find_separation_forbidden(
                 return found[0]
         return None
 
-    res = rec(alive0, k, 0)
+    res = rec(g.full_mask(), k, 0)
     if res is None:
         return None
     cmask, smask = res

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import Graph, bits, mask_of, reach_mask, set_of
 
@@ -54,13 +54,13 @@ class SearchStats:
 _INFEASIBLE = "infeasible"
 
 
-def _vertex_flow(g: Graph, alive: int, xmask: int, ymask: int, cap: int):
-    """Min vertex (X,Y)-cut within G[alive], terminals non-deletable.
+def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: int):
+    """Min vertex (X,Y)-cut within the graph of adjacency masks `adj`
+    restricted to `alive`, terminals non-deletable.
 
     Returns (lambda, farthest_cut_mask), or None when the minimum exceeds
     `cap`, or _INFEASIBLE when an edge joins X and Y inside `alive`.
     """
-    adj = g._adj_masks
     xmask &= alive
     ymask &= alive
     m = xmask
@@ -182,7 +182,7 @@ def min_vertex_separator(
     xmask, ymask = mask_of(X), mask_of(Y)
     if xmask & ymask:
         raise ValueError("X and Y must be disjoint")
-    res = _vertex_flow(g, g.full_mask(), xmask, ymask, cap)
+    res = _vertex_flow(g._adj_masks, g.full_mask(), xmask, ymask, cap)
     if res == _INFEASIBLE:
         raise InfeasibleSeparation("an edge joins X and Y")
     if res is None:
@@ -204,7 +204,7 @@ def _is_important(g: Graph, alive: int, xmask: int, ymask: int, sep: int) -> boo
             return False  # not inclusion-minimal
     size = bin(sep).count("1")
     for v in bits(sep):
-        res = _vertex_flow(g, alive, r | (1 << v), ymask, size)
+        res = _vertex_flow(g._adj_masks, alive, r | (1 << v), ymask, size)
         if res == _INFEASIBLE or res is None:
             continue  # no dominating separator through this vertex
         return False
@@ -234,7 +234,7 @@ def enumerate_important_separators(
         nonlocal count
         if stats is not None:
             stats.tick()
-        res = _vertex_flow(g, alive, xmask, ymask0, budget)
+        res = _vertex_flow(g._adj_masks, alive, xmask, ymask0, budget)
         if res == _INFEASIBLE or res is None:
             return
         lam, cut = res

@@ -21,6 +21,7 @@ import numpy as np
 from .graphs import (
     Graph,
     GraphClassSpec,
+    _find_embedding_image,
     bits,
     mask_of,
     neighborhood_mask,
@@ -28,7 +29,7 @@ from .graphs import (
     set_of,
 )
 from .decomposition import EliminationForest, NiceTreeHDecomposition
-from .separators import min_vertex_separator
+from .separators import _vertex_flow
 
 INF = np.int64(1) << 40
 
@@ -71,22 +72,23 @@ def _abc_within(
     it separates T1 = (B1 & f^-1(2)) | (B2 & f^-1(1)) from
     T2 = (B1 & f^-1(1)) | (B2 & f^-1(2)), with terminals themselves
     deletable.  Deletability is modeled by two fresh non-deletable anchor
-    vertices adjacent to T1 resp. T2.
+    states n and n + 1 adjacent to T1 resp. T2.
     """
     f = proper_2_coloring(g, within)
     if f is None:
         raise ValueError("ABC instance graph must be bipartite")
-    t1 = {v for v in B1 if f[v] == 2} | {v for v in B2 if f[v] == 1}
-    t2 = {v for v in B1 if f[v] == 1} | {v for v in B2 if f[v] == 2}
+    t1 = mask_of(v for v in B1 if f[v] == 2) | mask_of(v for v in B2 if f[v] == 1)
+    t2 = mask_of(v for v in B1 if f[v] == 1) | mask_of(v for v in B2 if f[v] == 2)
     if not t1 or not t2:
         return frozenset()
-    s, t = g.n, g.n + 1
-    edges = [(u, v) for u, v in g.edges if u in within and v in within]
-    edges += [(s, v) for v in sorted(t1)]
-    edges += [(t, v) for v in sorted(t2)]
-    aux = Graph(g.n + 2, edges)
-    cut = min_vertex_separator(aux, {s}, {t}, k)
-    return cut
+    s, t = 1 << g.n, 1 << g.n + 1
+    adj = list(g._adj_masks) + [t1, t2]
+    for v in bits(t1):
+        adj[v] |= s
+    for v in bits(t2):
+        adj[v] |= t
+    res = _vertex_flow(adj, mask_of(within) | s | t, s, t, k)
+    return None if res is None else set_of(res[1])
 
 
 def solve_abc(inst: AbcInstance) -> Optional[frozenset[int]]:
@@ -246,27 +248,6 @@ def solve_vc_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _find_clique(g: Graph, within_mask: int, ell: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest K_ell inside G[within]."""
-    vs = sorted(bits(within_mask))
-    if len(vs) < ell:
-        return None
-
-    def extend(clique: list[int], cand: list[int]) -> Optional[tuple[int, ...]]:
-        if len(clique) == ell:
-            return tuple(clique)
-        for i, v in enumerate(cand):
-            if len(clique) + (len(cand) - i) < ell:
-                return None
-            nxt = [w for w in cand[i + 1 :] if g.has_edge(v, w)]
-            res = extend(clique + [v], nxt)
-            if res is not None:
-                return res
-        return None
-
-    return extend([], vs)
-
-
 def solve_klfree_fdfv(
     g: Graph,
     U: frozenset[int],
@@ -280,20 +261,21 @@ def solve_klfree_fdfv(
         raise ValueError("ell must be between 2 and 5")
     wmask = g.full_mask() if within is None else mask_of(within)
     umask = mask_of(U)
+    kl = Graph.complete(ell)
 
     def packing_exceeds(mask: int, budget: int) -> bool:
         count = 0
         pool = mask
         while count <= budget:
-            cl = _find_clique(g, pool, ell)
+            cl = _find_embedding_image(g, kl, pool)
             if cl is None:
                 return False
             count += 1
-            pool &= ~mask_of(cl)
+            pool &= ~cl
         return True
 
     def rec(mask: int, budget: int) -> Optional[frozenset[int]]:
-        clique = _find_clique(g, mask, ell)
+        clique = _find_embedding_image(g, kl, mask)
         if clique is None:
             return frozenset()
         if budget <= 0:
@@ -301,7 +283,7 @@ def solve_klfree_fdfv(
         if packing_exceeds(mask, budget):
             return None
         best = None
-        for v in clique:
+        for v in bits(clique):
             if umask >> v & 1:
                 continue
             sub = rec(mask & ~(1 << v), budget - 1)
@@ -318,10 +300,11 @@ def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozense
     """Minimum K_ell-free deletion set via 2-way branching; base components
     are finished by the forbidden-vertex branching solver with the leaf
     depth as budget."""
+    kl = Graph.complete(ell)
 
     def leaf(t: int, ann: tuple[int, ...], depth: int) -> Optional[frozenset[int]]:
         (out,) = ann
-        if _find_clique(g, out, ell) is not None:
+        if _find_embedding_image(g, kl, out) is not None:
             return None
         kept = set_of(out)
         return solve_klfree_fdfv(g, kept, depth, ell, forest.nodes[t].bag | kept)

@@ -291,3 +291,27 @@ def test_dot_export(files, capsys):
 def test_bad_usage_exits_1(capsys):
     code, _, _ = run(capsys, "decompose", "--mode", "ed")
     assert code == 1
+
+
+@pytest.mark.parametrize("ell", ["1", "7"])
+def test_solve_klfree_rejects_clique_size_out_of_range(files, capsys, ell):
+    tmp, put = files
+    k4 = put("k4.gr", write_gr(Graph.complete(4)))
+    code, out, err = run(capsys, "solve", "--problem", "klfree", "--l", ell, k4)
+    assert code == 1 and out == "" and err.startswith("error:") and "--l" in err
+
+
+@pytest.mark.parametrize("mode,k", [("tw", "-2"), ("ed", "-1")])
+def test_decompose_rejects_negative_k(files, capsys, mode, k):
+    tmp, put = files
+    k3 = put("k3.gr", write_gr(Graph.complete(3)))
+    code, out, err = run(capsys, "decompose", "--class", "bip", "--mode", mode, "--k", k, k3)
+    assert code == 1 and out == "" and err.startswith("error:") and "--k" in err
+
+
+@pytest.mark.parametrize("what", ["deletion", "ed"])
+def test_oracle_class_required(files, capsys, what):
+    tmp, put = files
+    k3 = put("k3.gr", write_gr(Graph.complete(3)))
+    code, out, err = run(capsys, "oracle", "--what", what, k3)
+    assert code == 1 and out == "" and err.startswith("error:") and "--class" in err

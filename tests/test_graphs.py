@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hdecomp.graphs import (
     Graph,
     GraphClassSpec,
+    _find_embedding_image,
     connected_components,
     contract_sets,
     find_induced_obstruction,
@@ -14,12 +16,13 @@ from hdecomp.graphs import (
     parse_family,
     parse_gr,
     proper_2_coloring,
+    set_of,
     write_family,
     write_gr,
 )
 from hdecomp.smallgraphs import GRAPH_COUNTS, all_graphs, canonical_form
 
-from .conftest import connected_graphs_st, graphs
+from .conftest import connected_graphs_st, graphs, random_graph
 
 BIP = GraphClassSpec.bipartite()
 TRI = GraphClassSpec.triangle_free()
@@ -71,6 +74,44 @@ def test_obstruction_matches_brute_force_existence():
             if size == 4 and is_isomorphic_p4(sub):
                 exists = True
     assert (got is not None) == exists
+
+
+def embedding_image_reference(g, pattern, within_mask):
+    """The combinations x permutations scan the backtracking search replaced."""
+    candidates = [v for v in range(g.n) if within_mask >> v & 1]
+    for combo in itertools.combinations(candidates, pattern.n):
+        for perm in itertools.permutations(range(pattern.n)):
+            if all(
+                pattern.has_edge(perm[i], perm[j]) == g.has_edge(combo[i], combo[j])
+                for i, j in itertools.combinations(range(pattern.n), 2)
+            ):
+                return frozenset(combo)
+    return None
+
+
+def test_embedding_search_matches_the_scan_reference():
+    patterns = [
+        Graph.complete(2),
+        P3,
+        Graph.complete(3),
+        Graph(4, [(0, 1), (0, 2), (0, 3)]),  # claw
+        Graph.path(4),
+        Graph.cycle(5),
+        Graph.complete(4),
+        Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]),
+    ]
+    rng = random.Random(11)
+    found = 0
+    for i in range(2400):
+        n = rng.randint(0, 11)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        within = rng.getrandbits(n) if i % 4 else g.full_mask()
+        pattern = patterns[i % len(patterns)]
+        want = embedding_image_reference(g, pattern, within)
+        got = _find_embedding_image(g, pattern, within)
+        assert (None if got is None else set_of(got)) == want, (g.edges, within, i)
+        found += want is not None
+    assert 400 < found < 2000  # both outcomes are exercised
 
 
 def is_isomorphic_p4(g: Graph) -> bool:

@@ -3,7 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hdecomp.graphs import Graph, GraphClassSpec
+from hdecomp.graphs import (
+    Graph,
+    GraphClassSpec,
+    is_member,
+    mask_of,
+    neighborhood_mask,
+    proper_2_coloring,
+    reach_mask,
+    set_of,
+)
 from hdecomp.oracles import brute_separable
 from hdecomp.separation import (
     Separation,
@@ -12,7 +21,7 @@ from hdecomp.separation import (
     find_separation_forbidden,
     find_separation_restricted,
 )
-from hdecomp.separators import SearchStats
+from hdecomp.separators import SearchStats, min_vertex_separator
 
 from .conftest import connected_graphs_st, random_graph
 
@@ -179,6 +188,79 @@ def test_finders_sound_and_complete(g):
             if out is not None:
                 assert not out.validate(g)
                 assert out.covers(Z) and len(out.S) <= k
+
+
+def bip_reference(g, Z, k, within=None):
+    """The parity-graph construction find_separation_bip replaced: contract
+    the colour classes of Z, re-index G[comp] and build the parity graph."""
+    alive = g.full_mask() if within is None else mask_of(within)
+    zmask = mask_of(Z)
+    comp = reach_mask(g, zmask, alive)
+    if k == 0:
+        if is_member(g, BIP, set_of(comp)):
+            return Separation(set_of(comp), frozenset(), BIP, 0)
+        return None
+    coloring = proper_2_coloring(g, Z)
+    if coloring is None:
+        return None
+    class1 = mask_of(v for v, c in coloring.items() if c == 1)
+    class2 = zmask & ~class1
+    rest = [v for v in range(g.n) if (comp & ~zmask) >> v & 1]
+    index = {v: i for i, v in enumerate(rest)}
+    v1 = len(rest)
+    v2 = v1 + 1 if class2 else None
+    edges = set()
+    for u in rest:
+        for w in g.neighbors(u):
+            if w in index and u < w:
+                edges.add((index[u], index[w]))
+        if g.adj_mask(u) & class1:
+            edges.add((index[u], v1))
+        if v2 is not None and g.adj_mask(u) & class2:
+            edges.add((index[u], v2))
+    if v2 is not None:
+        edges.add((v1, v2))
+    parity = [e for a, b in edges for e in ((2 * a, 2 * b + 1), (2 * a + 1, 2 * b))]
+    gp = Graph(2 * (v1 + (2 if class2 else 1)), parity)
+    if v2 is not None:
+        xterm, yterm = {2 * v1, 2 * v2 + 1}, {2 * v1 + 1, 2 * v2}
+    else:
+        xterm, yterm = {2 * v1}, {2 * v1 + 1}
+    cut = min_vertex_separator(gp, xterm, yterm, 2 * k)
+    if cut is None:
+        return None
+    deleted = mask_of(rest[c // 2] for c in cut)
+    cmask = reach_mask(g, zmask, comp & ~deleted)
+    smask = neighborhood_mask(g, cmask, comp)
+    sep = Separation(set_of(cmask), set_of(smask), BIP, 2 * k)
+    assert not sep.validate(g)
+    return sep
+
+
+def test_bip_finder_matches_the_parity_graph_reference():
+    rng = random.Random(23)
+    compared = raised = 0
+    for i in range(500):
+        g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.3, 0.5]))
+        z = rng.randrange(g.n)
+        Z = frozenset({z})
+        if i % 3 == 0 and g.neighbors(z):  # two colour classes in Z
+            Z |= {rng.choice(g.neighbors(z))}
+        within = set_of(rng.getrandbits(g.n) | mask_of(Z)) if i % 2 else None
+        for k in range(5):
+            try:
+                want = bip_reference(g, Z, k, within)
+            except AssertionError:
+                raised += 1
+                with pytest.raises(AssertionError):
+                    find_separation_bip(g, Z, k, within=within)
+                continue
+            got = find_separation_bip(g, Z, k, within=within)
+            assert (got is None) == (want is None), (g.edges, sorted(Z), k, within)
+            if got is not None:
+                assert (got.C, got.S) == (want.C, want.S), (g.edges, sorted(Z), k, within)
+            compared += 1
+    assert compared > 1500 and raised > 0
 
 
 def test_forbidden_recursion_bound():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hdecomp.graphs import Graph, GraphClassSpec, is_member
+from hdecomp.graphs import Graph, GraphClassSpec, is_member, proper_2_coloring
 from hdecomp.decomposition import (
     TreeHDecomposition,
     build_ed_forest,
@@ -29,7 +29,8 @@ from hdecomp.solvers import (
     solve_vc_elim,
     vc_bipartite,
 )
-from hdecomp.solvers import _assign_edges
+from hdecomp.separators import min_vertex_separator
+from hdecomp.solvers import _abc_within, _assign_edges
 
 from .conftest import connected_graphs_st, random_graph
 
@@ -79,6 +80,38 @@ def test_abc_matches_brute_force():
         assert (got is None) == (want is None)
         if got is not None:
             assert len(got) == len(want)
+
+
+def abc_reference(g, within, B1, B2, k):
+    """The anchor-graph construction _abc_within replaced: G[within] plus two
+    anchor vertices n and n + 1 as a new Graph."""
+    f = proper_2_coloring(g, within)
+    t1 = {v for v in B1 if f[v] == 2} | {v for v in B2 if f[v] == 1}
+    t2 = {v for v in B1 if f[v] == 1} | {v for v in B2 if f[v] == 2}
+    if not t1 or not t2:
+        return frozenset()
+    s, t = g.n, g.n + 1
+    edges = [(u, v) for u, v in g.edges if u in within and v in within]
+    edges += [(s, v) for v in t1] + [(t, v) for v in t2]
+    return min_vertex_separator(Graph(g.n + 2, edges), {s}, {t}, k)
+
+
+def test_abc_within_matches_the_anchor_graph_reference():
+    rng = random.Random(31)
+    done = found = 0
+    while done < 600:
+        g = random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.35, 0.5]))
+        within = frozenset(v for v in range(g.n) if rng.random() < 0.8)
+        if not is_member(g, BIP, within):
+            continue
+        done += 1
+        b1 = frozenset(v for v in within if rng.random() < 0.3)
+        b2 = frozenset(v for v in within if rng.random() < 0.3)
+        for k in range(5):
+            got = _abc_within(g, within, b1, b2, k)
+            assert got == abc_reference(g, within, b1, b2, k), (g.edges, within, b1, b2, k)
+            found += bool(got)
+    assert found > 200
 
 
 # -- Koenig --------------------------------------------------------------------
