@@ -136,6 +136,10 @@ def cmd_decompose(args) -> int:
                     print(f"{name}: ERROR {e}")
                     worst = max(worst, 1)
                     continue
+                except Exception as e:  # one file's failure must not end the batch
+                    print(f"{name}: ERROR internal: {type(e).__name__}: {e}")
+                    worst = max(worst, 1)
+                    continue
                 print(f"{name}: {message}")
                 worst = max(worst, code)
         return worst

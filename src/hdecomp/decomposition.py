@@ -36,10 +36,11 @@ from .graphs import (
 )
 from .separation import (
     Separation,
+    _bip_masks,
+    _restricted_masks,
     find_extremal_separation,
     find_separation_bip,
     find_separation_forbidden,
-    find_separation_restricted,
 )
 from .tree import children, preorder, renumber
 
@@ -742,16 +743,13 @@ def _extremal_finder(cls: GraphClassSpec, restricted: bool, k: int):
 
         return finder, cls.h_value(k) + 1
 
+    # family: the ancestors' V masks, whose preconditions the builder checks
+    # once per node; G is connected, so Z's component is all of G
     def finder(g, Z, kk, family):
-        return find_separation_restricted(
-            g,
-            Z,
-            kk,
-            kk,
-            cls,
-            family,
-            lambda g2, Z2, k2_, w: find_separation_bip(g2, Z2, k2_, within=w),
-        )
+        res = _restricted_masks(g, mask_of(Z), kk, family, _bip_masks, g.full_mask())
+        if res is None:
+            return None
+        return Separation(set_of(res[0]), set_of(res[1]), cls, cls.h_value(kk) + kk)
 
     return finder, cls.h_value(k) + k + 1
 
@@ -793,31 +791,43 @@ def build_separation_decomposition(
             raise AssertionError("no attachable node covers the region's neighborhood")
         return best
 
+    # the restricted finder's family preconditions, checked once per node
+    # instead of on every call: each V is connected, each V and each region
+    # is disjoint from every earlier V
+    vmask: list[int] = []
+    used = 0  # union of the V masks so far
     stack = [g.full_mask()]
     while stack:
         region_mask = stack.pop()
+        if region_mask & used:
+            raise ValueError("family sets must be disjoint from Z")
         region = set_of(region_mask)
         parent = -1 if not nodes else choose_parent(region_mask)
-        family = []
-        if parent >= 0:
-            t = parent
-            while t >= 0:
-                family.append(nodes[t].V)
-                t = nodes[t].parent
+        family = []  # ancestor V masks, deepest first
+        t = parent
+        while t >= 0:
+            family.append(vmask[t])
+            t = nodes[t].parent
         z0 = frozenset({min(region)})
         seed = Separation(frozenset(), z0, cls, k2)
         zp, sep, certified = find_extremal_separation(
             g, region, z0, k, seed, cls, family, finder
         )
-        i = len(nodes)
+        zmask = mask_of(zp)
+        if zmask & used:
+            raise ValueError("family sets must be pairwise disjoint")
+        if reach_mask(g, zmask & -zmask, zmask) != zmask:
+            raise ValueError("family sets must be connected")
+        used |= zmask
+        vmask.append(zmask)
         nodes.append(SepNode(zp, sep.C, sep.S, parent))
         saturated.append(zp == region and not certified)
-        pu = mask_of(zp & sep.S)
+        pu = zmask & mask_of(sep.S)
         if parent >= 0:
             pu |= path_union[parent]
         path_union.append(pu)
         depth.append(0 if parent < 0 else depth[parent] + 1)
-        stack.extend(reversed(components(g, region_mask & ~mask_of(zp))))
+        stack.extend(reversed(components(g, region_mask & ~zmask)))
     return SeparationDecomposition(nodes, k, k2, restricted, cls)
 
 

@@ -268,36 +268,45 @@ def is_connected_set(g: Graph, vertices: Iterable[int]) -> bool:
     return reach_mask(g, m & -m, m) == m
 
 
-def proper_2_coloring(g: Graph, within: Optional[Iterable[int]] = None) -> Optional[dict[int, int]]:
-    """A proper 2-coloring of G[within] with colors {1, 2}, or None.
+def coloring_mask(g: Graph, pool: int) -> Optional[int]:
+    """Color class 1 of the proper 2-coloring of G[pool] that gives the
+    smallest vertex of each component color 1, or None when G[pool] is not
+    bipartite.
 
-    BFS from the smallest vertex of each component; component roots get
-    color 1, queue neighbors in ascending id.
+    A layered BFS from that vertex: even layers get color 1, and G[pool] is
+    bipartite exactly when no edge joins two vertices of one layer.
     """
+    masks = g._adj_masks
+    class1 = 0
+    while pool:
+        front = seen = pool & -pool
+        even = True
+        while front:
+            if even:
+                class1 |= front
+            nxt = 0
+            m = front
+            while m:
+                b = m & -m
+                nxt |= masks[b.bit_length() - 1]
+                m ^= b
+            if nxt & front:
+                return None
+            front = nxt & pool & ~seen
+            seen |= front
+            even = not even
+        pool &= ~seen
+    return class1
+
+
+def proper_2_coloring(g: Graph, within: Optional[Iterable[int]] = None) -> Optional[dict[int, int]]:
+    """A proper 2-coloring of G[within] with colors {1, 2}, or None; the
+    smallest vertex of each component gets color 1 (see `coloring_mask`)."""
     pool = g.full_mask() if within is None else mask_of(within)
-    color: dict[int, int] = {}
-    remaining = pool
-    while remaining:
-        root = (remaining & -remaining).bit_length() - 1
-        color[root] = 1
-        queue = [root]
-        remaining &= ~(1 << root)
-        while queue:
-            nxt = []
-            for u in queue:
-                cu = color[u]
-                for v in g.neighbors(u):
-                    if not (pool >> v & 1):
-                        continue
-                    if v in color:
-                        if color[v] == cu:
-                            return None
-                    else:
-                        color[v] = 3 - cu
-                        remaining &= ~(1 << v)
-                        nxt.append(v)
-            queue = sorted(nxt)
-    return color
+    class1 = coloring_mask(g, pool)
+    if class1 is None:
+        return None
+    return {v: 1 if class1 >> v & 1 else 2 for v in bits(pool)}
 
 
 def _find_embedding_image(g: Graph, pattern: Graph, within_mask: int) -> Optional[int]:
@@ -374,7 +383,8 @@ def find_induced_obstruction(
 
 def is_member(g: Graph, cls: GraphClassSpec, within: Optional[Iterable[int]] = None) -> bool:
     if cls.kind == GraphClassSpec.BIPARTITE:
-        return proper_2_coloring(g, within) is not None
+        pool = g.full_mask() if within is None else mask_of(within)
+        return coloring_mask(g, pool) is not None
     return find_induced_obstruction(g, cls, within) is None
 
 

@@ -3,7 +3,10 @@
 extremal iteration used by the decomposition builder.
 
 Outcomes are Optional[Separation]: None means the query set Z was concluded
-to be (class, k)-inseparable, which is always an unconditional verdict.
+to be (class, k)-inseparable, which is always an unconditional verdict.  The
+bipartite and restricted finders are mask kernels (`_bip_masks`,
+`_restricted_masks`) that the decomposition builder calls directly; the
+public functions are frozenset adapters that also check their arguments.
 """
 
 from __future__ import annotations
@@ -14,17 +17,18 @@ from typing import Callable, Optional, Sequence
 from .graphs import (
     Graph,
     GraphClassSpec,
+    coloring_mask,
     find_induced_obstruction,
     is_member,
     mask_of,
     neighborhood_mask,
-    proper_2_coloring,
     reach_mask,
     set_of,
 )
 from .separators import (
     ImportantSeparatorQuery,
     SearchStats,
+    _important_masks,
     _vertex_flow,
     enumerate_important_separators,
 )
@@ -61,6 +65,8 @@ class Separation:
 
 # base finders take (g, Z, k, within); extremal finders take (g, Z, k, family)
 BaseFinderFn = Callable[[Graph, frozenset, int, Optional[frozenset]], Optional[Separation]]
+# mask base finders take (g, zmask, k, alive) and return (cmask, smask) or None
+MaskFinderFn = Callable[[Graph, int, int, int], Optional[tuple[int, int]]]
 ExtremalFinderFn = Callable[[Graph, frozenset, int, Sequence[frozenset]], Optional[Separation]]
 
 
@@ -74,6 +80,44 @@ def _require_connected_z(g: Graph, zmask: int, alive: int):
 
 
 # -- bipartite ---------------------------------------------------------------
+
+
+def _bip_masks(g: Graph, zmask: int, k: int, alive: int) -> Optional[tuple[int, int]]:
+    """Mask kernel of `find_separation_bip` on G[alive]: (C, S) masks or None.
+
+    Z must be nonempty, connected and inside `alive`; the caller checks.
+    """
+    comp = reach_mask(g, zmask, alive)
+    if k == 0:
+        return (comp, 0) if coloring_mask(g, comp) is not None else None
+    class1 = coloring_mask(g, zmask)
+    if class1 is None:
+        return None
+    class2 = zmask & ~class1
+    # parity graph inside G[comp]: state v is the even copy of v and v + n
+    # the odd copy, and every edge joins copies of opposite parity.  An odd
+    # cycle through Z joins X (class 1 even, class 2 odd) to Y (the others).
+    n = g.n
+    adj = [a << n for a in g._adj_masks] + list(g._adj_masks)
+    res = _vertex_flow(
+        adj, comp | comp << n, class1 | class2 << n, class1 << n | class2, 2 * k
+    )
+    if res is None:
+        return None
+    cut = res[1]
+    deleted = (cut | cut >> n) & comp
+    cmask = reach_mask(g, zmask, comp & ~deleted)
+    smask = neighborhood_mask(g, cmask, comp)
+    # the whole-graph conditions of Separation.validate; N(C) within G rather
+    # than within G[alive] is too strict under a restricted `alive` (ROADMAP
+    # item 1)
+    assert (
+        not cmask & smask
+        and smask.bit_count() <= 2 * k
+        and coloring_mask(g, cmask) is not None
+        and not neighborhood_mask(g, cmask) & ~smask
+    ), "parity construction produced an invalid separation"
+    return cmask, smask
 
 
 def find_separation_bip(
@@ -90,34 +134,10 @@ def find_separation_bip(
     alive = g.full_mask() if within is None else mask_of(within)
     zmask = mask_of(Z)
     _require_connected_z(g, zmask, alive)
-    bip = GraphClassSpec.bipartite()
-    comp = reach_mask(g, zmask, alive)
-    if k == 0:
-        if is_member(g, bip, set_of(comp)):
-            return Separation(set_of(comp), frozenset(), bip, 0)
-        return None
-    coloring = proper_2_coloring(g, Z)
-    if coloring is None:
-        return None
-    class1 = mask_of(v for v, c in coloring.items() if c == 1)
-    class2 = zmask & ~class1
-    # parity graph inside G[comp]: state v is the even copy of v and v + n
-    # the odd copy, and every edge joins copies of opposite parity.  An odd
-    # cycle through Z joins X (class 1 even, class 2 odd) to Y (the others).
-    n = g.n
-    adj = [a << n for a in g._adj_masks] + list(g._adj_masks)
-    res = _vertex_flow(
-        adj, comp | comp << n, class1 | class2 << n, class1 << n | class2, 2 * k
-    )
+    res = _bip_masks(g, zmask, k, alive)
     if res is None:
         return None
-    cut = res[1]
-    deleted = (cut | cut >> n) & comp
-    cmask = reach_mask(g, zmask, comp & ~deleted)
-    smask = neighborhood_mask(g, cmask, comp)
-    sep = Separation(set_of(cmask), set_of(smask), bip, 2 * k)
-    assert not sep.validate(g), "parity construction produced an invalid separation"
-    return sep
+    return Separation(set_of(res[0]), set_of(res[1]), GraphClassSpec.bipartite(), 2 * k)
 
 
 # -- forbidden induced subgraphs ----------------------------------------------
@@ -185,6 +205,45 @@ def find_separation_forbidden(
 # -- restricted wrapper --------------------------------------------------------
 
 
+def _restricted_masks(
+    g: Graph,
+    zmask: int,
+    k: int,
+    family: Sequence[int],
+    base: MaskFinderFn,
+    comp: int,
+    stats: Optional[SearchStats] = None,
+) -> Optional[tuple[int, int]]:
+    """Mask kernel of `find_separation_restricted`, given `comp`, the
+    component of Z in the considered vertex set: (C, S) masks or None.  The
+    caller checks the preconditions: G[Z] connected, the family masks
+    connected, pairwise disjoint and disjoint from Z."""
+
+    def rec(comp: int, budget: int, fam: list[int], depth: int) -> Optional[tuple[int, int]]:
+        if stats is not None and depth > 0:
+            stats.tick()
+        fam = [f for f in fam if f & ~comp == 0]
+        if len(fam) <= budget:
+            return base(g, zmask, budget, comp)
+        found = None
+
+        def try_separator(sep: int) -> None:
+            nonlocal found
+            if found is not None:
+                return
+            sub = rec(reach_mask(g, zmask, comp & ~sep), budget - sep.bit_count(), fam, depth + 1)
+            if sub is not None:
+                found = (sub[0], sub[1] | sep)
+
+        for fmask in fam[: budget + 1]:
+            _important_masks(g, fmask, zmask, budget, try_separator, comp)
+            if found is not None:
+                return found
+        return None
+
+    return rec(comp, k, list(family), 0)
+
+
 def find_separation_restricted(
     g: Graph,
     Z: frozenset[int],
@@ -205,12 +264,12 @@ def find_separation_restricted(
     """
     if k > t:
         raise ValueError("k must be at most t")
-    alive0 = g.full_mask() if within is None else mask_of(within)
+    alive = g.full_mask() if within is None else mask_of(within)
     zmask = mask_of(Z)
-    _require_connected_z(g, zmask, alive0)
+    _require_connected_z(g, zmask, alive)
+    fmasks = [mask_of(f) for f in family]
     seen = 0
-    for f in family:
-        fmask = mask_of(f)
+    for fmask in fmasks:
         if fmask & zmask:
             raise ValueError("family sets must be disjoint from Z")
         if fmask & seen:
@@ -219,39 +278,15 @@ def find_separation_restricted(
             raise ValueError("family sets must be connected")
         seen |= fmask
 
-    def rec(alive: int, budget: int, fam: list[int], depth: int) -> Optional[tuple[frozenset, frozenset]]:
-        if stats is not None and depth > 0:
-            stats.tick()
-        comp = reach_mask(g, zmask, alive)
-        fam = [f for f in fam if f & ~comp == 0]
-        if len(fam) <= budget:
-            out = base(g, Z, budget, set_of(comp))
-            if out is None:
-                return None
-            return out.C, out.S
-        chosen = fam[: budget + 1]
-        found: list[Optional[tuple[frozenset, frozenset]]] = [None]
-        for fmask in chosen:
+    def mask_base(g2: Graph, zm: int, k2: int, alive2: int) -> Optional[tuple[int, int]]:
+        out = base(g2, Z, k2, set_of(alive2))
+        return None if out is None else (mask_of(out.C), mask_of(out.S))
 
-            def try_separator(sep: frozenset[int]) -> None:
-                if found[0] is not None:
-                    return
-                smask = mask_of(sep)
-                sub = rec(alive & ~smask, budget - len(sep), fam, depth + 1)
-                if sub is not None:
-                    found[0] = (sub[0], sub[1] | sep)
-
-            query = ImportantSeparatorQuery(set_of(fmask), Z, budget)
-            enumerate_important_separators(query, g, try_separator, within=set_of(comp))
-            if found[0] is not None:
-                return found[0]
-        return None
-
-    res = rec(alive0, k, [mask_of(f) for f in family], 0)
+    comp = reach_mask(g, zmask, alive)
+    res = _restricted_masks(g, zmask, k, fmasks, mask_base, comp, stats)
     if res is None:
         return None
-    c, s = res
-    return Separation(c, s, cls, cls.h_value(t) + k)
+    return Separation(set_of(res[0]), set_of(res[1]), cls, cls.h_value(t) + k)
 
 
 # -- extremal iteration ---------------------------------------------------------

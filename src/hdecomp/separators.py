@@ -211,6 +211,41 @@ def _is_important(g: Graph, alive: int, xmask: int, ymask: int, sep: int) -> boo
     return True
 
 
+def _important_masks(
+    g: Graph,
+    xmask0: int,
+    ymask0: int,
+    k: int,
+    emit: Callable[[int], None],
+    alive0: int,
+    stats: Optional[SearchStats] = None,
+) -> int:
+    """Mask kernel of `enumerate_important_separators` on G[alive0]: emits
+    each important separator as a mask and returns how many it emitted."""
+    count = 0
+
+    def rec(alive: int, xmask: int, budget: int, acc: int):
+        nonlocal count
+        if stats is not None:
+            stats.tick()
+        res = _vertex_flow(g._adj_masks, alive, xmask, ymask0, budget)
+        if res == _INFEASIBLE or res is None:
+            return
+        lam, cut = res
+        if lam == 0:
+            if _is_important(g, alive0, xmask0, ymask0, acc):
+                count += 1
+                emit(acc)
+            return
+        v = cut & -cut
+        rec(alive & ~v, xmask, budget - 1, acc | v)
+        region = reach_mask(g, xmask, alive & ~cut)
+        rec(alive, xmask | region | v, budget, acc)
+
+    rec(alive0, xmask0, k, 0)
+    return count
+
+
 def enumerate_important_separators(
     query: ImportantSeparatorQuery,
     g: Graph,
@@ -226,30 +261,9 @@ def enumerate_important_separators(
     emitted through `emit`; memory stays bounded by the recursion depth.
     `within` restricts the instance to an induced subgraph.
     """
-    xmask0, ymask0 = mask_of(query.X), mask_of(query.Y)
-    alive0 = g.full_mask() if within is None else mask_of(within)
-    count = 0
-
-    def rec(alive: int, xmask: int, budget: int, acc: int):
-        nonlocal count
-        if stats is not None:
-            stats.tick()
-        res = _vertex_flow(g._adj_masks, alive, xmask, ymask0, budget)
-        if res == _INFEASIBLE or res is None:
-            return
-        lam, cut = res
-        if lam == 0:
-            if _is_important(g, alive0, xmask0, ymask0, acc):
-                count += 1
-                emit(set_of(acc))
-            return
-        v = cut & -cut
-        rec(alive & ~v, xmask, budget - 1, acc | v)
-        region = reach_mask(g, xmask, alive & ~cut)
-        rec(alive, xmask | region | v, budget, acc)
-
-    rec(alive0, xmask0, query.k, 0)
-    return count
+    xmask, ymask = mask_of(query.X), mask_of(query.Y)
+    alive = g.full_mask() if within is None else mask_of(within)
+    return _important_masks(g, xmask, ymask, query.k, lambda sep: emit(set_of(sep)), alive, stats)
 
 
 def brute_important_separators(

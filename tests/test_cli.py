@@ -275,6 +275,24 @@ def test_batch_mode(files, capsys):
     assert lines["b.gr"].startswith("DEPTH")
 
 
+def test_batch_mode_reports_an_internal_error_per_file(files, capsys):
+    # a 10-triangle chain at tw k=2 trips the parity assertion (ROADMAP item
+    # 1); replace it by another failing input once that is fixed
+    from .test_golden import triangle_chain
+
+    tmp, put = files
+    put("a.gr", write_gr(triangle_chain(10)))
+    put("b.gr", write_gr(Graph.cycle(4)))
+    code, out, _ = run(
+        capsys, "decompose", "--class", "bip", "--mode", "tw", "--k", "2",
+        "--batch", str(tmp),
+    )
+    assert code == 1
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["a.gr"].startswith("ERROR internal: AssertionError: ")
+    assert lines["b.gr"].startswith("WIDTH")
+
+
 def test_dot_export(files, capsys):
     tmp, put = files
     k3 = put("k3.gr", write_gr(Graph.complete(3)))

@@ -26,6 +26,9 @@ TRI = GraphClassSpec.triangle_free()
 
 GOLDEN = "269f55ba8497fabc08a2ee819a64964044aa68a54f3193b94b3e4ee91fc009ea"
 
+#: recorded before the restricted separation search moved onto vertex masks
+GOLDEN_BENCH_SHAPES = "b4666c8869faf39ae2c4f738c65799c99885a56bd32b509f31227160edf758f1"
+
 
 def triangle_chain(p):
     """p triangles, triangle i+1 hanging off a bridge from triangle i."""
@@ -45,6 +48,31 @@ def pendant_triangles(p):
         a = 3 + 3 * i
         edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2), (0, a)]
     return Graph(3 + 3 * p, edges)
+
+
+def cycle_tree(rng, lengths, pendant):
+    """Odd cycles of the given lengths; cycle i > 0 is bridged from hub
+    vertex 0 (pendant) or from a seeded vertex of cycle i - 1 (chain)."""
+    edges, cycles, n = [], [], 0
+    for i, ln in enumerate(lengths):
+        cyc = list(range(n, n + ln))
+        n += ln
+        edges += [(cyc[j], cyc[(j + 1) % ln]) for j in range(ln)]
+        if i:
+            edges.append((0, cyc[0]) if pendant else (rng.choice(cycles[-1]), rng.choice(cyc)))
+        cycles.append(cyc)
+    return Graph(n, edges)
+
+
+def bench_shapes():
+    """Chains and pendant graphs of 3- and 5-cycles at the benchmark's sizes."""
+    rng = random.Random(7)
+    for p in (12, 20, 28):
+        g = cycle_tree(rng, [rng.choice((3, 5)) for _ in range(p)], False)
+        for k in (0, 1):
+            yield g, k
+    for p in (6, 12):
+        yield cycle_tree(rng, [rng.choice((3, 5)) for _ in range(p + 1)], True), 2
 
 
 def corpus():
@@ -67,3 +95,14 @@ def test_builders_and_conversions_are_byte_identical():
         for obj in (forest, dec, make_nice(dec), td, make_nice(td)):
             h.update(to_json(obj).encode())
     assert h.hexdigest() == GOLDEN, h.hexdigest()
+
+
+def test_builders_are_byte_identical_at_benchmark_shapes():
+    h = hashlib.sha256()
+    for g, k in bench_shapes():
+        tree = build_tree_h_decomposition(g, k, BIP)
+        ed = build_ed_forest(g, k, BIP)
+        for obj, ok in ((tree.decomposition, tree.promise_ok), (ed.forest, ed.promise_ok)):
+            h.update(to_json(obj).encode())
+            h.update(b"1" if ok else b"0")
+    assert h.hexdigest() == GOLDEN_BENCH_SHAPES, h.hexdigest()

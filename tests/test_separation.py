@@ -16,12 +16,20 @@ from hdecomp.graphs import (
 from hdecomp.oracles import brute_separable
 from hdecomp.separation import (
     Separation,
+    _bip_masks,
+    _restricted_masks,
     find_extremal_separation,
     find_separation_bip,
     find_separation_forbidden,
     find_separation_restricted,
 )
-from hdecomp.separators import SearchStats, min_vertex_separator
+from hdecomp.separators import (
+    ImportantSeparatorQuery,
+    SearchStats,
+    _important_masks,
+    enumerate_important_separators,
+    min_vertex_separator,
+)
 
 from .conftest import connected_graphs_st, random_graph
 
@@ -247,6 +255,7 @@ def test_bip_finder_matches_the_parity_graph_reference():
         if i % 3 == 0 and g.neighbors(z):  # two colour classes in Z
             Z |= {rng.choice(g.neighbors(z))}
         within = set_of(rng.getrandbits(g.n) | mask_of(Z)) if i % 2 else None
+        alive = g.full_mask() if within is None else mask_of(within)
         for k in range(5):
             try:
                 want = bip_reference(g, Z, k, within)
@@ -254,13 +263,132 @@ def test_bip_finder_matches_the_parity_graph_reference():
                 raised += 1
                 with pytest.raises(AssertionError):
                     find_separation_bip(g, Z, k, within=within)
+                with pytest.raises(AssertionError):
+                    _bip_masks(g, mask_of(Z), k, alive)
                 continue
             got = find_separation_bip(g, Z, k, within=within)
-            assert (got is None) == (want is None), (g.edges, sorted(Z), k, within)
+            kernel = _bip_masks(g, mask_of(Z), k, alive)
+            assert (got is None) == (want is None) == (kernel is None), (g.edges, sorted(Z), k, within)
             if got is not None:
                 assert (got.C, got.S) == (want.C, want.S), (g.edges, sorted(Z), k, within)
+                assert kernel == (mask_of(want.C), mask_of(want.S))
             compared += 1
     assert compared > 1500 and raised > 0
+
+
+def restricted_reference(g, Z, k, t, cls, family, base, within=None, stats=None):
+    """find_separation_restricted before its mask kernel: the same recursion
+    over frozensets, through the public finder and enumerator, with the
+    family checks left out."""
+    alive0 = g.full_mask() if within is None else mask_of(within)
+    zmask = mask_of(Z)
+
+    def rec(alive, budget, fam, depth):
+        if stats is not None and depth > 0:
+            stats.tick()
+        comp = reach_mask(g, zmask, alive)
+        fam = [f for f in fam if f & ~comp == 0]
+        if len(fam) <= budget:
+            out = base(g, Z, budget, set_of(comp))
+            return None if out is None else (out.C, out.S)
+        found = [None]
+        for fmask in fam[: budget + 1]:
+
+            def try_separator(sep):
+                if found[0] is not None:
+                    return
+                sub = rec(alive & ~mask_of(sep), budget - len(sep), fam, depth + 1)
+                if sub is not None:
+                    found[0] = (sub[0], sub[1] | sep)
+
+            query = ImportantSeparatorQuery(set_of(fmask), Z, budget)
+            enumerate_important_separators(query, g, try_separator, within=set_of(comp))
+            if found[0] is not None:
+                return found[0]
+        return None
+
+    res = rec(alive0, k, [mask_of(f) for f in family], 0)
+    return None if res is None else Separation(res[0], res[1], cls, cls.h_value(t) + k)
+
+
+def random_connected_set(rng, g, pool, size):
+    got = {rng.choice(sorted(pool))}
+    while len(got) < size:
+        grow = sorted({w for v in got for w in g.neighbors(v) if w in pool} - got)
+        if not grow:
+            break
+        got.add(rng.choice(grow))
+    return frozenset(got)
+
+
+def test_restricted_kernel_matches_the_frozenset_finders():
+    """The mask kernel with the mask bip kernel, the public wrapper over the
+    frozenset bip finder, and the frozenset reference agree on (C, S), on
+    None, on the parity assertion and on the recursion-node count."""
+    rng = random.Random(31)
+    compared = found = raised = recursed = 0
+    for i in range(1000):
+        g = random_graph(rng, rng.randint(3, 12), rng.choice([0.25, 0.35, 0.5]))
+        Z = frozenset({rng.randrange(g.n)})
+        zmask = mask_of(Z)
+        pool = set(range(g.n)) - Z
+        fam = []  # disjoint connected sets, like a node's ancestor V sets
+        for _ in range(rng.randint(0, 6)):
+            if pool:
+                fam.append(random_connected_set(rng, g, pool, rng.randint(1, 3)))
+                pool -= fam[-1]
+        within = set_of(rng.getrandbits(g.n) | zmask) if i % 3 == 0 else None
+        alive = g.full_mask() if within is None else mask_of(within)
+        comp = reach_mask(g, zmask, alive)
+        fmasks = [mask_of(f) for f in fam]
+        for k in range(4):
+            want_stats, got_stats, kernel_stats = SearchStats(), SearchStats(), SearchStats()
+            args = (g, Z, k, k, BIP, fam, bip_base, within)
+            try:
+                want = restricted_reference(*args, stats=want_stats)
+            except AssertionError:
+                raised += 1
+                with pytest.raises(AssertionError):
+                    find_separation_restricted(*args)
+                with pytest.raises(AssertionError):
+                    _restricted_masks(g, zmask, k, fmasks, _bip_masks, comp)
+                continue
+            got = find_separation_restricted(*args, stats=got_stats)
+            kernel = _restricted_masks(g, zmask, k, fmasks, _bip_masks, comp, kernel_stats)
+            case = (g.edges, sorted(Z), [sorted(f) for f in fam], k, within)
+            assert (got is None) == (want is None) == (kernel is None), case
+            if got is not None:
+                assert (got.C, got.S, got.bound) == (want.C, want.S, want.bound), case
+                assert kernel == (mask_of(want.C), mask_of(want.S)), case
+                found += 1
+            assert got_stats.nodes == kernel_stats.nodes == want_stats.nodes, case
+            recursed += want_stats.nodes > 0
+            compared += 1
+    assert compared > 3000 and found > 1500 and recursed > 200 and raised > 500
+
+
+def test_important_kernel_emits_what_the_enumerator_emits():
+    rng = random.Random(37)
+    emitted = 0
+    for i in range(300):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.3, 0.5]))
+        order = rng.sample(range(g.n), g.n)
+        nx = rng.randint(1, max(1, g.n // 3))
+        X, Y = frozenset(order[:nx]), frozenset(order[nx : nx + rng.randint(1, 2)])
+        if not Y:
+            continue
+        within = set_of(rng.getrandbits(g.n) | mask_of(X | Y)) if i % 2 else None
+        alive = g.full_mask() if within is None else mask_of(within)
+        for k in range(4):
+            want, got = [], []
+            want_stats, got_stats = SearchStats(), SearchStats()
+            query = ImportantSeparatorQuery(X, Y, k)
+            n1 = enumerate_important_separators(query, g, want.append, want_stats, within)
+            n2 = _important_masks(g, mask_of(X), mask_of(Y), k, got.append, alive, got_stats)
+            assert [mask_of(s) for s in want] == got and n1 == n2 == len(got)
+            assert want_stats.nodes == got_stats.nodes
+            emitted += n1
+    assert emitted > 400
 
 
 def test_forbidden_recursion_bound():
