@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .graphs import Graph, GraphClassSpec, parse_family, parse_gr
+from .graphs import Graph, GraphClassSpec, is_member, parse_family, parse_gr
 from .decomposition import (
     EliminationForest,
     NiceTreeHDecomposition,
@@ -118,6 +118,9 @@ def cmd_decompose(args) -> int:
         raise CliError("--k must be nonnegative")
     cls = _parse_class(args.cls)
     if args.batch:
+        for given, what in ((args.out, "--out"), (args.dot, "--dot"), (args.graph, "a graph file")):
+            if given:
+                raise CliError(f"{what} cannot be combined with --batch")
         files = sorted(Path(args.batch).glob("*.gr"))
         if not files:
             raise CliError(f"no .gr files in {args.batch}")
@@ -154,20 +157,32 @@ def cmd_decompose(args) -> int:
     return code
 
 
-def _auto_forest(g: Graph, cls: GraphClassSpec) -> EliminationForest:
-    for k in range(g.n + 2):
-        res = build_ed_forest(g, k, cls)
+def _auto(g: Graph, cls: GraphClassSpec, build):
+    """The result of `build(g, k, cls)` at the least k that passes the promise.
+
+    At k = 0 every separator is empty, so a finder returns a whole component
+    in H or nothing (the restricted finder returns nothing once the family
+    is nonempty).  So every node of a component outside H is one vertex and
+    the quotient is the component itself.  It holds an odd cycle or a K_l
+    (l >= 2), so its treedepth and, for bipartite H, its treewidth exceed
+    k + 1 = 1; the heuristic values only over-estimate, so they fail too.
+    Hence k = 0 passes only when G is in H.  This holds for the classes solve
+    uses: bipartite H in both modes and K_l-free H in ed mode.  It fails for
+    forbidden classes in tw mode (a claw under claw-free has treewidth 1).
+    """
+    for k in range(0 if is_member(g, cls) else 1, g.n + 2):
+        res = build(g, k, cls)
         if res.promise_ok:
-            return res.forest
+            return res
     raise CliError("auto mode failed to satisfy the promise check")
+
+
+def _auto_forest(g: Graph, cls: GraphClassSpec) -> EliminationForest:
+    return _auto(g, cls, build_ed_forest).forest
 
 
 def _auto_nice(g: Graph, cls: GraphClassSpec) -> NiceTreeHDecomposition:
-    for k in range(g.n + 2):
-        res = build_tree_h_decomposition(g, k, cls)
-        if res.promise_ok:
-            return make_nice(res.decomposition)
-    raise CliError("auto mode failed to satisfy the promise check")
+    return make_nice(_auto(g, cls, build_tree_h_decomposition).decomposition)
 
 
 def _solved(solver, *args):

@@ -17,6 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -1111,39 +1112,35 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
     sbags = {x: dec.bags[x] - L for x in range(len(dec.bags))}
     sparent = dict(enumerate(dec.parents))
     schildren = {x: set(kids) for x, kids in enumerate(dec.children())}
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(sbags):
-            p = sparent[x]
-            if p < 0:
-                continue
-            if sbags[x] <= sbags[p]:
-                keep, drop = p, x
-            elif sbags[p] < sbags[x]:
-                keep, drop = x, p
-                # x replaces its parent: x adopts p's place in the tree
-                sparent[x] = sparent[p]
-                if sparent[p] >= 0:
-                    schildren[sparent[p]].discard(p)
-                    schildren[sparent[p]].add(x)
-                schildren[p].discard(x)
-                schildren[x] |= schildren[p]
-                for c in schildren[p]:
-                    sparent[c] = x
-                del sbags[p], sparent[p], schildren[p]
-                changed = True
-                break
-            else:
-                continue
-            # drop is a child of keep with a subset bag
-            schildren[keep].discard(drop)
-            schildren[keep] |= schildren[drop]
-            for c in schildren[drop]:
-                sparent[c] = keep
-            del sbags[drop], sparent[drop], schildren[drop]
-            changed = True
-            break
+    # Contract the smallest x comparable with its parent first.  A node's
+    # comparability changes only when its parent does, so the heap holds
+    # every comparable node and stale entries are skipped when popped.
+    heap = list(sbags)
+    while heap:
+        x = heapq.heappop(heap)
+        if x not in sbags or sparent[x] < 0:
+            continue
+        p = sparent[x]
+        if sbags[x] <= sbags[p]:
+            keep, drop = p, x
+        elif sbags[p] < sbags[x]:
+            # x replaces its parent: x adopts p's place in the tree
+            keep, drop = x, p
+            sparent[x] = sparent[p]
+            if sparent[p] >= 0:
+                schildren[sparent[p]].discard(p)
+                schildren[sparent[p]].add(x)
+            schildren[p].discard(x)
+            heapq.heappush(heap, x)
+        else:
+            continue
+        # drop's children move under keep
+        schildren[keep].discard(drop)
+        schildren[keep] |= schildren[drop]
+        for c in schildren[drop]:
+            sparent[c] = keep
+            heapq.heappush(heap, c)
+        del sbags[drop], sparent[drop], schildren[drop]
     sroot = next(x for x in sbags if sparent[x] < 0)
 
     # -- emit the nice structure -------------------------------------------

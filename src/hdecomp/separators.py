@@ -222,6 +222,18 @@ def _important_masks(
 ) -> int:
     """Mask kernel of `enumerate_important_separators` on G[alive0]: emits
     each important separator as a mask and returns how many it emitted."""
+    if k <= 1:
+        # X and Y are disjoint, so a one-vertex (X,Y)-separator lies on every
+        # X-Y path.  These separators are totally ordered by reach, and the
+        # only important one of size <= 1 is the farthest minimum cut (empty
+        # when lambda = 0).
+        if stats is not None:
+            stats.tick()
+        res = _vertex_flow(g._adj_masks, alive0, xmask0, ymask0, k)
+        if res == _INFEASIBLE or res is None:
+            return 0
+        emit(res[1])
+        return 1
     count = 0
 
     def rec(alive: int, xmask: int, budget: int, acc: int):
@@ -257,8 +269,9 @@ def enumerate_important_separators(
 
     Branch on the smallest-id vertex v of the current farthest min cut:
     left branch moves v into the separator (delete v, budget - 1), right
-    branch moves v (and the cut's reachable region) into X.  Candidates are
-    emitted through `emit`; memory stays bounded by the recursion depth.
+    branch moves v (and the cut's reachable region) into X.  For k <= 1 the
+    farthest minimum cut is the only candidate.  Candidates are emitted
+    through `emit`; memory stays bounded by the recursion depth.
     `within` restricts the instance to an induced subgraph.
     """
     xmask, ymask = mask_of(query.X), mask_of(query.Y)

@@ -293,6 +293,52 @@ def test_batch_mode_reports_an_internal_error_per_file(files, capsys):
     assert lines["b.gr"].startswith("WIDTH")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dot", "graph"])
+def test_batch_mode_rejects_single_graph_arguments(files, capsys, flag):
+    tmp, put = files
+    g = put("a.gr", write_gr(Graph.cycle(4)))
+    extra = [g] if flag == "graph" else [flag, str(tmp / "written")]
+    code, out, err = run(
+        capsys, "decompose", "--class", "bip", "--mode", "ed", "--k", "1",
+        "--batch", str(tmp), *extra,
+    )
+    what = "a graph file" if flag == "graph" else flag
+    assert code == 1 and out == "" and err == f"error: {what} cannot be combined with --batch\n"
+    assert not (tmp / "written").exists()
+
+
+#: recorded before auto mode skipped k = 0 on inputs outside the class
+CHAIN2_SOLUTIONS = {
+    ("dp", "oct"): "SOLUTION oct 2\n1\n5\n",
+    ("dp", "vc"): "SOLUTION vc 4\n1\n2\n4\n5\n",
+    ("elim", "oct"): "SOLUTION oct 2\n2\n4\n",
+    ("elim", "vc"): "SOLUTION vc 4\n2\n3\n4\n6\n",
+    ("elim", "klfree"): "SOLUTION klfree 2\n3\n4\n",
+}
+
+
+@pytest.mark.parametrize("via,problem", sorted(CHAIN2_SOLUTIONS))
+def test_auto_mode_builds_once(files, capsys, monkeypatch, via, problem):
+    """Off the class auto mode starts at k = 1, inside it at k = 0."""
+    from hdecomp import cli
+
+    from .test_golden import triangle_chain
+
+    tmp, put = files
+    ks = []
+    for name in ("build_ed_forest", "build_tree_h_decomposition"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda g, k, cls, build=build: ks.append(k) or build(g, k, cls))
+    chain = put("chain.gr", write_gr(triangle_chain(2)))
+    code, out, _ = run(capsys, "solve", "--problem", problem, "--via", via, chain)
+    assert code == 0 and out == CHAIN2_SOLUTIONS[via, problem] and ks == [1]
+    ks.clear()
+    c6 = put("c6.gr", write_gr(Graph.cycle(6)))
+    code, out, _ = run(capsys, "solve", "--problem", problem, "--via", via, c6)
+    assert code == 0 and ks == [0]
+    assert out == ("SOLUTION vc 3\n1\n3\n5\n" if problem == "vc" else f"SOLUTION {problem} 0\n")
+
+
 def test_dot_export(files, capsys):
     tmp, put = files
     k3 = put("k3.gr", write_gr(Graph.complete(3)))

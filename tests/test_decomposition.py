@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from hdecomp.graphs import (
     bits,
     components,
     connected_components,
+    is_member,
     neighborhood_mask,
     reach_mask,
 )
@@ -36,6 +38,7 @@ from hdecomp.decomposition import (
 )
 from hdecomp.decomposition import _min_fill_order, _td_from_elimination_order
 from hdecomp.oracles import brute_ed
+from hdecomp.tree import children, preorder, renumber
 
 from .conftest import connected_graphs_st, random_graph
 
@@ -360,6 +363,42 @@ def test_build_tree_h_decomposition_examples():
     assert res.decomposition.width <= (k + 2) * k2 * (k + k2 + 1)
 
 
+def lemma_graph(rng, i):
+    """Mostly small components, so the exact quotient DPs stay cheap; one
+    graph in twenty has a component past the exact guards."""
+    r = i % 20
+    if r < 8:
+        n = rng.randint(1, 24)
+        return random_graph(rng, n, rng.choice((0.5, 0.8, 1.2)) / n)
+    if r < 16:
+        return random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.35, 0.6, 0.8)))
+    if r < 19:
+        n = rng.randint(11, 16)
+        return random_graph(rng, n, rng.choice((1.5, 2.5)) / n)
+    return random_graph(rng, rng.randint(21, 24), rng.choice((0.4, 0.6)))
+
+
+def test_k0_promise_holds_exactly_on_members():
+    """At k = 0 the quotient of a component outside H is the component, so
+    the promise fails; `solve`'s auto mode relies on this to start at k = 1."""
+    rng = random.Random(61)
+    classes = [BIP] + [GraphClassSpec.kl_free(ell) for ell in range(2, 6)]
+    outside = [0] * len(classes)
+    for i in range(1000):
+        g = lemma_graph(rng, i)
+        for j, cls in enumerate(classes):
+            member = is_member(g, cls)
+            assert build_ed_forest(g, 0, cls).promise_ok == member
+            outside[j] += not member
+        assert build_tree_h_decomposition(g, 0, BIP).promise_ok == is_member(g, BIP)
+    assert min(outside) > 50, outside
+    # not for forbidden classes in tw mode: a claw has treewidth 1
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    claw_free = GraphClassSpec.forbidden(claw)
+    assert build_tree_h_decomposition(claw, 0, claw_free).promise_ok
+    assert not is_member(claw, claw_free)
+
+
 def test_ed_to_tree_decomposition_examples():
     c4 = Graph.cycle(4)
     forest = build_ed_forest(c4, 0, BIP).forest
@@ -416,6 +455,48 @@ def test_make_nice_preserves_l_and_width():
         assert nice.L == dec.L
         assert nice.width <= dec.width
         assert len(nice.parents) <= ALPHA * max(1, dec.width + 1) * max(1, g.n)
+
+
+def padded(rng, dec, steps):
+    """`dec` with `steps` random nodes added: leaves whose bag is a subset of
+    their parent's, and nodes spliced into an edge whose bag holds the two
+    ends' intersection.  The result is valid for the same graph, and many of
+    its adjacent bags are comparable, so `make_nice` contracts a lot."""
+    parents, bags, L = list(dec.parents), list(dec.bags), dec.L
+    for _ in range(steps):
+        x = rng.randrange(len(parents))
+        p = parents[x]
+        if not bags[x] & L and (p < 0 or rng.random() < 0.4):
+            pool = sorted(bags[x] - L)
+            parents.append(x)
+            bags.append(frozenset(v for v in pool if rng.random() < 0.7))
+        elif p >= 0:
+            pool = sorted((bags[x] | bags[p]) - L)
+            parents.append(p)
+            bags.append(bags[x] & bags[p] | frozenset(v for v in pool if rng.random() < 0.5))
+            parents[x] = len(parents) - 1
+    order = preorder(children(parents), [parents.index(-1)])
+    return TreeHDecomposition(renumber(parents, order), [bags[i] for i in order], L, dec.cls)
+
+
+def test_make_nice_is_byte_identical_on_padded_decompositions():
+    # digest recorded while the scaffold compression still rescanned
+    # sorted(sbags) after every contraction
+    h = hashlib.sha256()
+    rng = random.Random(43)
+    for i in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.35, 0.5)))
+        k = rng.randint(0, 2)
+        if i % 2:
+            base = build_tree_h_decomposition(g, min(k, 1), BIP).decomposition
+        else:
+            base = ed_to_tree_decomposition(build_ed_forest(g, k, BIP).forest)
+        dec = padded(rng, base, rng.randint(1, 3 * g.n))
+        assert not dec.validate(g)
+        nice = make_nice(dec)
+        assert not nice.validate(g)
+        h.update(to_json(nice).encode())
+    assert h.hexdigest() == "99747f7a547e71bcf83072556ce541ad370c7a1e8bb84c7698c1856227c8052d"
 
 
 # -- validators on planted violations -------------------------------------------

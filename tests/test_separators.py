@@ -4,11 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hdecomp.graphs import Graph, mask_of, neighborhood_mask, set_of
+from hdecomp.graphs import Graph, mask_of, neighborhood_mask, reach_mask, set_of
 from hdecomp.separators import (
+    _INFEASIBLE,
     ImportantSeparatorQuery,
     InfeasibleSeparation,
     SearchStats,
+    _important_masks,
+    _is_important,
+    _vertex_flow,
     brute_important_separators,
     enumerate_important_separators,
     min_vertex_separator,
@@ -156,3 +160,66 @@ def test_stats_counts_recursion_nodes():
     stats = SearchStats()
     enum(BROOM, {0}, {4}, 2, stats=stats)
     assert stats.nodes >= 1
+
+
+def important_reference(g, xmask0, ymask0, k, alive0):
+    """The branching enumeration at every budget (the kernel keeps it for
+    k >= 2 only): the separators it emits, in order."""
+    out = []
+
+    def rec(alive, xmask, budget, acc):
+        res = _vertex_flow(g._adj_masks, alive, xmask, ymask0, budget)
+        if res == _INFEASIBLE or res is None:
+            return
+        lam, cut = res
+        if lam == 0:
+            if _is_important(g, alive0, xmask0, ymask0, acc):
+                out.append(acc)
+            return
+        v = cut & -cut
+        rec(alive & ~v, xmask, budget - 1, acc | v)
+        region = reach_mask(g, xmask, alive & ~cut)
+        rec(alive, xmask | region | v, budget, acc)
+
+    rec(alive0, xmask0, k, 0)
+    return out
+
+
+def test_budget_at_most_one_emits_what_the_branching_emits():
+    rng = random.Random(41)
+    cases = {"empty": 0, "one": 0, "none": 0, "not closest": 0}
+    for i in range(1000):
+        n = rng.randint(2, 16)
+        g = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2]))
+        if i % 4:  # add a long thin random tree: one-vertex cuts in a row
+            g = Graph(n, set(g.edges) | {(rng.randrange(max(0, v - 3), v), v) for v in range(1, n)})
+        order = rng.sample(range(g.n), g.n)
+        X = frozenset(order[: rng.randint(1, 2)])
+        far = [v for v in order if not (mask_of(X) | neighborhood_mask(g, mask_of(X))) >> v & 1]
+        Y = frozenset(far[: rng.randint(1, 3)] if i % 5 else order[len(X) : len(X) + 2])
+        if not Y:
+            continue
+        alive = g.full_mask() if i % 2 else rng.getrandbits(g.n) | (mask_of(X | Y) if i % 3 else 0)
+        xmask, ymask = mask_of(X), mask_of(Y)
+        sub, old = g.induced(set_of(alive))
+        new = {v: j for j, v in enumerate(old)}
+        for k in (0, 1):
+            want = important_reference(g, xmask, ymask, k, alive)
+            got, stats = [], SearchStats()
+            assert _important_masks(g, xmask, ymask, k, got.append, alive, stats) == len(got)
+            assert got == want and stats.nodes == 1
+            adapted = []
+            query = ImportantSeparatorQuery(X, Y, k)
+            count = enumerate_important_separators(query, g, adapted.append, within=set_of(alive))
+            assert [mask_of(s) for s in adapted] == want and count == len(want)
+            if sub.n <= 12:
+                xs = {new[v] for v in X if v in new}
+                ys = {new[v] for v in Y if v in new}
+                brute = brute_important_separators(sub, xs, ys, k)
+                assert brute == {frozenset(new[v] for v in set_of(s)) for s in want}
+            cases["none" if not want else "empty" if want == [0] else "one"] += 1
+            if want and want[0]:
+                # the cut closest to X is the farthest cut from Y
+                closest = _vertex_flow(g._adj_masks, alive, ymask, xmask, 1)[1]
+                cases["not closest"] += closest != want[0]
+    assert min(cases.values()) > 30 and cases["one"] > 200, cases
