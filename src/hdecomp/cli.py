@@ -59,8 +59,9 @@ def _parse_class(spec: str) -> GraphClassSpec:
     raise CliError(f"unknown class {spec!r} (use bip or forbid:<path>)")
 
 
-def _parse_vertices(arg: str) -> frozenset[int]:
-    """Comma-separated 1-based vertex list; empty string means empty set."""
+def _parse_vertices(arg: str, n: int) -> frozenset[int]:
+    """Comma-separated 1-based vertex list of an n-vertex graph; empty
+    string means empty set."""
     if not arg:
         return frozenset()
     try:
@@ -69,6 +70,8 @@ def _parse_vertices(arg: str) -> frozenset[int]:
         raise CliError(f"malformed vertex list {arg!r}")
     if any(v < 0 for v in out):
         raise CliError("vertex ids are 1-based")
+    if any(v >= n for v in out):
+        raise CliError(f"vertex id {max(out) + 1} exceeds the graph's {n} vertices")
     return out
 
 
@@ -273,16 +276,18 @@ def cmd_oracle(args) -> int:
             cls = _parse_class(args.cls)
             print(f"ED {brute_ed(g, cls)}")
         elif args.what == "abc":
-            b1 = _parse_vertices(args.b1)
-            b2 = _parse_vertices(args.b2)
+            if args.k < 0:
+                raise CliError("--k must be nonnegative")
+            b1 = _parse_vertices(args.b1, g.n)
+            b2 = _parse_vertices(args.b2, g.n)
             res = brute_abc(g, b1, b2, args.k)
             if res is None:
                 print("NONE")
             else:
                 sys.stdout.write(solution_block("abc", res))
         else:  # impsep
-            x = _parse_vertices(args.x)
-            y = _parse_vertices(args.y)
+            x = _parse_vertices(args.x, g.n)
+            y = _parse_vertices(args.y, g.n)
             out: list[frozenset[int]] = []
             q = ImportantSeparatorQuery(x, y, args.k)
             if g.n > 16:

@@ -38,10 +38,9 @@ from .graphs import (
 from .separation import (
     Separation,
     _bip_masks,
+    _forbidden_masks,
     _restricted_masks,
     find_extremal_separation,
-    find_separation_bip,
-    find_separation_forbidden,
 )
 from .tree import children, preorder, renumber
 
@@ -730,27 +729,25 @@ def _min_fill_order(g: Graph) -> list[int]:
 
 
 def _extremal_finder(cls: GraphClassSpec, restricted: bool, k: int):
+    """The builder's mask kernel (g, zmask, k, family) -> (C, S) or None,
+    and k2, which bounds its |S| plus the vertex the extremal step adds."""
     if cls.kind == GraphClassSpec.FORBIDDEN:
         # the exact finder satisfies the restricted guarantee for free
-        def finder(g, Z, kk, family):
-            return find_separation_forbidden(g, Z, kk, cls)
+        def finder(g, z, kk, family):
+            return _forbidden_masks(g, z, kk, cls)
 
-        k2 = k + 1
-        return finder, k2
+        return finder, k + 1
     if not restricted:
 
-        def finder(g, Z, kk, family):
-            return find_separation_bip(g, Z, kk)
+        def finder(g, z, kk, family):
+            return _bip_masks(g, z, kk, g.full_mask())
 
         return finder, cls.h_value(k) + 1
 
     # family: the ancestors' V masks, whose preconditions the builder checks
     # once per node; G is connected, so Z's component is all of G
-    def finder(g, Z, kk, family):
-        res = _restricted_masks(g, mask_of(Z), kk, family, _bip_masks, g.full_mask())
-        if res is None:
-            return None
-        return Separation(set_of(res[0]), set_of(res[1]), cls, cls.h_value(kk) + kk)
+    def finder(g, z, kk, family):
+        return _restricted_masks(g, z, kk, family, _bip_masks, g.full_mask())
 
     return finder, cls.h_value(k) + k + 1
 
@@ -778,8 +775,8 @@ def build_separation_decomposition(
     path_union: list[int] = []  # root-path union of V_t & S_t masks
     depth: list[int] = []
 
-    def choose_parent(region_mask: int) -> int:
-        need = neighborhood_mask(g, region_mask)
+    def choose_parent(region: int) -> int:
+        need = neighborhood_mask(g, region)
         best = -1
         for i in range(len(nodes)):
             if saturated[i]:
@@ -799,36 +796,33 @@ def build_separation_decomposition(
     used = 0  # union of the V masks so far
     stack = [g.full_mask()]
     while stack:
-        region_mask = stack.pop()
-        if region_mask & used:
+        region = stack.pop()
+        if region & used:
             raise ValueError("family sets must be disjoint from Z")
-        region = set_of(region_mask)
-        parent = -1 if not nodes else choose_parent(region_mask)
+        parent = -1 if not nodes else choose_parent(region)
         family = []  # ancestor V masks, deepest first
         t = parent
         while t >= 0:
             family.append(vmask[t])
             t = nodes[t].parent
-        z0 = frozenset({min(region)})
-        seed = Separation(frozenset(), z0, cls, k2)
-        zp, sep, certified = find_extremal_separation(
-            g, region, z0, k, seed, cls, family, finder
+        zmask, cmask, smask, certified = find_extremal_separation(
+            g, region, region & -region, k, family, finder
         )
-        zmask = mask_of(zp)
         if zmask & used:
             raise ValueError("family sets must be pairwise disjoint")
         if reach_mask(g, zmask & -zmask, zmask) != zmask:
             raise ValueError("family sets must be connected")
+        assert smask.bit_count() <= k2, "separator exceeds the bound k2"
         used |= zmask
         vmask.append(zmask)
-        nodes.append(SepNode(zp, sep.C, sep.S, parent))
-        saturated.append(zp == region and not certified)
-        pu = zmask & mask_of(sep.S)
+        nodes.append(SepNode(set_of(zmask), set_of(cmask), set_of(smask), parent))
+        saturated.append(zmask == region and not certified)
+        pu = zmask & smask
         if parent >= 0:
             pu |= path_union[parent]
         path_union.append(pu)
         depth.append(0 if parent < 0 else depth[parent] + 1)
-        stack.extend(reversed(components(g, region_mask & ~zmask)))
+        stack.extend(reversed(components(g, region & ~zmask)))
     return SeparationDecomposition(nodes, k, k2, restricted, cls)
 
 

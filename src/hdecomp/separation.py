@@ -4,9 +4,10 @@ extremal iteration used by the decomposition builder.
 
 Outcomes are Optional[Separation]: None means the query set Z was concluded
 to be (class, k)-inseparable, which is always an unconditional verdict.  The
-bipartite and restricted finders are mask kernels (`_bip_masks`,
-`_restricted_masks`) that the decomposition builder calls directly; the
-public functions are frozenset adapters that also check their arguments.
+finders are mask kernels (`_bip_masks`, `_forbidden_masks`,
+`_restricted_masks`) that the decomposition builder and the extremal
+iteration call directly; the public finders are frozenset adapters that
+also check their arguments.
 """
 
 from __future__ import annotations
@@ -17,21 +18,16 @@ from typing import Callable, Optional, Sequence
 from .graphs import (
     Graph,
     GraphClassSpec,
+    _find_embedding_image,
+    bits,
     coloring_mask,
-    find_induced_obstruction,
     is_member,
     mask_of,
     neighborhood_mask,
     reach_mask,
     set_of,
 )
-from .separators import (
-    ImportantSeparatorQuery,
-    SearchStats,
-    _important_masks,
-    _vertex_flow,
-    enumerate_important_separators,
-)
+from .separators import SearchStats, _important_masks, _vertex_flow
 
 
 @dataclass(frozen=True)
@@ -63,11 +59,12 @@ class Separation:
         return Z <= self.C | self.S
 
 
-# base finders take (g, Z, k, within); extremal finders take (g, Z, k, family)
+# base finders take (g, Z, k, within); mask base finders take
+# (g, zmask, k, alive) and extremal finders (g, zmask, k, family masks), and
+# both return (cmask, smask) or None
 BaseFinderFn = Callable[[Graph, frozenset, int, Optional[frozenset]], Optional[Separation]]
-# mask base finders take (g, zmask, k, alive) and return (cmask, smask) or None
 MaskFinderFn = Callable[[Graph, int, int, int], Optional[tuple[int, int]]]
-ExtremalFinderFn = Callable[[Graph, frozenset, int, Sequence[frozenset]], Optional[Separation]]
+ExtremalFinderFn = Callable[[Graph, int, int, Sequence[int]], Optional[tuple[int, int]]]
 
 
 def _require_connected_z(g: Graph, zmask: int, alive: int):
@@ -143,6 +140,68 @@ def find_separation_bip(
 # -- forbidden induced subgraphs ----------------------------------------------
 
 
+def _forbidden_masks(
+    g: Graph,
+    zmask: int,
+    k: int,
+    cls: GraphClassSpec,
+    stats: Optional[SearchStats] = None,
+) -> Optional[tuple[int, int]]:
+    """Mask kernel of `find_separation_forbidden`: (C, S) masks or None.
+
+    Z must be nonempty and connected; the caller checks.
+    """
+
+    def obstruction(comp: int) -> Optional[int]:
+        for pattern in cls.family:
+            image = _find_embedding_image(g, pattern, comp)
+            if image is not None:
+                return image
+        return None
+
+    def rec(alive: int, budget: int, depth: int) -> Optional[tuple[int, int]]:
+        if stats is not None and depth > 0:
+            stats.tick()
+        comp = reach_mask(g, zmask, alive)
+        image = obstruction(comp)
+        if image is None:
+            return comp, 0
+        branch = image & ~zmask
+        if budget >= 1:
+            for u in bits(branch):  # branch (a): u joins the separator
+                sub = rec(alive & ~(1 << u), budget - 1, depth + 1)
+                if sub is not None:
+                    return sub[0], sub[1] | (1 << u)
+        found = None
+
+        def try_separator(sep: int) -> None:
+            nonlocal found
+            if found is not None:
+                return
+            sub = rec(alive & ~sep, budget - sep.bit_count(), depth + 1)
+            if sub is not None:
+                found = (sub[0], sub[1] | sep)
+
+        for u in bits(branch):  # branch (b): cut u away from Z
+            _important_masks(g, 1 << u, zmask, budget, try_separator, comp)
+            if found is not None:
+                return found
+        return None
+
+    res = rec(g.full_mask(), k, 0)
+    if res is None:
+        return None
+    cmask, smask = res
+    # the whole-graph conditions of Separation.validate
+    assert (
+        not cmask & smask
+        and smask.bit_count() <= k
+        and obstruction(cmask) is None
+        and not neighborhood_mask(g, cmask) & ~smask
+    ), "branching produced an invalid separation"
+    return res
+
+
 def find_separation_forbidden(
     g: Graph,
     Z: frozenset[int],
@@ -161,45 +220,10 @@ def find_separation_forbidden(
         raise ValueError("find_separation_forbidden needs a forbidden-induced class")
     zmask = mask_of(Z)
     _require_connected_z(g, zmask, g.full_mask())
-
-    def rec(alive: int, budget: int, depth: int) -> Optional[tuple[int, int]]:
-        if stats is not None and depth > 0:
-            stats.tick()
-        comp = reach_mask(g, zmask, alive)
-        obstruction = find_induced_obstruction(g, cls, set_of(comp))
-        if obstruction is None:
-            return comp, 0
-        branch_vertices = sorted(obstruction - Z)
-        for u in branch_vertices:  # branch (a): u joins the separator
-            if budget >= 1:
-                sub = rec(alive & ~(1 << u), budget - 1, depth + 1)
-                if sub is not None:
-                    csub, ssub = sub
-                    return csub, ssub | (1 << u)
-        for u in branch_vertices:  # branch (b): cut u away from Z
-            found: list[Optional[tuple[int, int]]] = [None]
-
-            def try_separator(sep: frozenset[int]) -> None:
-                if found[0] is not None:
-                    return
-                smask = mask_of(sep)
-                sub = rec(alive & ~smask, budget - len(sep), depth + 1)
-                if sub is not None:
-                    found[0] = (sub[0], sub[1] | smask)
-
-            query = ImportantSeparatorQuery(frozenset({u}), Z, budget)
-            enumerate_important_separators(query, g, try_separator, within=set_of(comp))
-            if found[0] is not None:
-                return found[0]
-        return None
-
-    res = rec(g.full_mask(), k, 0)
+    res = _forbidden_masks(g, zmask, k, cls, stats)
     if res is None:
         return None
-    cmask, smask = res
-    sep = Separation(set_of(cmask), set_of(smask), cls, k)
-    assert not sep.validate(g), "branching produced an invalid separation"
-    return sep
+    return Separation(set_of(res[0]), set_of(res[1]), cls, k)
 
 
 # -- restricted wrapper --------------------------------------------------------
@@ -294,40 +318,34 @@ def find_separation_restricted(
 
 def find_extremal_separation(
     g: Graph,
-    region: frozenset[int],
-    Z: frozenset[int],
+    region: int,
+    zmask: int,
     k: int,
-    seed: Separation,
-    cls: GraphClassSpec,
-    family: Sequence[frozenset[int]],
+    family: Sequence[int],
     finder: ExtremalFinderFn,
-) -> tuple[frozenset[int], Separation, bool]:
+) -> tuple[int, int, int, bool]:
     """Grow Z inside `region` until it is inseparable or swallows the region.
 
-    Returns (Z', separation weakly covering Z', certified) where `certified`
-    says the final verdict was an inseparability conclusion of the finder.
-    The separator never exceeds seed.bound = h(k)+1.
+    Returns masks (Z', C, S, certified), where (C, S) weakly covers Z' and
+    `certified` says the final verdict was an inseparability conclusion of
+    the finder.  The first verdict returns the seed (empty, Z); later ones
+    return the previous separation with the grown vertex added to S.
     """
-    if not Z <= region:
+    if zmask & ~region:
         raise ValueError("Z must be inside the region")
-    region_mask = mask_of(region)
-    zset = Z
-    current = seed
-    for _ in range(len(region) + 1):
-        outcome = finder(g, zset, k, family)
+    cmask, smask = 0, zmask
+    for _ in range(region.bit_count() + 1):
+        outcome = finder(g, zmask, k, family)
         if outcome is None:
-            return zset, current, True
-        zmask = mask_of(zset)
-        inside = region_mask & (mask_of(outcome.C) | mask_of(outcome.S))
-        zprime = reach_mask(g, zmask, inside)
+            return zmask, cmask, smask, True
+        cmask, smask = outcome
+        zprime = reach_mask(g, zmask, region & (cmask | smask))
         assert zprime & zmask == zmask
-        if zprime == region_mask:
-            return region, Separation(outcome.C, outcome.S, cls, seed.bound), False
-        grow = neighborhood_mask(g, zprime, region_mask)
+        if zprime == region:
+            return region, cmask, smask, False
+        grow = neighborhood_mask(g, zprime, region)
         v = grow & -grow
         assert v, "region is connected, so the boundary is nonempty"
-        zset = set_of(zprime | v)
-        s2 = outcome.S | set_of(v)
-        assert len(s2) <= seed.bound
-        current = Separation(outcome.C, frozenset(s2), cls, seed.bound)
+        zmask = zprime | v
+        smask |= v
     raise AssertionError("extremal iteration failed to terminate")

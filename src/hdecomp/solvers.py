@@ -23,9 +23,9 @@ from .graphs import (
     GraphClassSpec,
     _find_embedding_image,
     bits,
+    coloring_mask,
     mask_of,
     neighborhood_mask,
-    proper_2_coloring,
     set_of,
 )
 from .decomposition import EliminationForest, NiceTreeHDecomposition
@@ -57,10 +57,30 @@ class AbcInstance:
     k: int
 
     def __post_init__(self):
-        if proper_2_coloring(self.g) is None:
+        if coloring_mask(self.g, self.g.full_mask()) is None:
             raise ValueError("annotated bipartite coloring needs a bipartite graph")
         if any(v < 0 or v >= self.g.n for v in self.B1 | self.B2):
             raise ValueError("annotation vertices out of range")
+
+
+def _anchored_cut(g: Graph, within: int, t1: int, t2: int, cap: int) -> Optional[int]:
+    """Minimum vertex cut of G[within] between the terminal sets T1 and T2,
+    whose vertices are themselves deletable: the cut mask farthest from T1,
+    or None when the minimum exceeds `cap`.
+
+    Deletability is modeled by two fresh non-deletable anchor states n and
+    n + 1 adjacent to T1 resp. T2.
+    """
+    if not t1 or not t2:
+        return 0
+    s, t = 1 << g.n, 1 << g.n + 1
+    adj = list(g._adj_masks) + [t1, t2]
+    for v in bits(t1):
+        adj[v] |= s
+    for v in bits(t2):
+        adj[v] |= t
+    res = _vertex_flow(adj, within | s | t, s, t, cap)
+    return None if res is None else res[1]
 
 
 def _abc_within(
@@ -71,24 +91,17 @@ def _abc_within(
     Fix a proper 2-coloring f of G[within]; a deletion set X is feasible iff
     it separates T1 = (B1 & f^-1(2)) | (B2 & f^-1(1)) from
     T2 = (B1 & f^-1(1)) | (B2 & f^-1(2)), with terminals themselves
-    deletable.  Deletability is modeled by two fresh non-deletable anchor
-    states n and n + 1 adjacent to T1 resp. T2.
+    deletable.
     """
-    f = proper_2_coloring(g, within)
-    if f is None:
+    wmask = mask_of(within)
+    class1 = coloring_mask(g, wmask)
+    if class1 is None:
         raise ValueError("ABC instance graph must be bipartite")
-    t1 = mask_of(v for v in B1 if f[v] == 2) | mask_of(v for v in B2 if f[v] == 1)
-    t2 = mask_of(v for v in B1 if f[v] == 1) | mask_of(v for v in B2 if f[v] == 2)
-    if not t1 or not t2:
-        return frozenset()
-    s, t = 1 << g.n, 1 << g.n + 1
-    adj = list(g._adj_masks) + [t1, t2]
-    for v in bits(t1):
-        adj[v] |= s
-    for v in bits(t2):
-        adj[v] |= t
-    res = _vertex_flow(adj, mask_of(within) | s | t, s, t, k)
-    return None if res is None else set_of(res[1])
+    b1, b2 = mask_of(B1), mask_of(B2)
+    t1 = b1 & ~class1 | b2 & class1
+    t2 = b1 & class1 | b2 & ~class1
+    cut = _anchored_cut(g, wmask, t1, t2, k)
+    return None if cut is None else set_of(cut)
 
 
 def solve_abc(inst: AbcInstance) -> Optional[frozenset[int]]:
@@ -105,58 +118,20 @@ def solve_abc(inst: AbcInstance) -> Optional[frozenset[int]]:
 
 
 def _vc_bipartite_within(g: Graph, within: frozenset[int]) -> frozenset[int]:
-    coloring = proper_2_coloring(g, within)
-    if coloring is None:
+    """Koenig's minimum vertex cover of the bipartite G[within]: a cover is
+    a cut between the colour classes with deletable terminals.  The minimum
+    cut farthest from colour 2 has the fewest colour-2 vertices, which is
+    the cover Koenig grows from the colour-1 vertices a maximum matching
+    leaves free."""
+    wmask = mask_of(within)
+    class1 = coloring_mask(g, wmask)
+    if class1 is None:
         raise ValueError("vc_bipartite needs a bipartite graph")
-    left = sorted(v for v in within if coloring[v] == 1)
-    right = {v for v in within if coloring[v] == 2}
-    match: dict[int, int] = {}  # right -> left
-    match_left: dict[int, int] = {}
-    for root in left:
-        if root in match_left:
-            continue
-        # depth-first augmenting path search: stack[i] is a left vertex with
-        # its unscanned neighbours, path[i] the right vertex it tries
-        seen: set[int] = set()
-        stack = [(root, iter(g.neighbors(root)))]
-        path: list[int] = []
-        while stack:
-            for w in stack[-1][1]:
-                if w in right and w not in seen:
-                    seen.add(w)
-                    break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            path.append(w)
-            if w in match:
-                stack.append((match[w], iter(g.neighbors(match[w]))))
-                continue
-            for (u, _), w in zip(stack, path):
-                match[w] = u
-                match_left[u] = w
-            break
-    # Koenig: alternating reachability from unmatched left vertices
-    z: set[int] = {u for u in left if u not in match_left}
-    frontier = list(z)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w in right and w not in z:
-                    z.add(w)
-                    m = match.get(w)
-                    if m is not None and m not in z:
-                        z.add(m)
-                        nxt.append(m)
-        frontier = nxt
-    return frozenset(u for u in left if u not in z) | frozenset(w for w in right if w in z)
+    return set_of(_anchored_cut(g, wmask, wmask & ~class1, class1, wmask.bit_count()))
 
 
 def vc_bipartite(g: Graph) -> frozenset[int]:
-    """Minimum vertex cover of a bipartite graph via maximum matching."""
+    """Minimum vertex cover of a bipartite graph (Koenig)."""
     return _vc_bipartite_within(g, frozenset(range(g.n)))
 
 

@@ -254,6 +254,22 @@ def test_oracle_outputs(files, capsys):
     assert code == 0 and out.splitlines()[0] == "SOLUTION abc 1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--what", "impsep", "--x", "9", "--y", "1"),
+        ("--what", "abc", "--b1", "9", "--b2", "1", "--k", "2"),
+        ("--what", "abc", "--k", "-3"),
+    ],
+    ids=["impsep-vertex-out-of-range", "abc-vertex-out-of-range", "abc-negative-k"],
+)
+def test_oracle_rejects_invalid_queries(files, capsys, argv):
+    tmp, put = files
+    p4 = put("p4.gr", write_gr(Graph.path(4)))
+    code, out, err = run(capsys, "oracle", *argv, p4)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_oracle_guard_too_large(files, capsys):
     tmp, put = files
     big = put("big.gr", write_gr(Graph(14)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hdecomp.graphs import (
     Graph,
     GraphClassSpec,
+    find_induced_obstruction,
     is_member,
     mask_of,
     neighborhood_mask,
@@ -130,17 +131,21 @@ def test_restricted_rejects_bad_family():
         )  # family member meets Z
 
 
-def finder_bip(g, Z, k, family):
-    return find_separation_bip(g, Z, k)
+def extremal_bip(g, region, Z, k):
+    """find_extremal_separation with the bipartite mask kernel, read back as
+    (Z', Separation with the builder's bound h(k) + 1, certified)."""
+
+    def finder(g, zmask, k, family):
+        return _bip_masks(g, zmask, k, g.full_mask())
+
+    zp, c, s, certified = find_extremal_separation(g, mask_of(region), mask_of(Z), k, [], finder)
+    return set_of(zp), Separation(set_of(c), set_of(s), BIP, BIP.h_value(k) + 1), certified
 
 
 def test_extremal_covers_whole_member_graph():
     c4 = Graph.cycle(4)
     region = frozenset(range(4))
-    seed = Separation(frozenset(), frozenset({0}), BIP, BIP.h_value(1) + 1)
-    zp, sep, certified = find_extremal_separation(
-        c4, region, frozenset({0}), 1, seed, BIP, [], finder_bip
-    )
+    zp, sep, certified = extremal_bip(c4, region, frozenset({0}), 1)
     assert zp == region and not certified
     assert sep.C == region and not sep.S
 
@@ -148,10 +153,7 @@ def test_extremal_covers_whole_member_graph():
 def test_extremal_k0_on_triangle_is_inseparable():
     k3 = Graph.complete(3)
     region = frozenset(range(3))
-    seed = Separation(frozenset(), frozenset({0}), BIP, 1)
-    zp, sep, certified = find_extremal_separation(
-        k3, region, frozenset({0}), 0, seed, BIP, [], finder_bip
-    )
+    zp, sep, certified = extremal_bip(k3, region, frozenset({0}), 0)
     assert zp == frozenset({0}) and certified
     assert sep.weakly_covers(zp)
 
@@ -164,10 +166,7 @@ def test_extremal_output_is_inseparable_or_whole_region():
 
         comp = connected_components(g)[0]
         k = rng.randint(0, 2)
-        seed = Separation(frozenset(), frozenset({min(comp)}), BIP, BIP.h_value(k) + 1)
-        zp, sep, certified = find_extremal_separation(
-            g, comp, frozenset({min(comp)}), k, seed, BIP, [], finder_bip
-        )
+        zp, sep, certified = extremal_bip(g, comp, frozenset({min(comp)}), k)
         assert sep.weakly_covers(zp)
         assert not sep.validate(g)
         if zp != comp:
@@ -389,6 +388,76 @@ def test_important_kernel_emits_what_the_enumerator_emits():
             assert want_stats.nodes == got_stats.nodes
             emitted += n1
     assert emitted > 400
+
+
+def forbidden_reference(g, Z, k, cls, stats=None):
+    """find_separation_forbidden before its mask kernel: the same branching
+    over frozensets, through the public obstruction search and enumerator."""
+    zmask = mask_of(Z)
+
+    def rec(alive, budget, depth):
+        if stats is not None and depth > 0:
+            stats.tick()
+        comp = reach_mask(g, zmask, alive)
+        obstruction = find_induced_obstruction(g, cls, set_of(comp))
+        if obstruction is None:
+            return comp, 0
+        branch_vertices = sorted(obstruction - Z)
+        for u in branch_vertices:
+            if budget >= 1:
+                sub = rec(alive & ~(1 << u), budget - 1, depth + 1)
+                if sub is not None:
+                    return sub[0], sub[1] | (1 << u)
+        for u in branch_vertices:
+            found = [None]
+
+            def try_separator(sep):
+                if found[0] is not None:
+                    return
+                smask = mask_of(sep)
+                sub = rec(alive & ~smask, budget - len(sep), depth + 1)
+                if sub is not None:
+                    found[0] = (sub[0], sub[1] | smask)
+
+            query = ImportantSeparatorQuery(frozenset({u}), Z, budget)
+            enumerate_important_separators(query, g, try_separator, within=set_of(comp))
+            if found[0] is not None:
+                return found[0]
+        return None
+
+    res = rec(g.full_mask(), k, 0)
+    return None if res is None else Separation(set_of(res[0]), set_of(res[1]), cls, k)
+
+
+def test_forbidden_finder_matches_the_frozenset_reference():
+    """Same (C, S) or None and the same recursion-node count (which
+    criterion 6 bounds) for K3-free, claw-free and P3-free at k = 0..3."""
+    families = {
+        "K3": GraphClassSpec.triangle_free(),
+        "claw": GraphClassSpec.forbidden(Graph(4, [(0, 1), (0, 2), (0, 3)])),
+        "P3": GraphClassSpec.forbidden(Graph.path(3)),
+    }
+    rng = random.Random(43)
+    found = recursed = 0
+    for i in range(1000):
+        g = random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.3, 0.45]))
+        z = rng.randrange(g.n)
+        Z = frozenset({z})
+        if i % 3 == 0 and g.neighbors(z):
+            Z |= {rng.choice(g.neighbors(z))}
+        for name, cls in families.items():
+            for k in range(4):
+                want_stats, got_stats = SearchStats(), SearchStats()
+                want = forbidden_reference(g, Z, k, cls, want_stats)
+                got = find_separation_forbidden(g, Z, k, cls, stats=got_stats)
+                case = (g.edges, sorted(Z), name, k)
+                assert (got is None) == (want is None), case
+                if got is not None:
+                    assert (got.C, got.S, got.bound) == (want.C, want.S, want.bound), case
+                    found += 1
+                assert got_stats.nodes == want_stats.nodes, case
+                recursed += want_stats.nodes > 0
+    assert found > 4000 and recursed > 2000
 
 
 def test_forbidden_recursion_bound():

@@ -30,7 +30,7 @@ from hdecomp.solvers import (
     vc_bipartite,
 )
 from hdecomp.separators import min_vertex_separator
-from hdecomp.solvers import _abc_within, _assign_edges
+from hdecomp.solvers import _abc_within, _assign_edges, _vc_bipartite_within
 
 from .conftest import connected_graphs_st, random_graph
 
@@ -137,6 +137,78 @@ def test_vc_bipartite_matches_brute():
         got = vc_bipartite(g)
         assert all(u in got or v in got for u, v in g.edges)
         assert len(got) == brute_min_vertex_cover(g)[0]
+
+
+def koenig_reference(g, within):
+    """The Koenig cover _vc_bipartite_within replaced: a depth-first
+    augmenting-path matching from colour 1 to colour 2, then the
+    alternating reachability from the unmatched colour-1 vertices."""
+    coloring = proper_2_coloring(g, within)
+    left = sorted(v for v in within if coloring[v] == 1)
+    right = {v for v in within if coloring[v] == 2}
+    match: dict[int, int] = {}  # right -> left
+    match_left: dict[int, int] = {}
+    for root in left:
+        if root in match_left:
+            continue
+        seen: set[int] = set()
+        stack = [(root, iter(g.neighbors(root)))]
+        path: list[int] = []
+        while stack:
+            for w in stack[-1][1]:
+                if w in right and w not in seen:
+                    seen.add(w)
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(w)
+            if w in match:
+                stack.append((match[w], iter(g.neighbors(match[w]))))
+                continue
+            for (u, _), w in zip(stack, path):
+                match[w] = u
+                match_left[u] = w
+            break
+    z: set[int] = {u for u in left if u not in match_left}
+    frontier = list(z)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w in right and w not in z:
+                    z.add(w)
+                    m = match.get(w)
+                    if m is not None and m not in z:
+                        z.add(m)
+                        nxt.append(m)
+        frontier = nxt
+    return frozenset(u for u in left if u not in z) | frozenset(w for w in right if w in z)
+
+
+def random_bipartite(rng, n, p):
+    side = [rng.random() < 0.5 for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v] and rng.random() < p]
+    return Graph(n, edges)
+
+
+def test_vc_bipartite_within_is_the_koenig_cover():
+    """The anchored cut is the very cover Koenig's construction grows from
+    the unmatched colour-1 vertices, not just one of the same size."""
+    rng = random.Random(41)
+    nontrivial = 0
+    for i in range(10_000):
+        g = random_bipartite(rng, rng.randint(1, 30), rng.choice([0.05, 0.1, 0.2, 0.35]))
+        if i % 4:
+            within = frozenset(v for v in range(g.n) if rng.random() < 0.8)
+        else:
+            within = frozenset(range(g.n))
+        got = _vc_bipartite_within(g, within)
+        assert got == koenig_reference(g, within), (g.n, g.edges, sorted(within))
+        nontrivial += len(got) > 1
+    assert nontrivial > 5000
 
 
 def long_path(n):
