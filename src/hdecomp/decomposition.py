@@ -613,9 +613,25 @@ def _td_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeHDecomposi
 
 
 def exact_treewidth(g: Graph) -> TreewidthResult:
-    """Exact treewidth by a forward dynamic programme over elimination
-    prefixes, bounded by the min-fill width (guarded to TW_EXACT_GUARD
-    vertices; min-fill heuristic beyond)."""
+    """Exact treewidth by a memoized search over connected vertex sets,
+    capped at the min-fill width (guarded to TW_EXACT_GUARD vertices;
+    min-fill heuristic beyond).
+
+    f(s) is the least, over the orders that eliminate the set s first, of
+    the largest degree a vertex of s has when it is eliminated, and the
+    treewidth is f(V). The search rests on two identities (Bodlaender,
+    Fomin, Koster, Kratsch and Thilikos, "On exact algorithms for
+    treewidth", TALG 2012):
+
+    - Value: f(s) is the max of f(C) over the components C of G[s], and for
+      a connected C, f(C) = max(|N(C)|, min over v in C of f(C - v)). This
+      is the f of the subset DP over elimination prefixes, f(s) = min over
+      v of max(f(s - v), Q(s - v, v)), because the degree Q(s - v, v) of v
+      eliminated after s - v is |N(C_v)|, C_v being v's component of G[s].
+    - Order: the order is recovered from V downwards. At the state s it
+      eliminates last the smallest v with f(C_v - v) <= f(s), which is the
+      smallest-id minimiser of that DP; so the decomposition is the DP's.
+    """
     n = g.n
     if n == 0:
         return TreewidthResult(
@@ -627,71 +643,97 @@ def exact_treewidth(g: Graph) -> TreewidthResult:
         return TreewidthResult(dec.width, dec, False)
     full = g.full_mask()
     adj = g._adj_masks
-    # f[s] = min over v in s of max(f[s - v], Q(s - v, v)), where Q(w, v) is
-    # the degree of v once the prefix w is eliminated; ties go to the
-    # smallest v. Pushed forward from each prefix w in increasing order.
-    # Prefixes with f[w] > ub (the min-fill width) are skipped. This is safe:
-    # by induction every s with true f[s] <= ub gets all its true minimisers
-    # exactly, and a skipped candidate has value > ub >= f[s], so it can
-    # neither win nor tie. f never increases along the recovery path from
-    # `full`, so every state on it is exact.
+    # every f(s) above the min-fill width is stored once as `above`: the
+    # recovery path never leaves the sets with f <= f(V) <= ub
     ub = _td_from_elimination_order(g, _min_fill_order(g)).width
-    f = [n + 1] * (1 << n)
-    f[0] = 0
-    choice = [0] * (1 << n)
-    # closed[u]: the component of G[w] holding u plus its neighbourhood
-    closed = [0] * n
-    for w in range(full):
-        fw = f[w]
-        if fw > ub:
-            continue
-        # the hot loop: one search per component of G[w], inlined
-        pool = w
+    above = ub + 1
+    # below[d]: the vertices of degree < d
+    below = [sum(1 << v for v in range(n) if adj[v].bit_count() < d) for d in range(n + 1)]
+
+    def union_table(first: int, width: int) -> list[int]:
+        # table[x] = the union of the neighbourhoods of first + i, i in x
+        table = [0] * (1 << width)
+        for x in range(1, 1 << width):
+            b = x & -x
+            table[x] = table[x ^ b] | adj[first + b.bit_length() - 1]
+        return table
+
+    # the union of the neighbourhoods of the vertices of a set x is
+    # lo_nbr[x & lo_ids] | hi_nbr[x >> half], one table per half of the ids
+    half = (n + 1) // 2
+    lo_ids = (1 << half) - 1
+    lo_nbr, hi_nbr = union_table(0, half), union_table(half, n - half)
+    # memo[s] = f(s), `above` for every f(s) > ub, and -1 while unknown
+    memo = [-1] * (1 << n)
+
+    def tw_conn(c: int, nc: int) -> int:
+        # f(C) for a connected C with |N(C)| = nc. The sandwich: the first
+        # vertex of C eliminated keeps its degree, so lo = max(nc, the least
+        # degree in C) <= f(C), and once a v meets lo no later v can lower
+        # the value. "lo > ub" and "best <= lo" are read off `below`.
+        if nc > ub or not c & below[above]:
+            memo[c] = above
+            return above
+        best = above
+        m = c
+        while m:
+            b = m & -m
+            m ^= b
+            sub = memo[c ^ b]
+            if sub < 0:
+                sub = tw_parts(c ^ b)
+            if sub < best:
+                best = sub
+                if best <= nc or not c & below[best]:
+                    break
+        val = nc if nc > best else best
+        memo[c] = val
+        return val
+
+    def tw_parts(mask: int) -> int:
+        # f(mask) = the max over the components of G[mask]
+        value = memo[mask]
+        if value >= 0:
+            return value
+        value = 0
+        pool = mask
         while pool:
-            comp = frontier = pool & -pool
-            cl = comp
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nb = adj[b.bit_length() - 1]
-                cl |= nb
-                frontier |= nb & pool & ~comp
-                comp |= nb & pool
-            pool &= ~comp
-            while comp:
-                b = comp & -comp
-                comp ^= b
-                closed[b.bit_length() - 1] = cl
-        out = full & ~w
-        while out:
-            b = out & -out
-            out ^= b
-            s = w | b
-            if fw > f[s]:
-                continue
-            v = b.bit_length() - 1
-            reach = adj[v]
-            inner = reach & w
-            while inner:
-                cl = closed[(inner & -inner).bit_length() - 1]
-                reach |= cl
-                inner &= ~cl
-            val = max(fw, (reach & ~w & ~b).bit_count())
-            if val < f[s] or (val == f[s] and v < choice[s]):
-                f[s] = val
-                choice[s] = v
-    assert f[full] <= ub
+            # the hot loop: grow a component by whole neighbourhoods
+            comp = pool & -pool
+            while True:
+                nb = lo_nbr[comp & lo_ids] | hi_nbr[comp >> half]
+                grown = comp | nb & pool
+                if grown == comp:
+                    break
+                comp = grown
+            pool ^= comp
+            val = memo[comp]
+            if val < 0:
+                val = tw_conn(comp, (nb & ~comp).bit_count())
+            if val > value:
+                value = val
+        memo[mask] = value
+        return value
+
+    value = tw_parts(full)
+    assert value <= ub
     # recover an optimal elimination order (first eliminated first)
     order = []
     s = full
     while s:
-        v = choice[s]
-        order.append(v)
-        s &= ~(1 << v)
+        fs = tw_parts(s)
+        m = s
+        while m:
+            b = m & -m
+            m ^= b
+            if tw_parts(reach_mask(g, b, s) ^ b) <= fs:
+                break
+        order.append(b.bit_length() - 1)
+        s ^= b
     order.reverse()
     dec = _td_from_elimination_order(g, order)
-    assert dec.width == f[full] or (n == 1 and f[full] == 0)
-    return TreewidthResult(f[full], dec, True)
+    assert dec.width == value or (n == 1 and value == 0)
+    return TreewidthResult(value, dec, True)
 
 
 def _min_fill_order(g: Graph) -> list[int]:

@@ -441,17 +441,22 @@ def parse_gr(text: str) -> Graph:
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate p-line")
             fields = line.split()
-            if len(fields) != 4 or fields[0] != "p" or fields[1] != "hd":
+            if len(fields) != 4 or fields[0] != "p" or fields[1] != "hd" or not (fields[2] + fields[3]).isdecimal():
                 raise ValueError(f"line {lineno}: malformed p-line {line!r}")
             n, m = int(fields[2]), int(fields[3])
             continue
         if n is None:
             raise ValueError(f"line {lineno}: edge before p-line")
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: malformed edge {line!r}")
-        u, v = int(fields[0]) - 1, int(fields[1]) - 1
-        edges.append((u, v))
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed edge {line!r}") from None
+        # the file's 1-based ids; Graph would report them 0-based
+        if not (0 < u <= n and 0 < v <= n):
+            raise ValueError(f"line {lineno}: vertex {v if 0 < u <= n else u} out of range for n={n}")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+        edges.append((u - 1, v - 1))
     if n is None:
         raise ValueError("missing p-line")
     if len(edges) != m:

@@ -103,6 +103,22 @@ def test_decompose_malformed_graph_exit_1(files, capsys):
     assert code == 1 and "error" in err
 
 
+def test_malformed_graph_reports_self_loop_with_file_ids(files, capsys):
+    tmp, put = files
+    g = put("loop.gr", "p hd 2 1\n1 1\n")
+    code, _, err = run(capsys, "decompose", "--class", "bip", "--mode", "ed", "--k", "0", g)
+    assert code == 1
+    assert err == f"error: cannot read graph {g}: line 2: self-loop at vertex 1\n"
+
+
+def test_malformed_graph_reports_out_of_range_with_file_ids(files, capsys):
+    tmp, put = files
+    g = put("range.gr", "p hd 2 1\n1 3\n")
+    code, _, err = run(capsys, "decompose", "--class", "bip", "--mode", "ed", "--k", "0", g)
+    assert code == 1
+    assert err == f"error: cannot read graph {g}: line 2: vertex 3 out of range for n=2\n"
+
+
 def test_verify_rejects_wrong_graph(files, capsys):
     tmp, put = files
     k3 = put("k3.gr", write_gr(Graph.complete(3)))

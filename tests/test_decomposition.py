@@ -153,15 +153,27 @@ def treewidth_reference(g):
 
 
 def test_exact_dps_match_the_unpruned_references():
-    rng = random.Random(5)
-    sizes = [rng.randint(1, 11) for _ in range(300)] + [13, 13, 14, 15]
-    for n in sizes:
-        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+    def draws():
+        rng = random.Random(5)
+        sizes = [rng.randint(1, 11) for _ in range(300)] + [13, 13, 14, 15]
+        for n in sizes:
+            yield random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        # sparse draws, where few sets lie above the min-fill width
+        rng = random.Random(17)
+        for _ in range(100):
+            yield random_graph(rng, rng.randint(1, 13), rng.choice([0.05, 0.1]))
+
+    for g in draws():
         td, tw = exact_treedepth(g), exact_treewidth(g)
         value, forest = treedepth_reference(g)
         assert (td.value, td.exact, to_json(td.forest)) == (value, True, to_json(forest))
         value, dec = treewidth_reference(g)
         assert (tw.value, tw.exact, to_json(tw.decomposition)) == (value, True, to_json(dec))
+
+
+def _grid(rows, cols):
+    n = rows * cols
+    return Graph(n, [(v, v + 1) for v in range(n) if v % cols < cols - 1] + [(v, v + cols) for v in range(n - cols)])
 
 
 def test_exact_dps_at_the_guards():
@@ -170,11 +182,40 @@ def test_exact_dps_at_the_guards():
     for g, value in ((star, 2), (Graph.path(20), 5)):
         r = exact_treedepth(g)
         assert (r.value, r.exact) == (value, True)
-    # the 3 x 6 grid
-    grid = Graph(18, [(v, v + 1) for v in range(18) if v % 6 < 5] + [(v, v + 6) for v in range(12)])
-    for g, value in ((Graph.path(18), 1), (grid, 3)):
+    for g, value in ((Graph.path(18), 1), (_grid(3, 6), 3)):
         r = exact_treewidth(g)
         assert (r.value, r.exact) == (value, True)
+
+
+def _structured_treewidth_graphs():
+    """(graph, treewidth) at 13-18 vertices: stars, paths, cycles, grids,
+    complete (bipartite) graphs, random trees and caterpillars."""
+    yield Graph(14, [(0, v) for v in range(1, 14)]), 1  # K1,13
+    yield Graph(18, [(0, v) for v in range(1, 18)]), 1  # K1,17
+    yield Graph.path(18), 1
+    yield Graph.cycle(18), 2
+    yield _grid(3, 6), 3
+    yield _grid(2, 9), 2
+    yield Graph(18, [(a, b) for a in range(3) for b in range(3, 18)]), 3  # K3,15
+    yield Graph.complete(18), 17
+    rng = random.Random(29)
+    for _ in range(4):
+        n = rng.randint(13, 18)
+        yield Graph(n, [(rng.randrange(v), v) for v in range(1, n)]), 1
+    for _ in range(4):
+        n, spine = rng.randint(13, 18), rng.randint(3, 8)
+        yield Graph(n, [(v - 1, v) for v in range(1, spine)] + [(rng.randrange(spine), v) for v in range(spine, n)]), 1
+
+
+def test_exact_treewidth_is_byte_identical_on_structured_graphs():
+    # digest recorded while the exact branch was the forward DP over
+    # elimination prefixes
+    h = hashlib.sha256()
+    for g, value in _structured_treewidth_graphs():
+        r = exact_treewidth(g)
+        assert (r.value, r.exact) == (value, True)
+        h.update(to_json(r.decomposition).encode())
+    assert h.hexdigest() == "a89bd58bef7ca772d03881ed9a0aaed9f047f15183aa0ac5fe51b5fcdb537fd2", h.hexdigest()
 
 
 def _min_fill_reference(g):

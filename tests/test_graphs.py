@@ -199,6 +199,14 @@ def test_gr_round_trip():
         parse_gr("p hd 2 2\n1 2\n")  # edge count mismatch
     with pytest.raises(ValueError):
         parse_gr("1 2\n")  # edge before p-line
+    for text, message in (
+        ("p hd 2 1\n1 x\n", "line 2: malformed edge '1 x'"),
+        ("p hd -2 0\n", "line 1: malformed p-line 'p hd -2 0'"),
+        ("p hd 2 1\n0 1\n", "line 2: vertex 0 out of range for n=2"),
+    ):
+        with pytest.raises(ValueError) as e:
+            parse_gr(text)
+        assert str(e.value) == message
 
 
 def test_family_file_round_trip():
