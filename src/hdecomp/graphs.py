@@ -430,10 +430,11 @@ def write_gr(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_gr(text: str) -> Graph:
+def parse_gr(text: str, first_line: int = 1) -> Graph:
+    """A `.gr` graph; error messages count lines from `first_line`."""
     n = m = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), first_line):
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
@@ -469,7 +470,13 @@ def write_family(family: Sequence[Graph]) -> str:
 
 
 def parse_family(text: str) -> list[Graph]:
-    blocks = [b for b in text.split("---") if b.strip()]
-    if not blocks:
+    """The `---`-separated graphs of a family file; a block's first line is
+    the rest of the `---` line it starts on, so errors give file lines."""
+    family, start = [], 0
+    for block in text.split("---"):
+        if block.strip():
+            family.append(parse_gr(block, text.count("\n", 0, start) + 1))
+        start += len(block) + 3
+    if not family:
         raise ValueError("empty family file")
-    return [parse_gr(b) for b in blocks]
+    return family

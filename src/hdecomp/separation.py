@@ -105,14 +105,14 @@ def _bip_masks(g: Graph, zmask: int, k: int, alive: int) -> Optional[tuple[int, 
     deleted = (cut | cut >> n) & comp
     cmask = reach_mask(g, zmask, comp & ~deleted)
     smask = neighborhood_mask(g, cmask, comp)
-    # the whole-graph conditions of Separation.validate; N(C) within G rather
-    # than within G[alive] is too strict under a restricted `alive` (ROADMAP
-    # item 1)
+    # the conditions of Separation.validate within G[alive]: under the
+    # restricted search the important separators already taken are outside
+    # `alive`, and the caller adds them to S
     assert (
         not cmask & smask
         and smask.bit_count() <= 2 * k
         and coloring_mask(g, cmask) is not None
-        and not neighborhood_mask(g, cmask) & ~smask
+        and not neighborhood_mask(g, cmask, alive) & ~smask
     ), "parity construction produced an invalid separation"
     return cmask, smask
 

@@ -320,38 +320,32 @@ class _NodePlan:
 
 
 def _plan_nodes(dec: NiceTreeHDecomposition, ch: list[list[int]]) -> list[_NodePlan]:
+    """One plan per node; the bag steps are read off masks of the bags minus L."""
+    bagvars = [sorted(b - dec.L) for b in dec.bags]
+    masks = [mask_of(vs) for vs in bagvars]
     plans = []
-    for t in range(len(dec.parents)):
-        bagvars = sorted(dec.bags[t] - dec.L)
-        kids = ch[t]
+    for t, kids in enumerate(ch):
+        vm = masks[t]
         if not kids:
-            plans.append(_NodePlan(bagvars, "leaf"))
+            plans.append(_NodePlan(bagvars[t], "leaf"))
         elif len(kids) == 2:
-            plans.append(_NodePlan(bagvars, "join"))
+            plans.append(_NodePlan(bagvars[t], "join"))
         else:
-            c = kids[0]
-            cvars = sorted(dec.bags[c] - dec.L)
-            if cvars == bagvars:
-                plans.append(_NodePlan(bagvars, "identity"))
-            elif len(bagvars) == len(cvars) + 1:
-                (v,) = set(bagvars) - set(cvars)
-                plans.append(_NodePlan(bagvars, "introduce", bagvars.index(v)))
+            cm = masks[kids[0]]
+            if cm == vm:
+                plans.append(_NodePlan(bagvars[t], "identity"))
+            elif vm & ~cm:  # the vertex's position among the larger bag's
+                v = (vm & ~cm).bit_length() - 1
+                plans.append(_NodePlan(bagvars[t], "introduce", (vm & ((1 << v) - 1)).bit_count()))
             else:
-                (v,) = set(cvars) - set(bagvars)
-                plans.append(_NodePlan(bagvars, "forget", cvars.index(v)))
+                v = (cm & ~vm).bit_length() - 1
+                plans.append(_NodePlan(bagvars[t], "forget", (cm & ((1 << v) - 1)).bit_count()))
     return plans
 
 
-def _drop_index(idx, pos: int, base: int):
-    """Index with digit `pos` removed (ints or arrays)."""
-    return idx % base**pos + idx // base ** (pos + 1) * base**pos
-
-
-def _insert_indices(idx, pos: int, base: int) -> list:
-    """The indices with each digit 0..base-1 inserted at `pos`."""
-    low = idx % base**pos
-    high = idx // base**pos * base ** (pos + 1)
-    return [low + d * base**pos + high for d in range(base)]
+#: bytes that `_nice_dp`'s tables and cell layouts may take; a decomposition
+#: that needs more is refused before the first allocation
+DP_TABLE_BUDGET = 256 << 20
 
 
 def _nice_dp(
@@ -368,6 +362,12 @@ def _nice_dp(
     `leaf(t, side_masks)` finishes the base part, where side_masks[s] holds
     the base vertices adjacent to side s; it returns a deletion set or None
     and is called once per distinct (t, side_masks).
+
+    The cell layouts (digits, deletion counts, introduce and forget index
+    maps, bad-edge cells) are built once per width and position, and a leaf
+    finishes one cell per distinct digit pattern of its bag vertices with
+    base neighbours.  Tables and layouts over DP_TABLE_BUDGET bytes raise
+    ValueError before any is allocated.
     """
     errs = dec.validate(g)
     if errs:
@@ -375,14 +375,45 @@ def _nice_dp(
     base = sides + 1
     ch = dec.children()
     plans = _plan_nodes(dec, ch)
-    assigned = _assign_edges(g, dec)
+    pairs = []  # bag positions of the edges assigned to each node
+    for plan, edges in zip(plans, _assign_edges(g, dec)):
+        pos = {v: i for i, v in enumerate(plan.bagvars)} if edges else {}
+        pairs.append([(pos[u], pos[v]) for u, v in edges if u in pos and v in pos])
+
+    steps = {(p.kind, len(p.bagvars), p.child_pos) for p in plans if p.child_pos is not None}
+    # tables, bad cells and leaf keys
+    need = sum(base ** len(p.bagvars) * (8 + len(q) + 16 * (p.kind == "leaf")) for p, q in zip(plans, pairs))
+    need += sum(base**w * (w + 8) for w in {len(p.bagvars) for p in plans})  # digits, deletion counts
+    need += sum(8 * base ** (w + (kind == "forget")) for kind, w, _ in steps)  # index maps
+    if need > DP_TABLE_BUDGET:
+        raise ValueError(f"DP tables need {-(-need >> 20)} MiB, over the {DP_TABLE_BUDGET >> 20} MiB budget")
+
+    cache: dict = {}  # cell layouts, keyed by what they depend on
+
+    def cached(key, make):
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
+
+    def index_map(kind: str, w: int, pos: int) -> np.ndarray:
+        """The child cell of each cell (introduce), or one row per digit
+        inserted at `pos` (forget)."""
+
+        def make() -> np.ndarray:
+            high, low = np.divmod(np.arange(base**w), base**pos)
+            if kind == "introduce":
+                return low + high // base * base**pos
+            return low + high * base ** (pos + 1) + base**pos * np.arange(base)[:, None]
+
+        return cached((kind, w, pos), make)
+
     tables: list[np.ndarray] = [None] * len(plans)  # type: ignore[list-item]
-    nbr: dict[int, list[int]] = {}  # leaf -> base neighbors of each bag vertex
+    nbr: dict[int, list[tuple[int, int]]] = {}  # leaf -> (position, base neighbours) if any
     memo: dict[tuple[int, tuple[int, ...]], Optional[frozenset[int]]] = {}
 
     def finish(t: int, idx: int) -> Optional[frozenset[int]]:
         masks = [0] * sides
-        for p, m in enumerate(nbr[t]):
+        for p, m in nbr[t]:
             d = idx // base**p % base
             if d < sides:
                 masks[d] |= m
@@ -392,52 +423,51 @@ def _nice_dp(
         return memo[key]
 
     for t in range(len(plans) - 1, -1, -1):
-        plan = plans[t]
-        size = base ** len(plan.bagvars)
-        idx = np.arange(size)
-        digits = idx[:, None] // base ** np.arange(len(plan.bagvars)) % base
-        deleted = (digits == sides).sum(axis=1)
-        pos = {v: i for i, v in enumerate(plan.bagvars)}
-        bad = np.zeros(size, dtype=bool)
-        for u, v in assigned[t]:
-            if u in pos and v in pos:
-                du = digits[:, pos[u]]
-                bad |= (du == digits[:, pos[v]]) & (du != sides)
-        kids = ch[t]
-        if plan.kind == "leaf":
+        plan, kids = plans[t], ch[t]
+        w = len(plan.bagvars)
+        digits = cached(w, lambda: np.indices((base,) * w, dtype=np.int8).reshape(w, base**w)[::-1])  # row p: digit p
+        deleted = cached(("deleted", w), lambda: (digits == sides).sum(axis=0))
+        bad = np.zeros(base**w, dtype=bool)
+        for p, q in pairs[t]:
+            bad |= cached((w, p, q), lambda: (digits[p] == digits[q]) & (digits[p] != sides))
+        if plan.kind == "leaf":  # one finish per digit pattern of the positions with base neighbours
             basemask = mask_of(dec.bags[t] & dec.L)
-            nbr[t] = [g.adj_mask(v) & basemask for v in plan.bagvars]
-            f = np.full(size, INF, dtype=np.int64)
-            for i in range(size):
-                if not bad[i]:
-                    sol = finish(t, i)
-                    if sol is not None:
-                        f[i] = deleted[i] + len(sol)
-        elif plan.kind == "join":
-            f = tables[kids[0]] + tables[kids[1]] - deleted
+            nbr[t] = [(p, m) for p, v in enumerate(plan.bagvars) if (m := g.adj_mask(v) & basemask)]
+            keyed = [p for p, _ in nbr[t]]
+            first, group = cached(("keys", w, *keyed), lambda: np.unique(
+                base ** np.array(keyed, dtype=np.int64) @ digits[keyed], return_index=True, return_inverse=True
+            )[1:])
+            cells = np.flatnonzero(~bad) if pairs[t] else slice(None)
+            size = np.full(len(first), INF)
+            for k in np.flatnonzero(np.bincount(group[cells])) if pairs[t] else range(len(first)):
+                sol = finish(t, int(first[k]))
+                size[k] = INF if sol is None else len(sol)
+            tables[t] = np.full(base**w, INF, dtype=np.int64)
+            tables[t][cells] = np.minimum(deleted[cells] + size[group[cells]], INF)
+            continue
+        if plan.kind == "join":
+            f = np.minimum(tables[kids[0]] + tables[kids[1]] - deleted, INF)
         elif plan.kind == "identity":
             f = tables[kids[0]]
         elif plan.kind == "introduce":
-            cpos = plan.child_pos
-            f = tables[kids[0]][_drop_index(idx, cpos, base)] + (digits[:, cpos] == sides)
+            pos = plan.child_pos
+            f = np.minimum(tables[kids[0]][index_map("introduce", w, pos)] + (digits[pos] == sides), INF)
         else:  # forget: best digit of the forgotten vertex
-            cf = tables[kids[0]]
-            f = np.min([cf[i] for i in _insert_indices(idx, plan.child_pos, base)], axis=0)
-        tables[t] = np.minimum(np.where(bad, INF, f), INF)
+            f = tables[kids[0]][index_map("forget", w, plan.child_pos)].min(axis=0)
+        tables[t] = np.where(bad, INF, f) if pairs[t] else f
 
     root = dec.root()
     best_idx = int(np.argmin(tables[root]))
     best = int(tables[root][best_idx])
     assert best < INF
 
-    # walk the argmin back down, first minimum on forgets
-    solution: set[int] = set()
+    # walk the argmin back down, first minimum on forgets; a vertex's digit
+    # is fixed below the node that forgets it (or the root)
+    solution = {v for p, v in enumerate(plans[root].bagvars) if best_idx // base**p % base == sides}
     stack = [(root, best_idx)]
     while stack:
         t, idx = stack.pop()
-        plan = plans[t]
-        solution.update(v for p, v in enumerate(plan.bagvars) if idx // base**p % base == sides)
-        kids = ch[t]
+        plan, kids = plans[t], ch[t]
         if plan.kind == "leaf":
             sol = finish(t, idx)
             assert sol is not None
@@ -447,10 +477,13 @@ def _nice_dp(
         elif plan.kind == "identity":
             stack.append((kids[0], idx))
         elif plan.kind == "introduce":
-            stack.append((kids[0], _drop_index(idx, plan.child_pos, base)))
+            stack.append((kids[0], int(index_map("introduce", len(plan.bagvars), plan.child_pos)[idx])))
         else:
-            cf = tables[kids[0]]
-            stack.append((kids[0], min(_insert_indices(idx, plan.child_pos, base), key=cf.__getitem__)))
+            ins = index_map("forget", len(plan.bagvars), plan.child_pos)[:, idx]
+            d = int(np.argmin(tables[kids[0]][ins]))
+            if d == sides:
+                solution.add(plans[kids[0]].bagvars[plan.child_pos])
+            stack.append((kids[0], int(ins[d])))
     assert len(solution) == best
     return best, frozenset(solution)
 

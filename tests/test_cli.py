@@ -1,10 +1,13 @@
 import json
+import re
+import time
 
 import pytest
 
 from hdecomp.cli import main
 from hdecomp.graphs import Graph, write_family, write_gr
 from hdecomp.decomposition import (
+    TreeHDecomposition,
     build_ed_forest,
     build_tree_h_decomposition,
     from_json,
@@ -94,6 +97,15 @@ def test_decompose_forbidden_family(files, capsys):
         capsys, "decompose", "--class", f"forbid:{fam}", "--mode", "ed", "--k", "2", g
     )
     assert code == 0 and out.startswith("DEPTH")
+
+
+def test_family_errors_report_file_lines(files, capsys):
+    tmp, put = files
+    g = put("k4.gr", write_gr(Graph.complete(4)))
+    fam = put("fam.gr", "p hd 3 3\n1 2\n2 3\n1 3\n---\np hd 2 1\n1 1\n")
+    code, out, err = run(capsys, "decompose", "--class", f"forbid:{fam}", "--mode", "ed", "--k", "1", g)
+    assert code == 1 and out == ""
+    assert err == f"error: cannot read family {fam}: line 7: self-loop at vertex 1\n"
 
 
 def test_decompose_malformed_graph_exit_1(files, capsys):
@@ -226,6 +238,33 @@ def test_solve_vc_on_long_augmenting_path(files, capsys):
     assert code == 0 and out.splitlines()[0] == "SOLUTION vc 1201"
 
 
+def test_solve_via_dp_refuses_tables_over_the_budget(files, capsys):
+    """One bag holding all of C20: the OCT tables would take 3^20 cells at
+    the top, so the DP stops before it allocates them."""
+    tmp, put = files
+    g = put("c20.gr", write_gr(Graph.cycle(20)))
+    dec = put("c20.json", to_json(TreeHDecomposition([-1], [frozenset(range(20))], frozenset(), BIP)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--problem", "oct", "--via", "dp", "--decomp", dec, g)
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    need = re.fullmatch(r"error: DP tables need (\d+) MiB, over the 256 MiB budget\n", err)
+    assert need and int(need[1]) >= 3**20 * 8 >> 20
+
+
+def test_tw_mode_at_k2_decomposes_and_solves_a_triangle_chain(files, capsys):
+    from .test_golden import triangle_chain
+
+    tmp, put = files
+    chain = put("chain.gr", write_gr(triangle_chain(10)))
+    dec = str(tmp / "chain.json")
+    code, out, _ = run(capsys, "decompose", "--class", "bip", "--mode", "tw", "--k", "2", chain, "--out", dec)
+    assert code == 0 and out == "WIDTH 8\n"
+    for argv in (["--decomp", dec], []):
+        code, out, _ = run(capsys, "solve", "--problem", "oct", "--via", "dp", *argv, chain)
+        assert code == 0 and out.startswith("SOLUTION oct 10\n")
+
+
 def test_solve_rejects_class_mismatch(files, capsys):
     tmp, put = files
     k4 = put("k4.gr", write_gr(Graph.complete(4)))
@@ -307,13 +346,24 @@ def test_batch_mode(files, capsys):
     assert lines["b.gr"].startswith("DEPTH")
 
 
-def test_batch_mode_reports_an_internal_error_per_file(files, capsys):
-    # a 10-triangle chain at tw k=2 trips the parity assertion (ROADMAP item
-    # 1); replace it by another failing input once that is fixed
-    from .test_golden import triangle_chain
+def test_batch_mode_reports_an_internal_error_per_file(files, capsys, monkeypatch):
+    # the builder fails on the 5-vertex graph only; threads instead of
+    # worker processes see the patched builder under any start method
+    import concurrent.futures
 
+    from hdecomp import cli
+
+    build = cli.build_tree_h_decomposition
+
+    def failing(g, k, cls):
+        if g.n == 5:
+            raise AssertionError("planted failure")
+        return build(g, k, cls)
+
+    monkeypatch.setattr(cli, "build_tree_h_decomposition", failing)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
     tmp, put = files
-    put("a.gr", write_gr(triangle_chain(10)))
+    put("a.gr", write_gr(Graph.cycle(5)))
     put("b.gr", write_gr(Graph.cycle(4)))
     code, out, _ = run(
         capsys, "decompose", "--class", "bip", "--mode", "tw", "--k", "2",
@@ -321,7 +371,7 @@ def test_batch_mode_reports_an_internal_error_per_file(files, capsys):
     )
     assert code == 1
     lines = dict(line.split(": ", 1) for line in out.splitlines())
-    assert lines["a.gr"].startswith("ERROR internal: AssertionError: ")
+    assert lines["a.gr"] == "ERROR internal: AssertionError: planted failure"
     assert lines["b.gr"].startswith("WIDTH")
 
 

@@ -404,6 +404,20 @@ def test_build_tree_h_decomposition_examples():
     assert res.decomposition.width <= (k + 2) * k2 * (k + k2 + 1)
 
 
+def test_bipartite_tw_mode_at_k2_validates():
+    """The restricted bipartite search checks its (C, S) within the vertices
+    it searches, so the builder runs at k = 2 and its output validates."""
+    from .test_golden import cycle_tree, planted, triangle_chain
+
+    rng = random.Random(67)
+    graphs = [triangle_chain(10)] + [cycle_tree(rng, [3] * 10, False) for _ in range(5)]
+    graphs.append(planted(rng, 30, 6))
+    for g in graphs:
+        dec = build_tree_h_decomposition(g, 2, BIP).decomposition
+        assert not dec.validate(g)
+        assert not make_nice(dec).validate(g)
+
+
 def lemma_graph(rng, i):
     """Mostly small components, so the exact quotient DPs stay cheap; one
     graph in twenty has a component past the exact guards."""

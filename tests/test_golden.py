@@ -46,6 +46,9 @@ GOLDEN_SOLVERS = "c9056c227d1e0323ecb3e1658053b916104778fae9835990d01276fd195dc7
 #: recorded before the forbidden-class finder moved onto vertex masks
 GOLDEN_FORBIDDEN_SHAPES = "bf1c5319de541680437d6ea9532ced69e9ac5ec54c717ea7104f779e7055cee2"
 
+#: recorded when bipartite tw mode first ran at k = 2 (it raised before)
+GOLDEN_CHAINS_K2 = "3792e4bbab24d755a9646c4ea8c6e487cf3c16e649ec225edf52fe785e7942cf"
+
 
 def triangle_chain(p):
     """p triangles, triangle i+1 hanging off a bridge from triangle i."""
@@ -188,3 +191,21 @@ def test_forbidden_class_forests_are_byte_identical_at_benchmark_shapes():
                     h.update(to_json(res.forest).encode())
                     h.update(b"1" if res.promise_ok else b"0")
     assert h.hexdigest() == GOLDEN_FORBIDDEN_SHAPES, h.hexdigest()
+
+
+def test_chains_at_k2_are_byte_identical():
+    """Tree H-decompositions of triangle chains and 3-/5-cycle chains at
+    k = 2, their nice forms, and the DP solutions on them (widths 7-9)."""
+    rng = random.Random(13)
+    h = hashlib.sha256()
+    for p in (6, 10, 14, 20, 28):
+        for g in (triangle_chain(p), cycle_tree(rng, [rng.choice((3, 5)) for _ in range(p)], False)):
+            res = build_tree_h_decomposition(g, 2, BIP)
+            nice = make_nice(res.decomposition)
+            h.update(to_json(res.decomposition).encode())
+            h.update(b"1" if res.promise_ok else b"0")
+            h.update(to_json(nice).encode())
+            for solve in (solve_oct_dp, solve_vc_dp):
+                size, x = solve(g, nice)
+                h.update(repr((size, sorted(x))).encode())
+    assert h.hexdigest() == GOLDEN_CHAINS_K2, h.hexdigest()

@@ -240,13 +240,15 @@ def bip_reference(g, Z, k, within=None):
     cmask = reach_mask(g, zmask, comp & ~deleted)
     smask = neighborhood_mask(g, cmask, comp)
     sep = Separation(set_of(cmask), set_of(smask), BIP, 2 * k)
-    assert not sep.validate(g)
+    # Separation.validate's conditions with N(C) taken within G[alive]
+    assert [e for e in sep.validate(g) if e != "N(C) not contained in S"] == []
+    assert not neighborhood_mask(g, cmask, alive) & ~smask
     return sep
 
 
 def test_bip_finder_matches_the_parity_graph_reference():
     rng = random.Random(23)
-    compared = raised = 0
+    compared = relative = 0
     for i in range(500):
         g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.3, 0.5]))
         z = rng.randrange(g.n)
@@ -256,23 +258,17 @@ def test_bip_finder_matches_the_parity_graph_reference():
         within = set_of(rng.getrandbits(g.n) | mask_of(Z)) if i % 2 else None
         alive = g.full_mask() if within is None else mask_of(within)
         for k in range(5):
-            try:
-                want = bip_reference(g, Z, k, within)
-            except AssertionError:
-                raised += 1
-                with pytest.raises(AssertionError):
-                    find_separation_bip(g, Z, k, within=within)
-                with pytest.raises(AssertionError):
-                    _bip_masks(g, mask_of(Z), k, alive)
-                continue
+            want = bip_reference(g, Z, k, within)
             got = find_separation_bip(g, Z, k, within=within)
             kernel = _bip_masks(g, mask_of(Z), k, alive)
             assert (got is None) == (want is None) == (kernel is None), (g.edges, sorted(Z), k, within)
             if got is not None:
                 assert (got.C, got.S) == (want.C, want.S), (g.edges, sorted(Z), k, within)
                 assert kernel == (mask_of(want.C), mask_of(want.S))
+                # N(C) leaves S only through vertices outside `within`
+                relative += k > 0 and bool(got.validate(g))
             compared += 1
-    assert compared > 1500 and raised > 0
+    assert compared == 2500 and relative > 200
 
 
 def restricted_reference(g, Z, k, t, cls, family, base, within=None, stats=None):
@@ -323,9 +319,10 @@ def random_connected_set(rng, g, pool, size):
 def test_restricted_kernel_matches_the_frozenset_finders():
     """The mask kernel with the mask bip kernel, the public wrapper over the
     frozenset bip finder, and the frozenset reference agree on (C, S), on
-    None, on the parity assertion and on the recursion-node count."""
+    None and on the recursion-node count; every (C, S) is a separation
+    within G[within]."""
     rng = random.Random(31)
-    compared = found = raised = recursed = 0
+    compared = found = relative = recursed = 0
     for i in range(1000):
         g = random_graph(rng, rng.randint(3, 12), rng.choice([0.25, 0.35, 0.5]))
         Z = frozenset({rng.randrange(g.n)})
@@ -343,15 +340,7 @@ def test_restricted_kernel_matches_the_frozenset_finders():
         for k in range(4):
             want_stats, got_stats, kernel_stats = SearchStats(), SearchStats(), SearchStats()
             args = (g, Z, k, k, BIP, fam, bip_base, within)
-            try:
-                want = restricted_reference(*args, stats=want_stats)
-            except AssertionError:
-                raised += 1
-                with pytest.raises(AssertionError):
-                    find_separation_restricted(*args)
-                with pytest.raises(AssertionError):
-                    _restricted_masks(g, zmask, k, fmasks, _bip_masks, comp)
-                continue
+            want = restricted_reference(*args, stats=want_stats)
             got = find_separation_restricted(*args, stats=got_stats)
             kernel = _restricted_masks(g, zmask, k, fmasks, _bip_masks, comp, kernel_stats)
             case = (g.edges, sorted(Z), [sorted(f) for f in fam], k, within)
@@ -359,11 +348,15 @@ def test_restricted_kernel_matches_the_frozenset_finders():
             if got is not None:
                 assert (got.C, got.S, got.bound) == (want.C, want.S, want.bound), case
                 assert kernel == (mask_of(want.C), mask_of(want.S)), case
+                errs = got.validate(g)
+                assert errs in ([], ["N(C) not contained in S"]), case
+                assert not neighborhood_mask(g, kernel[0], alive) & ~kernel[1], case
+                relative += bool(errs)
                 found += 1
             assert got_stats.nodes == kernel_stats.nodes == want_stats.nodes, case
             recursed += want_stats.nodes > 0
             compared += 1
-    assert compared > 3000 and found > 1500 and recursed > 200 and raised > 500
+    assert compared == 4000 and found > 1500 and recursed > 200 and relative > 500
 
 
 def test_important_kernel_emits_what_the_enumerator_emits():

@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hdecomp.graphs import Graph, GraphClassSpec, is_member, proper_2_coloring
+import numpy as np
+
+from hdecomp.graphs import Graph, GraphClassSpec, is_member, mask_of, proper_2_coloring, set_of
 from hdecomp.decomposition import (
     TreeHDecomposition,
+    _td_from_elimination_order,
     build_ed_forest,
     build_tree_h_decomposition,
     ed_to_tree_decomposition,
@@ -30,7 +33,14 @@ from hdecomp.solvers import (
     vc_bipartite,
 )
 from hdecomp.separators import min_vertex_separator
-from hdecomp.solvers import _abc_within, _assign_edges, _vc_bipartite_within
+from hdecomp.solvers import (
+    INF,
+    _NodePlan,
+    _abc_within,
+    _assign_edges,
+    _nice_dp,
+    _vc_bipartite_within,
+)
 
 from .conftest import connected_graphs_st, random_graph
 
@@ -415,6 +425,181 @@ def test_assign_edges_matches_reference():
         k = rng.randint(0, 2)
         nice = make_nice(ed_to_tree_decomposition(bip_forest(g, k)))
         assert _assign_edges(g, nice) == assign_edges_reference(g, nice)
+
+
+def _drop_index(idx, pos, base):
+    """Index with digit `pos` removed (ints or arrays)."""
+    return idx % base**pos + idx // base ** (pos + 1) * base**pos
+
+
+def _insert_indices(idx, pos, base):
+    """The indices with each digit 0..base-1 inserted at `pos`."""
+    low = idx % base**pos
+    high = idx // base**pos * base ** (pos + 1)
+    return [low + d * base**pos + high for d in range(base)]
+
+
+def plan_nodes_reference(dec, ch):
+    """_plan_nodes before it read bag masks."""
+    plans = []
+    for t in range(len(dec.parents)):
+        bagvars = sorted(dec.bags[t] - dec.L)
+        kids = ch[t]
+        if not kids:
+            plans.append(_NodePlan(bagvars, "leaf"))
+        elif len(kids) == 2:
+            plans.append(_NodePlan(bagvars, "join"))
+        else:
+            c = kids[0]
+            cvars = sorted(dec.bags[c] - dec.L)
+            if cvars == bagvars:
+                plans.append(_NodePlan(bagvars, "identity"))
+            elif len(bagvars) == len(cvars) + 1:
+                (v,) = set(bagvars) - set(cvars)
+                plans.append(_NodePlan(bagvars, "introduce", bagvars.index(v)))
+            else:
+                (v,) = set(cvars) - set(bagvars)
+                plans.append(_NodePlan(bagvars, "forget", cvars.index(v)))
+    return plans
+
+
+def nice_dp_reference(g, dec, sides, leaf):
+    """_nice_dp before the shared layouts: digit arrays rebuilt at every
+    node, and every live leaf cell finished one by one."""
+    errs = dec.validate(g)
+    if errs:
+        raise ValueError("invalid nice tree decomposition: " + "; ".join(errs))
+    base = sides + 1
+    ch = dec.children()
+    plans = plan_nodes_reference(dec, ch)
+    assigned = _assign_edges(g, dec)
+    tables = [None] * len(plans)
+    nbr = {}
+    memo = {}
+
+    def finish(t, idx):
+        masks = [0] * sides
+        for p, m in enumerate(nbr[t]):
+            d = idx // base**p % base
+            if d < sides:
+                masks[d] |= m
+        key = (t, tuple(masks))
+        if key not in memo:
+            memo[key] = leaf(*key)
+        return memo[key]
+
+    for t in range(len(plans) - 1, -1, -1):
+        plan = plans[t]
+        size = base ** len(plan.bagvars)
+        idx = np.arange(size)
+        digits = idx[:, None] // base ** np.arange(len(plan.bagvars)) % base
+        deleted = (digits == sides).sum(axis=1)
+        pos = {v: i for i, v in enumerate(plan.bagvars)}
+        bad = np.zeros(size, dtype=bool)
+        for u, v in assigned[t]:
+            if u in pos and v in pos:
+                du = digits[:, pos[u]]
+                bad |= (du == digits[:, pos[v]]) & (du != sides)
+        kids = ch[t]
+        if plan.kind == "leaf":
+            basemask = mask_of(dec.bags[t] & dec.L)
+            nbr[t] = [g.adj_mask(v) & basemask for v in plan.bagvars]
+            f = np.full(size, INF, dtype=np.int64)
+            for i in range(size):
+                if not bad[i]:
+                    sol = finish(t, i)
+                    if sol is not None:
+                        f[i] = deleted[i] + len(sol)
+        elif plan.kind == "join":
+            f = tables[kids[0]] + tables[kids[1]] - deleted
+        elif plan.kind == "identity":
+            f = tables[kids[0]]
+        elif plan.kind == "introduce":
+            cpos = plan.child_pos
+            f = tables[kids[0]][_drop_index(idx, cpos, base)] + (digits[:, cpos] == sides)
+        else:
+            cf = tables[kids[0]]
+            f = np.min([cf[i] for i in _insert_indices(idx, plan.child_pos, base)], axis=0)
+        tables[t] = np.minimum(np.where(bad, INF, f), INF)
+
+    root = dec.root()
+    best_idx = int(np.argmin(tables[root]))
+    best = int(tables[root][best_idx])
+    assert best < INF
+    solution = set()
+    stack = [(root, best_idx)]
+    while stack:
+        t, idx = stack.pop()
+        plan = plans[t]
+        solution.update(v for p, v in enumerate(plan.bagvars) if idx // base**p % base == sides)
+        kids = ch[t]
+        if plan.kind == "leaf":
+            sol = finish(t, idx)
+            assert sol is not None
+            solution |= sol
+        elif plan.kind == "join":
+            stack += [(kids[0], idx), (kids[1], idx)]
+        elif plan.kind == "identity":
+            stack.append((kids[0], idx))
+        elif plan.kind == "introduce":
+            stack.append((kids[0], _drop_index(idx, plan.child_pos, base)))
+        else:
+            cf = tables[kids[0]]
+            stack.append((kids[0], min(_insert_indices(idx, plan.child_pos, base), key=cf.__getitem__)))
+    assert len(solution) == best
+    return best, frozenset(solution)
+
+
+def dp_engine_cases():
+    """Seeded nice decompositions: tree H-decompositions of chains and random
+    graphs, and plain tree decompositions (L empty) from random elimination
+    orders."""
+    from .test_golden import cycle_tree
+
+    rng = random.Random(47)
+    for _ in range(12):
+        g = cycle_tree(rng, [rng.choice((3, 5)) for _ in range(rng.randint(2, 9))], rng.random() < 0.3)
+        yield g, make_nice(build_tree_h_decomposition(g, 1, BIP).decomposition)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.35, 0.5)))
+        yield g, make_nice(build_tree_h_decomposition(g, rng.randint(0, 2), BIP).decomposition)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice((0.0, 0.2, 0.4, 0.6)))
+        order = rng.sample(range(n), n)
+        dec = _td_from_elimination_order(g, order)
+        if dec.width <= 7:
+            yield g, make_nice(dec)
+
+
+def test_dp_engine_matches_the_per_node_reference():
+    """Same optimum, same solution and the same set of leaf calls, with the
+    OCT and VC leaves and with a leaf that refuses some side masks."""
+    widths = set()
+    for g, nice in dp_engine_cases():
+        widths.add(nice.width)
+
+        def oct_leaf(t, masks):
+            base = nice.bags[t] & nice.L
+            return _abc_within(g, base, set_of(masks[0]), set_of(masks[1]), len(base))
+
+        def vc_leaf(t, masks):
+            forced = set_of(masks[0])
+            return _vc_bipartite_within(g, (nice.bags[t] & nice.L) - forced) | forced
+
+        def picky_leaf(t, masks):
+            base = sorted(nice.bags[t] & nice.L)
+            h = hash((t, masks))
+            return None if any(masks) and h % 3 == 0 else frozenset(base[: h % (len(base) + 1)])
+
+        for sides, leaf in ((2, oct_leaf), (1, vc_leaf), (2, picky_leaf), (1, picky_leaf)):
+            got_calls, want_calls = [], []
+            got = _nice_dp(g, nice, sides, lambda *a: got_calls.append(a) or leaf(*a))
+            want = nice_dp_reference(g, nice, sides, lambda *a: want_calls.append(a) or leaf(*a))
+            assert got == want, (g.edges, sides, leaf.__name__)
+            assert len(got_calls) == len(set(got_calls))
+            assert set(got_calls) == set(want_calls), (g.edges, sides, leaf.__name__)
+    assert widths == set(range(8))
 
 
 def test_solution_block_format():
