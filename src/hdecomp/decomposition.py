@@ -247,7 +247,8 @@ class TreeHDecomposition:
                 errs.append(f"base vertex {v} must live at a leaf")
         if self.cls is not None:
             for i, b in enumerate(self.bags):
-                if not is_member(g, self.cls, b & self.L):
+                # the empty base part is in every class
+                if (base := b & self.L) and not is_member(g, self.cls, base):
                     errs.append(f"node {i}: bag's base part is not in the class")
         elif self.L:
             errs.append("standard decomposition must have empty L")
@@ -318,7 +319,7 @@ class SeparationDecomposition:
             p = self.nodes[p].parent
         return out
 
-    def validate(self, g: Graph, oracle_guard: int = INSEPARABILITY_ORACLE_GUARD) -> list[str]:
+    def validate(self, g: Graph) -> list[str]:
         from .oracles import brute_separable
 
         errs = []
@@ -364,7 +365,7 @@ class SeparationDecomposition:
             if not ok:
                 errs.append(f"edge ({u},{v}) violates the ancestor condition")
         ch = self.children()
-        if g.n <= oracle_guard:
+        if g.n <= INSEPARABILITY_ORACLE_GUARD:
             for i, node in enumerate(self.nodes):
                 if ch[i] and brute_separable(g, node.V, self.k1, self.cls) is not None:
                     errs.append(f"node {i}: non-leaf V_t is ({self.k1})-separable")

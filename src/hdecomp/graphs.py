@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 class Graph:
     """An immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_adj_masks", "_hash")
+    __slots__ = ("n", "edges", "_adj_masks", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -29,14 +29,10 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
-        adj = [[] for _ in range(n)]
         masks = [0] * n
         for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._adj_masks = tuple(masks)
         self._hash = hash((n, self.edges))
 
@@ -76,7 +72,7 @@ class Graph:
     # -- basic queries -----------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(bits(self._adj_masks[v]))
 
     def adj_mask(self, v: int) -> int:
         return self._adj_masks[v]
@@ -85,7 +81,7 @@ class Graph:
         return bool(self._adj_masks[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._adj_masks[v].bit_count()
 
     def edge_mask(self) -> int:
         mask = 0

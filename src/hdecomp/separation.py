@@ -172,20 +172,11 @@ def _forbidden_masks(
                 sub = rec(alive & ~(1 << u), budget - 1, depth + 1)
                 if sub is not None:
                     return sub[0], sub[1] | (1 << u)
-        found = None
-
-        def try_separator(sep: int) -> None:
-            nonlocal found
-            if found is not None:
-                return
-            sub = rec(alive & ~sep, budget - sep.bit_count(), depth + 1)
-            if sub is not None:
-                found = (sub[0], sub[1] | sep)
-
         for u in bits(branch):  # branch (b): cut u away from Z
-            _important_masks(g, 1 << u, zmask, budget, try_separator, comp)
-            if found is not None:
-                return found
+            for sep in _important_masks(g, 1 << u, zmask, budget, comp):
+                sub = rec(alive & ~sep, budget - sep.bit_count(), depth + 1)
+                if sub is not None:
+                    return sub[0], sub[1] | sep
         return None
 
     res = rec(g.full_mask(), k, 0)
@@ -249,20 +240,11 @@ def _restricted_masks(
         fam = [f for f in fam if f & ~comp == 0]
         if len(fam) <= budget:
             return base(g, zmask, budget, comp)
-        found = None
-
-        def try_separator(sep: int) -> None:
-            nonlocal found
-            if found is not None:
-                return
-            sub = rec(reach_mask(g, zmask, comp & ~sep), budget - sep.bit_count(), fam, depth + 1)
-            if sub is not None:
-                found = (sub[0], sub[1] | sep)
-
         for fmask in fam[: budget + 1]:
-            _important_masks(g, fmask, zmask, budget, try_separator, comp)
-            if found is not None:
-                return found
+            for sep in _important_masks(g, fmask, zmask, budget, comp):
+                sub = rec(reach_mask(g, zmask, comp & ~sep), budget - sep.bit_count(), fam, depth + 1)
+                if sub is not None:
+                    return sub[0], sub[1] | sep
         return None
 
     return rec(comp, k, list(family), 0)

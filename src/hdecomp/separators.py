@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, bits, mask_of, reach_mask, set_of
 
@@ -51,7 +51,9 @@ class SearchStats:
 # -- flow kernel -------------------------------------------------------------
 # states: 2*v = v_in, 2*v + 1 = v_out
 
-_INFEASIBLE = "infeasible"
+
+def _has_xy_edge(adj: Sequence[int], xmask: int, ymask: int) -> bool:
+    return any(adj[v] & ymask for v in bits(xmask))
 
 
 def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: int):
@@ -59,17 +61,11 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
     restricted to `alive`, terminals non-deletable.
 
     Returns (lambda, farthest_cut_mask), or None when the minimum exceeds
-    `cap`, or _INFEASIBLE when an edge joins X and Y inside `alive`.
+    `cap` or an edge joins X and Y inside `alive` (no cut exists at all).
     """
     xmask &= alive
     ymask &= alive
-    m = xmask
-    while m:
-        b = m & -m
-        if adj[b.bit_length() - 1] & ymask:
-            return _INFEASIBLE
-        m ^= b
-    if cap < 0:
+    if cap < 0 or _has_xy_edge(adj, xmask, ymask):
         return None
     free = alive & ~xmask & ~ymask
     used = 0  # vertices carrying one unit of flow
@@ -182,13 +178,10 @@ def min_vertex_separator(
     xmask, ymask = mask_of(X), mask_of(Y)
     if xmask & ymask:
         raise ValueError("X and Y must be disjoint")
-    res = _vertex_flow(g._adj_masks, g.full_mask(), xmask, ymask, cap)
-    if res == _INFEASIBLE:
+    if _has_xy_edge(g._adj_masks, xmask, ymask):
         raise InfeasibleSeparation("an edge joins X and Y")
-    if res is None:
-        return None
-    _, cut = res
-    return set_of(cut)
+    res = _vertex_flow(g._adj_masks, g.full_mask(), xmask, ymask, cap)
+    return None if res is None else set_of(res[1])
 
 
 # -- important separators ----------------------------------------------------
@@ -204,10 +197,8 @@ def _is_important(g: Graph, alive: int, xmask: int, ymask: int, sep: int) -> boo
             return False  # not inclusion-minimal
     size = bin(sep).count("1")
     for v in bits(sep):
-        res = _vertex_flow(g._adj_masks, alive, r | (1 << v), ymask, size)
-        if res == _INFEASIBLE or res is None:
-            continue  # no dominating separator through this vertex
-        return False
+        if _vertex_flow(g._adj_masks, alive, r | (1 << v), ymask, size) is not None:
+            return False  # a separator as small whose reach is larger
     return True
 
 
@@ -216,12 +207,16 @@ def _important_masks(
     xmask0: int,
     ymask0: int,
     k: int,
-    emit: Callable[[int], None],
     alive0: int,
     stats: Optional[SearchStats] = None,
-) -> int:
-    """Mask kernel of `enumerate_important_separators` on G[alive0]: emits
-    each important separator as a mask and returns how many it emitted."""
+) -> Iterator[int]:
+    """Mask kernel of `enumerate_important_separators` on G[alive0]: yields
+    each important separator as a mask.
+
+    The branching runs on an explicit stack with "v joins S" on top, so the
+    masks come in depth-first order and a caller that stops early runs no
+    further flows.
+    """
     if k <= 1:
         # X and Y are disjoint, so a one-vertex (X,Y)-separator lies on every
         # X-Y path.  These separators are totally ordered by reach, and the
@@ -230,32 +225,26 @@ def _important_masks(
         if stats is not None:
             stats.tick()
         res = _vertex_flow(g._adj_masks, alive0, xmask0, ymask0, k)
-        if res == _INFEASIBLE or res is None:
-            return 0
-        emit(res[1])
-        return 1
-    count = 0
-
-    def rec(alive: int, xmask: int, budget: int, acc: int):
-        nonlocal count
+        if res is not None:
+            yield res[1]
+        return
+    stack = [(alive0, xmask0, k, 0)]
+    while stack:
+        alive, xmask, budget, acc = stack.pop()
         if stats is not None:
             stats.tick()
         res = _vertex_flow(g._adj_masks, alive, xmask, ymask0, budget)
-        if res == _INFEASIBLE or res is None:
-            return
+        if res is None:
+            continue
         lam, cut = res
         if lam == 0:
             if _is_important(g, alive0, xmask0, ymask0, acc):
-                count += 1
-                emit(acc)
-            return
+                yield acc
+            continue
         v = cut & -cut
-        rec(alive & ~v, xmask, budget - 1, acc | v)
         region = reach_mask(g, xmask, alive & ~cut)
-        rec(alive, xmask | region | v, budget, acc)
-
-    rec(alive0, xmask0, k, 0)
-    return count
+        stack.append((alive, xmask | region | v, budget, acc))  # v joins X
+        stack.append((alive & ~v, xmask, budget - 1, acc | v))  # v joins S
 
 
 def enumerate_important_separators(
@@ -271,12 +260,16 @@ def enumerate_important_separators(
     left branch moves v into the separator (delete v, budget - 1), right
     branch moves v (and the cut's reachable region) into X.  For k <= 1 the
     farthest minimum cut is the only candidate.  Candidates are emitted
-    through `emit`; memory stays bounded by the recursion depth.
-    `within` restricts the instance to an induced subgraph.
+    through `emit`, and the count is returned.  `within` restricts the
+    instance to an induced subgraph.
     """
     xmask, ymask = mask_of(query.X), mask_of(query.Y)
     alive = g.full_mask() if within is None else mask_of(within)
-    return _important_masks(g, xmask, ymask, query.k, lambda sep: emit(set_of(sep)), alive, stats)
+    count = 0
+    for sep in _important_masks(g, xmask, ymask, query.k, alive, stats):
+        emit(set_of(sep))
+        count += 1
+    return count
 
 
 def brute_important_separators(

@@ -140,6 +140,11 @@ def vc_bipartite(g: Graph) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
+#: leaf solves that `_branch` may make, (sides + 1)^depth per leaf; a forest
+#: that needs more is refused before the first one
+BRANCH_LEAF_BUDGET = 1 << 40
+
+
 def _has_edge_within(g: Graph, m: int) -> bool:
     return any(g.adj_mask(v) & m for v in bits(m))
 
@@ -156,13 +161,20 @@ def _branch(
     that order; the first branch of smallest size wins.  At a leaf t of
     depth d, `leaf(t, side_masks, d)` solves the base component given the
     annotated ancestors on each side (bit masks) and returns a deletion set,
-    or None when the annotation is infeasible.
+    or None when the annotation is infeasible.  A forest that needs more
+    than BRANCH_LEAF_BUDGET leaf solves raises ValueError.
     """
     errs = forest.validate(g)
     if errs:
         raise ValueError("invalid elimination forest: " + "; ".join(errs))
     ch = forest.children()
     depths = forest.depths()
+    calls = sum((sides + 1) ** d for d, node in zip(depths, forest.nodes) if node.leaf)
+    if calls > BRANCH_LEAF_BUDGET:
+        raise ValueError(
+            f"branching needs at least 2^{calls.bit_length() - 1} leaf solves, "
+            f"over the 2^{BRANCH_LEAF_BUDGET.bit_length() - 1} budget"
+        )
 
     def rec(t: int, ann: tuple[int, ...]) -> Optional[frozenset[int]]:
         node = forest.nodes[t]

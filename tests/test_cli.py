@@ -252,6 +252,23 @@ def test_solve_via_dp_refuses_tables_over_the_budget(files, capsys):
     assert need and int(need[1]) >= 3**20 * 8 >> 20
 
 
+def test_solve_via_elim_refuses_a_forest_too_deep_to_branch(files, capsys):
+    """A 700-node path forest on P700 is valid, but branching on it would
+    make 2^699 leaf solves; solve stops with an error, not a RecursionError."""
+    from hdecomp.decomposition import EliminationForest, ForestNode
+
+    tmp, put = files
+    n = 700
+    g = put("p700.gr", write_gr(Graph.path(n)))
+    nodes = [ForestNode(frozenset({v}), v - 1, v == n - 1) for v in range(n)]
+    dec = put("p700.json", to_json(EliminationForest(nodes, BIP)))
+    code, out, _ = run(capsys, "verify", dec, g)
+    assert code == 0 and out.strip() == "VALID"
+    code, out, err = run(capsys, "solve", "--problem", "vc", "--via", "elim", "--decomp", dec, g)
+    assert code == 1 and out == ""
+    assert err == "error: branching needs at least 2^699 leaf solves, over the 2^40 budget\n"
+
+
 def test_tw_mode_at_k2_decomposes_and_solves_a_triangle_chain(files, capsys):
     from .test_golden import triangle_chain
 

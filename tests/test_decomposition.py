@@ -418,6 +418,51 @@ def test_bipartite_tw_mode_at_k2_validates():
         assert not make_nice(dec).validate(g)
 
 
+def test_restricted_search_stops_at_its_first_working_separator(monkeypatch):
+    """The restricted search takes important separators from a generator
+    and runs no flow past the first one that works: building this chain ran
+    43 flows in the enumeration when every separator was enumerated."""
+    from hdecomp import separators
+
+    from .test_golden import triangle_chain
+
+    calls = 0
+    flow = separators._vertex_flow
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return flow(*args)
+
+    monkeypatch.setattr(separators, "_vertex_flow", counted)
+    dec = build_tree_h_decomposition(triangle_chain(10), 2, BIP).decomposition
+    assert calls < 43
+    digest = hashlib.sha256(to_json(dec).encode()).hexdigest()
+    assert digest == "13d5bd9f496f375e3b33fafe0e261981becc8ef67596d1fb9e26be9a1ec1ca78"
+
+
+def test_validate_checks_only_nonempty_base_parts(monkeypatch):
+    """The empty set is in every class, so validate asks the class only about
+    bags whose base part is nonempty: one membership test per such bag."""
+    from hdecomp import decomposition
+
+    from .test_golden import triangle_chain
+
+    g = triangle_chain(6)
+    nice = make_nice(build_tree_h_decomposition(g, 1, BIP).decomposition)
+    calls = []
+    member = decomposition.is_member
+
+    def counted(g, cls, vs):
+        calls.append(vs)
+        return member(g, cls, vs)
+
+    monkeypatch.setattr(decomposition, "is_member", counted)
+    assert not nice.validate(g)
+    want = [b & nice.L for b in nice.bags if b & nice.L]
+    assert calls == want and len(want) < len(nice.bags)
+
+
 def lemma_graph(rng, i):
     """Mostly small components, so the exact quotient DPs stay cheap; one
     graph in twenty has a component past the exact guards."""

@@ -372,11 +372,12 @@ def test_important_kernel_emits_what_the_enumerator_emits():
         within = set_of(rng.getrandbits(g.n) | mask_of(X | Y)) if i % 2 else None
         alive = g.full_mask() if within is None else mask_of(within)
         for k in range(4):
-            want, got = [], []
+            want = []
             want_stats, got_stats = SearchStats(), SearchStats()
             query = ImportantSeparatorQuery(X, Y, k)
             n1 = enumerate_important_separators(query, g, want.append, want_stats, within)
-            n2 = _important_masks(g, mask_of(X), mask_of(Y), k, got.append, alive, got_stats)
+            got = list(_important_masks(g, mask_of(X), mask_of(Y), k, alive, got_stats))
+            n2 = len(got)
             assert [mask_of(s) for s in want] == got and n1 == n2 == len(got)
             assert want_stats.nodes == got_stats.nodes
             emitted += n1
