@@ -18,7 +18,6 @@ from .separators import (
     ImportantSeparatorQuery,
     InfeasibleSeparation,
     SearchStats,
-    brute_important_separators,
     enumerate_important_separators,
     min_vertex_separator,
     reachable,

@@ -335,7 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("oracle", help="brute-force ground truth")
+    p = sub.add_parser(
+        "oracle",
+        help="brute-force ground truth; impsep lists the library enumerator's "
+        "separators (n <= 16), not a brute force",
+    )
     p.add_argument("--what", choices=("deletion", "ed", "abc", "impsep"), required=True)
     p.add_argument("--class", dest="cls", help="bip or forbid:<path>")
     p.add_argument("--b1", default="", help="comma-separated 1-based vertices")

@@ -1011,32 +1011,24 @@ def tree_decomp_from_sepdecomp(
 class EdForestResult:
     forest: EliminationForest
     promise_ok: bool
-    quotient_depths: list[int]
-    exact_quotient: bool
 
 
 @dataclass
 class TreeDecompResult:
     decomposition: TreeHDecomposition
     promise_ok: bool
-    quotient_widths: list[int]
-    exact_quotient: bool
 
 
 def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
     """Per component: separation decomposition, exact treedepth of the
     quotient, conversion.  Promise check: quotient treedepth <= k+1."""
     nodes: list[ForestNode] = []
-    qdepths = []
-    exact = True
     ok = True
     for comp in connected_components(g):
         sub, mapping = g.induced(comp)
         dec = build_separation_decomposition(sub, k, cls, restricted=False)
         q, _ = quotient(sub, dec)
         td = exact_treedepth(q)
-        exact = exact and td.exact
-        qdepths.append(td.value)
         if td.value > k + 1:
             ok = False
         forest = ed_forest_from_sepdecomp(sub, dec, td.forest).relabel(mapping)
@@ -1047,7 +1039,7 @@ def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
             )
     if g.n == 0:
         nodes.append(ForestNode(frozenset(), -1, True))
-    return EdForestResult(EliminationForest(nodes, cls), ok, qdepths, exact)
+    return EdForestResult(EliminationForest(nodes, cls), ok)
 
 
 def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDecompResult:
@@ -1055,24 +1047,20 @@ def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDec
     the quotient, conversion; components joined under a fresh empty root.
     Promise check: quotient treewidth <= k+1."""
     pieces: list[TreeHDecomposition] = []
-    qwidths = []
-    exact = True
     ok = True
     for comp in connected_components(g):
         sub, mapping = g.induced(comp)
         dec = build_separation_decomposition(sub, k, cls, restricted=True)
         q, _ = quotient(sub, dec)
         tw = exact_treewidth(q)
-        exact = exact and tw.exact
-        qwidths.append(tw.value)
         if tw.value > k + 1:
             ok = False
         pieces.append(tree_decomp_from_sepdecomp(sub, dec, tw.decomposition).relabel(mapping))
     if not pieces:
         dec0 = TreeHDecomposition([-1], [frozenset()], frozenset(), cls)
-        return TreeDecompResult(dec0, ok, qwidths, exact)
+        return TreeDecompResult(dec0, ok)
     if len(pieces) == 1:
-        return TreeDecompResult(pieces[0], ok, qwidths, exact)
+        return TreeDecompResult(pieces[0], ok)
     parents = [-1]
     bags = [frozenset()]
     L: set[int] = set()
@@ -1087,9 +1075,7 @@ def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDec
             bags.append(piece.bags[i])
         L |= piece.L
     # parents must precede children: renumber by BFS order
-    return TreeDecompResult(
-        _renumber(TreeHDecomposition(parents, bags, frozenset(L), cls)), ok, qwidths, exact
-    )
+    return TreeDecompResult(_renumber(TreeHDecomposition(parents, bags, frozenset(L), cls)), ok)
 
 
 def _renumber(dec: TreeHDecomposition) -> TreeHDecomposition:

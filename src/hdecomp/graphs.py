@@ -52,23 +52,6 @@ class Graph:
             raise ValueError("cycles need at least 3 vertices")
         return cls(n, [(i, (i + 1) % n) for i in range(n)])
 
-    @classmethod
-    def from_edge_mask(cls, n: int, mask: int) -> "Graph":
-        """Decode a graph from a bitmask over the pairs (0,1),(0,2),(1,2),(0,3),...
-
-        Bit positions follow the column-major upper triangle: the bits for
-        vertex j list its adjacency to 0..j-1.  This is the encoding used by
-        the small-graph enumerator.
-        """
-        edges = []
-        pos = 0
-        for j in range(n):
-            for i in range(j):
-                if mask >> pos & 1:
-                    edges.append((i, j))
-                pos += 1
-        return cls(n, edges)
-
     # -- basic queries -----------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -82,14 +65,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self._adj_masks[v].bit_count()
-
-    def edge_mask(self) -> int:
-        mask = 0
-        for u, v in self.edges:
-            if u > v:
-                u, v = v, u
-            mask |= 1 << (v * (v - 1) // 2 + u)
-        return mask
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -466,13 +441,16 @@ def write_family(family: Sequence[Graph]) -> str:
 
 
 def parse_family(text: str) -> list[Graph]:
-    """The `---`-separated graphs of a family file; a block's first line is
-    the rest of the `---` line it starts on, so errors give file lines."""
-    family, start = [], 0
-    for block in text.split("---"):
-        if block.strip():
-            family.append(parse_gr(block, text.count("\n", 0, start) + 1))
-        start += len(block) + 3
+    """The graphs of a family file, separated by lines that read `---`;
+    errors give the line numbers of the file."""
+    family, block, first = [], [], 1
+    for lineno, line in enumerate(text.splitlines() + ["---"], 1):
+        if line.strip() != "---":
+            block.append(line)
+            continue
+        if any(b.strip() for b in block):
+            family.append(parse_gr("\n".join(block), first))
+        block, first = [], lineno + 1
     if not family:
         raise ValueError("empty family file")
     return family

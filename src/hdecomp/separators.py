@@ -14,7 +14,6 @@ speaks frozensets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -270,45 +269,3 @@ def enumerate_important_separators(
         emit(set_of(sep))
         count += 1
     return count
-
-
-def brute_important_separators(
-    g: Graph, X: Iterable[int], Y: Iterable[int], k: int
-) -> frozenset[frozenset[int]]:
-    """All important (X,Y)-separators of size <= k by exhaustive enumeration.
-
-    Checks the definition directly: inclusion-minimal separators S with no
-    separator S' satisfying |S'| <= |S| and R_S(X) strictly contained in
-    R_S'(X).  Guarded to graphs on at most 16 vertices.
-    """
-    if g.n > 16:
-        raise ValueError("brute_important_separators is guarded to n <= 16")
-    xmask, ymask = mask_of(X), mask_of(Y)
-    if xmask & ymask:
-        raise ValueError("X and Y must be disjoint")
-    full = g.full_mask()
-    free = sorted(bits(full & ~xmask & ~ymask))
-    seps = []  # (mask, size, reach)
-    for size in range(0, k + 1):
-        for combo in itertools.combinations(free, size):
-            smask = mask_of(combo)
-            r = reach_mask(g, xmask, full & ~smask)
-            if not r & ymask:
-                seps.append((smask, size, r))
-    out = []
-    for smask, size, r in seps:
-        minimal = True
-        for v in bits(smask):
-            if not reach_mask(g, xmask, full & ~(smask ^ (1 << v))) & ymask:
-                minimal = False
-                break
-        if not minimal:
-            continue
-        dominated = False
-        for smask2, size2, r2 in seps:
-            if size2 <= size and r & ~r2 == 0 and r != r2:
-                dominated = True
-                break
-        if not dominated:
-            out.append(set_of(smask))
-    return frozenset(out)

@@ -1,11 +1,13 @@
 import itertools
 import random
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
 
-from hdecomp.graphs import Graph
-from hdecomp.smallgraphs import all_graphs, connected_graphs
+from hdecomp.graphs import Graph, bits, mask_of, reach_mask, set_of
+
+from .smallgraphs import all_graphs, connected_graphs, from_edge_mask
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +33,7 @@ def all6():
     """All graphs (including disconnected) on 1..6 vertices up to iso."""
     out = []
     for n in range(1, 7):
-        out += [Graph.from_edge_mask(n, m) for m in all_graphs(n)]
+        out += [from_edge_mask(n, m) for m in all_graphs(n)]
     return out
 
 
@@ -40,11 +42,53 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def brute_important_separators(
+    g: Graph, X: Iterable[int], Y: Iterable[int], k: int
+) -> frozenset[frozenset[int]]:
+    """All important (X,Y)-separators of size <= k by exhaustive enumeration.
+
+    Checks the definition directly: inclusion-minimal separators S with no
+    separator S' satisfying |S'| <= |S| and R_S(X) strictly contained in
+    R_S'(X).  Guarded to graphs on at most 16 vertices.
+    """
+    if g.n > 16:
+        raise ValueError("brute_important_separators is guarded to n <= 16")
+    xmask, ymask = mask_of(X), mask_of(Y)
+    if xmask & ymask:
+        raise ValueError("X and Y must be disjoint")
+    full = g.full_mask()
+    free = sorted(bits(full & ~xmask & ~ymask))
+    seps = []  # (mask, size, reach)
+    for size in range(0, k + 1):
+        for combo in itertools.combinations(free, size):
+            smask = mask_of(combo)
+            r = reach_mask(g, xmask, full & ~smask)
+            if not r & ymask:
+                seps.append((smask, size, r))
+    out = []
+    for smask, size, r in seps:
+        minimal = True
+        for v in bits(smask):
+            if not reach_mask(g, xmask, full & ~(smask ^ (1 << v))) & ymask:
+                minimal = False
+                break
+        if not minimal:
+            continue
+        dominated = False
+        for smask2, size2, r2 in seps:
+            if size2 <= size and r & ~r2 == 0 and r != r2:
+                dominated = True
+                break
+        if not dominated:
+            out.append(set_of(smask))
+    return frozenset(out)
+
+
 @st.composite
 def graphs(draw, min_n=1, max_n=7):
     n = draw(st.integers(min_n, max_n))
     mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
-    return Graph.from_edge_mask(n, mask)
+    return from_edge_mask(n, mask)
 
 
 @st.composite

@@ -32,7 +32,6 @@ from hdecomp.separation import (
 from hdecomp.separators import (
     ImportantSeparatorQuery,
     SearchStats,
-    brute_important_separators,
     enumerate_important_separators,
 )
 from hdecomp.solvers import (
@@ -45,7 +44,7 @@ from hdecomp.solvers import (
     solve_vc_elim,
 )
 
-from .conftest import random_graph
+from .conftest import brute_important_separators, random_graph
 
 BIP = GraphClassSpec.bipartite()
 TRI = GraphClassSpec.triangle_free()

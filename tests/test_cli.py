@@ -99,6 +99,14 @@ def test_decompose_forbidden_family(files, capsys):
     assert code == 0 and out.startswith("DEPTH")
 
 
+def test_family_comment_may_contain_the_separator(files, capsys):
+    tmp, put = files
+    g = put("k4.gr", write_gr(Graph.complete(4)))
+    fam = put("fam.txt", "c triangle --- first member\np hd 3 3\n1 2\n2 3\n1 3\n")
+    code, out, err = run(capsys, "decompose", "--class", f"forbid:{fam}", "--mode", "ed", "--k", "2", g)
+    assert (code, err) == (0, "") and out.startswith("DEPTH")
+
+
 def test_family_errors_report_file_lines(files, capsys):
     tmp, put = files
     g = put("k4.gr", write_gr(Graph.complete(4)))

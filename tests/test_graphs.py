@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -20,9 +21,15 @@ from hdecomp.graphs import (
     write_family,
     write_gr,
 )
-from hdecomp.smallgraphs import GRAPH_COUNTS, all_graphs, canonical_form
-
 from .conftest import connected_graphs_st, graphs, random_graph
+from .smallgraphs import (
+    CONNECTED_GRAPH_COUNTS,
+    GRAPH_COUNTS,
+    all_graphs,
+    canonical_form,
+    connected_masks,
+    from_edge_mask,
+)
 
 BIP = GraphClassSpec.bipartite()
 TRI = GraphClassSpec.triangle_free()
@@ -62,7 +69,7 @@ def test_find_induced_obstruction_examples():
 
 def test_obstruction_matches_brute_force_existence():
     # [DERIVED]: exhaustive subset check on a fixed 8-vertex graph
-    g = Graph.from_edge_mask(8, 0x5A3C9F1)
+    g = from_edge_mask(8, 0x5A3C9F1)
     fam = GraphClassSpec.forbidden(Graph.complete(3), Graph.path(4))
     got = find_induced_obstruction(g, fam)
     exists = False
@@ -217,6 +224,36 @@ def test_family_file_round_trip():
 def test_small_graph_counts():
     for n in range(0, 7):
         assert len(all_graphs(n)) == GRAPH_COUNTS[n]
+
+
+def test_family_separators_are_whole_lines():
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    text = "c triangle --- first member\np hd 3 3\n1 2\n2 3\n1 3\n---\nc claw\np hd 4 3\n1 2\n1 3\n1 4\n"
+    assert parse_family(text) == [Graph.complete(3), claw]
+    with pytest.raises(ValueError) as e:
+        parse_family("c a --- b\np hd 3 3\n1 2\n2 3\n1 3\n  ---  \n\np hd 2 1\n1 1\n")
+    assert str(e.value) == "line 9: self-loop at vertex 1"
+
+
+def test_connected_corpus_is_complete(corpus7, corpus8):
+    # OEIS A001349 for n = 1..8, and the sorted canonical masks of the corpus
+    masks = [connected_masks(n) for n in range(1, 9)]
+    assert [len(m) for m in masks] == CONNECTED_GRAPH_COUNTS[1:] == [1, 1, 2, 6, 21, 112, 853, 11117]
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == (
+        "b03a580a1f654b5119b44462c91a6c9704d66c368b2bc944c46f04f1e615f01e"
+    )
+    # every corpus graph is its own canonical form, so no two are isomorphic
+    flat = [m for level in masks for m in level]
+    assert len(corpus8) == 12113 and len(corpus7) == 12113 - 11117
+    assert [canonical_form(g) for g in corpus8] == flat
+    assert corpus7 == corpus8[: len(corpus7)]
+
+
+def test_all_graphs_are_complete():
+    assert len(all_graphs(7)) == GRAPH_COUNTS[7] == 1044
+    assert hashlib.sha256(repr([all_graphs(n) for n in range(1, 7)]).encode()).hexdigest() == (
+        "16561f9f48d69034c832ab28fbaff8ea96205abb9a749d1b28868be3821005c6"
+    )
 
 
 @settings(max_examples=40, deadline=None)

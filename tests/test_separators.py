@@ -12,13 +12,12 @@ from hdecomp.separators import (
     _important_masks,
     _is_important,
     _vertex_flow,
-    brute_important_separators,
     enumerate_important_separators,
     min_vertex_separator,
     reachable,
 )
 
-from .conftest import graphs, random_graph
+from .conftest import brute_important_separators, graphs, random_graph
 
 PATH3 = Graph.path(3)
 DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
