@@ -39,11 +39,17 @@ class CliError(Exception):
     pass
 
 
-def _load_graph(path: str) -> Graph:
+def _read(what: str, path: str, parse):
+    """parse(the text of the file at path); a file that cannot be read,
+    parsed, or held in memory raises `cannot read <what> <path>: <reason>`."""
     try:
-        return parse_gr(Path(path).read_text())
-    except (OSError, ValueError) as e:
-        raise CliError(f"cannot read graph {path}: {e}")
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, RecursionError, MemoryError) as e:
+        raise CliError(f"cannot read {what} {path}: {str(e) or type(e).__name__}")
+
+
+def _load_graph(path: str) -> Graph:
+    return _read("graph", path, parse_gr)
 
 
 def _parse_class(spec: str) -> GraphClassSpec:
@@ -51,11 +57,7 @@ def _parse_class(spec: str) -> GraphClassSpec:
         return GraphClassSpec.bipartite()
     if spec.startswith("forbid:"):
         path = spec[len("forbid:") :]
-        try:
-            family = parse_family(Path(path).read_text())
-            return GraphClassSpec.forbidden(*family)
-        except (OSError, ValueError) as e:
-            raise CliError(f"cannot read family {path}: {e}")
+        return _read("family", path, lambda text: GraphClassSpec.forbidden(*parse_family(text)))
     raise CliError(f"unknown class {spec!r} (use bip or forbid:<path>)")
 
 
@@ -208,10 +210,7 @@ def cmd_solve(args) -> int:
         raise CliError("klfree supports --via elim only")
     decomp = None
     if args.decomp != "auto":
-        try:
-            decomp = from_json(Path(args.decomp).read_text())
-        except (OSError, ValueError) as e:
-            raise CliError(f"cannot read decomposition {args.decomp}: {e}")
+        decomp = _read("decomposition", args.decomp, from_json)
         if decomp.cls != cls:
             raise CliError("decomposition class does not match the problem")
     if args.via == "elim":
@@ -250,10 +249,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        obj = from_json(Path(args.decomp).read_text())
-    except (OSError, ValueError) as e:
-        raise CliError(f"cannot read decomposition {args.decomp}: {e}")
+    obj = _read("decomposition", args.decomp, from_json)
     errs = obj.validate(g)
     if errs:
         for e in errs:

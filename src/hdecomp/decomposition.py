@@ -597,10 +597,8 @@ def _td_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeHDecomposi
         nb = adj[v]
         fill_nbrs.append(nb)
         bags.append(frozenset({v}) | set_of(nb))
-        for a in bits(nb):
-            adj[a] = (adj[a] | nb) & ~(1 << a)
-        for a in range(n):
-            adj[a] &= ~(1 << v)
+        for a in bits(nb):  # only v's neighbours hold v
+            adj[a] = (adj[a] | nb) & ~(1 << a | 1 << v)
     parents = [-1] * n
     for i in range(n - 1):
         nb = fill_nbrs[i]

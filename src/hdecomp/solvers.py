@@ -8,7 +8,10 @@ Both dynamic-programming solvers share one engine (`_nice_dp`) over nice
 tree decompositions, with numpy tables indexed by base-3 (OCT) or base-2
 (VC) encodings of the bag partition.
 
-The failure value bottom is represented by None and absorbs through unions.
+Below the public entry points the solvers pass vertex bit masks: a leaf
+solve returns the mask of a deletion set, or None (the failure value
+bottom, which absorbs through unions) when its annotation is infeasible.
+The empty set is the mask 0, so infeasibility is tested with `is None`.
 """
 
 from __future__ import annotations
@@ -32,16 +35,6 @@ from .decomposition import EliminationForest, NiceTreeHDecomposition
 from .separators import _vertex_flow
 
 INF = np.int64(1) << 40
-
-
-def union_bot(*parts):
-    """Union with absorbing None."""
-    out: set[int] = set()
-    for p in parts:
-        if p is None:
-            return None
-        out |= p
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -83,33 +76,27 @@ def _anchored_cut(g: Graph, within: int, t1: int, t2: int, cap: int) -> Optional
     return None if res is None else res[1]
 
 
-def _abc_within(
-    g: Graph, within: frozenset[int], B1: frozenset[int], B2: frozenset[int], k: int
-) -> Optional[frozenset[int]]:
-    """ABC on G[within] via the reference-coloring cut characterization.
+def _abc_within(g: Graph, wmask: int, b1: int, b2: int, k: int) -> Optional[int]:
+    """ABC on G[wmask] via the reference-coloring cut characterization.
 
-    Fix a proper 2-coloring f of G[within]; a deletion set X is feasible iff
+    Fix a proper 2-coloring f of G[wmask]; a deletion set X is feasible iff
     it separates T1 = (B1 & f^-1(2)) | (B2 & f^-1(1)) from
     T2 = (B1 & f^-1(1)) | (B2 & f^-1(2)), with terminals themselves
     deletable.
     """
-    wmask = mask_of(within)
     class1 = coloring_mask(g, wmask)
     if class1 is None:
         raise ValueError("ABC instance graph must be bipartite")
-    b1, b2 = mask_of(B1), mask_of(B2)
     t1 = b1 & ~class1 | b2 & class1
     t2 = b1 & class1 | b2 & ~class1
-    cut = _anchored_cut(g, wmask, t1, t2, k)
-    return None if cut is None else set_of(cut)
+    return _anchored_cut(g, wmask, t1, t2, k)
 
 
 def solve_abc(inst: AbcInstance) -> Optional[frozenset[int]]:
     """Minimum X such that G - X has a 2-coloring with B1 \\ X, B2 \\ X on
     opposite sides; None if the minimum exceeds k."""
-    return _abc_within(
-        inst.g, frozenset(range(inst.g.n)), inst.B1, inst.B2, inst.k
-    )
+    cut = _abc_within(inst.g, inst.g.full_mask(), mask_of(inst.B1), mask_of(inst.B2), inst.k)
+    return None if cut is None else set_of(cut)
 
 
 # ---------------------------------------------------------------------------
@@ -117,22 +104,21 @@ def solve_abc(inst: AbcInstance) -> Optional[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _vc_bipartite_within(g: Graph, within: frozenset[int]) -> frozenset[int]:
-    """Koenig's minimum vertex cover of the bipartite G[within]: a cover is
+def _vc_bipartite_within(g: Graph, wmask: int) -> int:
+    """Koenig's minimum vertex cover of the bipartite G[wmask]: a cover is
     a cut between the colour classes with deletable terminals.  The minimum
     cut farthest from colour 2 has the fewest colour-2 vertices, which is
     the cover Koenig grows from the colour-1 vertices a maximum matching
     leaves free."""
-    wmask = mask_of(within)
     class1 = coloring_mask(g, wmask)
     if class1 is None:
         raise ValueError("vc_bipartite needs a bipartite graph")
-    return set_of(_anchored_cut(g, wmask, wmask & ~class1, class1, wmask.bit_count()))
+    return _anchored_cut(g, wmask, wmask & ~class1, class1, wmask.bit_count())
 
 
 def vc_bipartite(g: Graph) -> frozenset[int]:
     """Minimum vertex cover of a bipartite graph (Koenig)."""
-    return _vc_bipartite_within(g, frozenset(range(g.n)))
+    return set_of(_vc_bipartite_within(g, g.full_mask()))
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +139,17 @@ def _branch(
     g: Graph,
     forest: EliminationForest,
     sides: int,
-    leaf: Callable[[int, tuple[int, ...], int], Optional[frozenset[int]]],
-) -> frozenset[int]:
-    """Minimum deletion set by annotated branching down an elimination forest.
+    leaf: Callable[[int, tuple[int, ...], int], Optional[int]],
+) -> int:
+    """Minimum deletion mask by annotated branching down an elimination forest.
 
     Each internal vertex is deleted or put on one of `sides` sides, tried in
-    that order; the first branch of smallest size wins.  At a leaf t of
-    depth d, `leaf(t, side_masks, d)` solves the base component given the
-    annotated ancestors on each side (bit masks) and returns a deletion set,
-    or None when the annotation is infeasible.  A forest that needs more
-    than BRANCH_LEAF_BUDGET leaf solves raises ValueError.
+    that order; the first branch of smallest size wins, and a branch stops
+    at its first infeasible child.  At a leaf of depth d with bag mask b,
+    `leaf(b, side_masks, d)` solves the base component given the annotated
+    ancestors on each side and returns a deletion mask, or None when the
+    annotation is infeasible.  A forest that needs more than
+    BRANCH_LEAF_BUDGET leaf solves raises ValueError.
     """
     errs = forest.validate(g)
     if errs:
@@ -175,27 +162,36 @@ def _branch(
             f"branching needs at least 2^{calls.bit_length() - 1} leaf solves, "
             f"over the 2^{BRANCH_LEAF_BUDGET.bit_length() - 1} budget"
         )
+    bags = [mask_of(node.bag) for node in forest.nodes]
 
-    def rec(t: int, ann: tuple[int, ...]) -> Optional[frozenset[int]]:
-        node = forest.nodes[t]
-        if node.leaf:
-            return leaf(t, ann, depths[t])
-        v = next(iter(node.bag))
-        kids = sorted(ch[t])
-        best = union_bot(frozenset({v}), *(rec(c, ann) for c in kids))
+    def union(kids: list[int], ann: tuple[int, ...]) -> Optional[int]:
+        out = 0
+        for c in kids:
+            sub = rec(c, ann)
+            if sub is None:
+                return None
+            out |= sub
+        return out
+
+    def rec(t: int, ann: tuple[int, ...]) -> Optional[int]:
+        if forest.nodes[t].leaf:
+            return leaf(bags[t], ann, depths[t])
+        v = bags[t]  # the internal node's one vertex
+        best = union(ch[t], ann)
+        if best is not None:
+            best |= v
         for s in range(sides):
-            side = ann[:s] + (ann[s] | 1 << v,) + ann[s + 1 :]
-            cand = union_bot(*(rec(c, side) for c in kids))
-            if cand is not None and (best is None or len(cand) < len(best)):
+            cand = union(ch[t], ann[:s] + (ann[s] | v,) + ann[s + 1 :])
+            if cand is not None and (best is None or cand.bit_count() < best.bit_count()):
                 best = cand
         return best
 
-    total: set[int] = set()
+    total = 0
     for r in forest.roots():
         res = rec(r, (0,) * sides)
         assert res is not None, "the all-deleted branch is always feasible"
         total |= res
-    return frozenset(total)
+    return total
 
 
 def solve_oct_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
@@ -203,15 +199,13 @@ def solve_oct_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
     elimination forest; base components solved as ABC instances with budget
     equal to the leaf depth."""
 
-    def leaf(t: int, ann: tuple[int, ...], depth: int) -> Optional[frozenset[int]]:
+    def leaf(bag: int, ann: tuple[int, ...], depth: int) -> Optional[int]:
         if any(_has_edge_within(g, m) for m in ann):
             return None
-        bag = forest.nodes[t].bag
-        bagmask = mask_of(bag)
-        b1, b2 = (set_of(neighborhood_mask(g, m) & bagmask) for m in ann)
+        b1, b2 = (neighborhood_mask(g, m) & bag for m in ann)
         return _abc_within(g, bag, b1, b2, depth)
 
-    return _branch(g, forest, 2, leaf)
+    return set_of(_branch(g, forest, 2, leaf))
 
 
 def solve_vc_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
@@ -219,15 +213,14 @@ def solve_vc_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
     by Koenig's theorem after forcing the neighbors of out-vertices into the
     cover."""
 
-    def leaf(t: int, ann: tuple[int, ...], depth: int) -> Optional[frozenset[int]]:
+    def leaf(bag: int, ann: tuple[int, ...], depth: int) -> Optional[int]:
         (out,) = ann
         if _has_edge_within(g, out):
             return None
-        bag = forest.nodes[t].bag
-        forced = set_of(neighborhood_mask(g, out) & mask_of(bag))
-        return _vc_bipartite_within(g, bag - forced) | forced
+        forced = neighborhood_mask(g, out) & bag
+        return _vc_bipartite_within(g, bag & ~forced) | forced
 
-    return _branch(g, forest, 1, leaf)
+    return set_of(_branch(g, forest, 1, leaf))
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +254,23 @@ def solve_klfree_fdfv(
             pool &= ~cl
         return True
 
-    def rec(mask: int, budget: int) -> Optional[frozenset[int]]:
+    def rec(mask: int, budget: int) -> Optional[int]:
         clique = _find_embedding_image(g, kl, mask)
         if clique is None:
-            return frozenset()
+            return 0
         if budget <= 0:
             return None
         if packing_exceeds(mask, budget):
             return None
         best = None
-        for v in bits(clique):
-            if umask >> v & 1:
-                continue
+        for v in bits(clique & ~umask):
             sub = rec(mask & ~(1 << v), budget - 1)
-            if sub is not None:
-                cand = sub | {v}
-                if best is None or len(cand) < len(best):
-                    best = cand
+            if sub is not None and (best is None or sub.bit_count() + 1 < best.bit_count()):
+                best = sub | 1 << v
         return best
 
-    return rec(wmask, k)
+    res = rec(wmask, k)
+    return None if res is None else set_of(res)
 
 
 def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozenset[int]:
@@ -289,14 +279,14 @@ def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozense
     depth as budget."""
     kl = Graph.complete(ell)
 
-    def leaf(t: int, ann: tuple[int, ...], depth: int) -> Optional[frozenset[int]]:
+    def leaf(bag: int, ann: tuple[int, ...], depth: int) -> Optional[int]:
         (out,) = ann
         if _find_embedding_image(g, kl, out) is not None:
             return None
-        kept = set_of(out)
-        return solve_klfree_fdfv(g, kept, depth, ell, forest.nodes[t].bag | kept)
+        sol = solve_klfree_fdfv(g, set_of(out), depth, ell, set_of(bag | out))
+        return None if sol is None else mask_of(sol)
 
-    return _branch(g, forest, 1, leaf)
+    return set_of(_branch(g, forest, 1, leaf))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,7 @@ def _nice_dp(
     g: Graph,
     dec: NiceTreeHDecomposition,
     sides: int,
-    leaf: Callable[[int, tuple[int, ...]], Optional[frozenset[int]]],
+    leaf: Callable[[int, tuple[int, ...]], Optional[int]],
 ) -> tuple[int, frozenset[int]]:
     """Minimum deletion set by DP over a nice tree H-decomposition.
 
@@ -372,7 +362,7 @@ def _nice_dp(
     0..sides-1 put it on that side, digit `sides` deletes it.  An edge is bad
     when both ends carry the same side digit.  At a leaf t,
     `leaf(t, side_masks)` finishes the base part, where side_masks[s] holds
-    the base vertices adjacent to side s; it returns a deletion set or None
+    the base vertices adjacent to side s; it returns a deletion mask or None
     and is called once per distinct (t, side_masks).
 
     The cell layouts (digits, deletion counts, introduce and forget index
@@ -421,9 +411,9 @@ def _nice_dp(
 
     tables: list[np.ndarray] = [None] * len(plans)  # type: ignore[list-item]
     nbr: dict[int, list[tuple[int, int]]] = {}  # leaf -> (position, base neighbours) if any
-    memo: dict[tuple[int, tuple[int, ...]], Optional[frozenset[int]]] = {}
+    memo: dict[tuple[int, tuple[int, ...]], Optional[int]] = {}
 
-    def finish(t: int, idx: int) -> Optional[frozenset[int]]:
+    def finish(t: int, idx: int) -> Optional[int]:
         masks = [0] * sides
         for p, m in nbr[t]:
             d = idx // base**p % base
@@ -453,7 +443,7 @@ def _nice_dp(
             size = np.full(len(first), INF)
             for k in np.flatnonzero(np.bincount(group[cells])) if pairs[t] else range(len(first)):
                 sol = finish(t, int(first[k]))
-                size[k] = INF if sol is None else len(sol)
+                size[k] = INF if sol is None else sol.bit_count()
             tables[t] = np.full(base**w, INF, dtype=np.int64)
             tables[t][cells] = np.minimum(deleted[cells] + size[group[cells]], INF)
             continue
@@ -475,7 +465,7 @@ def _nice_dp(
 
     # walk the argmin back down, first minimum on forgets; a vertex's digit
     # is fixed below the node that forgets it (or the root)
-    solution = {v for p, v in enumerate(plans[root].bagvars) if best_idx // base**p % base == sides}
+    solution = mask_of(v for p, v in enumerate(plans[root].bagvars) if best_idx // base**p % base == sides)
     stack = [(root, best_idx)]
     while stack:
         t, idx = stack.pop()
@@ -494,10 +484,10 @@ def _nice_dp(
             ins = index_map("forget", len(plan.bagvars), plan.child_pos)[:, idx]
             d = int(np.argmin(tables[kids[0]][ins]))
             if d == sides:
-                solution.add(plans[kids[0]].bagvars[plan.child_pos])
+                solution |= 1 << plans[kids[0]].bagvars[plan.child_pos]
             stack.append((kids[0], int(ins[d])))
-    assert len(solution) == best
-    return best, frozenset(solution)
+    assert solution.bit_count() == best
+    return best, set_of(solution)
 
 
 def solve_oct_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[int]]:
@@ -507,9 +497,9 @@ def solve_oct_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[
     if dec.cls is None or dec.cls.kind != GraphClassSpec.BIPARTITE:
         raise ValueError("odd cycle transversal needs a bipartite-class decomposition")
 
-    def leaf(t: int, masks: tuple[int, ...]) -> Optional[frozenset[int]]:
-        base = dec.bags[t] & dec.L
-        return _abc_within(g, base, set_of(masks[0]), set_of(masks[1]), len(base))
+    def leaf(t: int, masks: tuple[int, ...]) -> Optional[int]:
+        base = mask_of(dec.bags[t] & dec.L)
+        return _abc_within(g, base, masks[0], masks[1], base.bit_count())
 
     return _nice_dp(g, dec, 2, leaf)
 
@@ -519,9 +509,9 @@ def solve_vc_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[i
     the cover) plus deletion.  Base parts are finished by Koenig's theorem
     after forcing the neighbors of out-vertices into the cover."""
 
-    def leaf(t: int, masks: tuple[int, ...]) -> frozenset[int]:
-        forced = set_of(masks[0])
-        return _vc_bipartite_within(g, (dec.bags[t] & dec.L) - forced) | forced
+    def leaf(t: int, masks: tuple[int, ...]) -> int:
+        (forced,) = masks
+        return _vc_bipartite_within(g, mask_of(dec.bags[t] & dec.L) & ~forced) | forced
 
     return _nice_dp(g, dec, 1, leaf)
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdecomp.cli import main
 from hdecomp.graphs import Graph, write_family, write_gr
@@ -188,6 +192,44 @@ def test_verify_rejects_negative_bag_vertex(files, capsys):
     assert code == 1 and "out of range" in out
     code, _, err = run(capsys, "solve", "--problem", "oct", "--via", "dp", "--decomp", bad, g)
     assert code == 1 and "out of range" in err
+
+
+def test_deeply_nested_decomposition_is_an_error(files, capsys):
+    """json.loads raises RecursionError on deep nesting; it exits 1."""
+    tmp, put = files
+    g = put("k2.gr", write_gr(Graph.complete(2)))
+    deep = put("deep.json", "[" * 200_000 + "]" * 200_000)
+    for argv in (["verify", deep, g], ["solve", "--problem", "oct", "--decomp", deep, g]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"error: cannot read decomposition {deep}: maximum recursion depth"), err
+
+
+def test_graph_too_large_to_hold_is_an_error(files, capsys):
+    """n = 2^62 is refused by the list allocation at once (MemoryError, whose
+    message is empty), as a graph, a family member or a class in a JSON."""
+    tmp, put = files
+    g = put("k2.gr", write_gr(Graph.complete(2)))
+    huge = put("huge.gr", f"p hd {1 << 62} 0\n")
+    forest = build_ed_forest(Graph.complete(2), 0, GraphClassSpec.forbidden(Graph.complete(3))).forest
+    doc = json.loads(to_json(forest))
+    doc["class"]["family"][0]["n"] = 1 << 62
+    dec = put("dec.json", json.dumps(doc))
+    cases = [
+        (["verify", dec, huge], f"error: cannot read graph {huge}: MemoryError\n"),
+        (["oracle", "--what", "ed", "--class", "bip", huge], f"error: cannot read graph {huge}: MemoryError\n"),
+        (
+            ["decompose", "--class", "bip", "--mode", "ed", "--k", "1", huge],
+            f"error: cannot read graph {huge}: MemoryError\n",
+        ),
+        (
+            ["decompose", "--class", f"forbid:{huge}", "--mode", "ed", "--k", "1", g],
+            f"error: cannot read family {huge}: MemoryError\n",
+        ),
+        (["verify", dec, g], f"error: cannot read decomposition {dec}: MemoryError\n"),
+    ]
+    for argv, want in cases:
+        assert run(capsys, *argv) == (1, "", want), argv
 
 
 def test_solve_examples(files, capsys):
@@ -486,3 +528,84 @@ def test_oracle_class_required(files, capsys, what):
     k3 = put("k3.gr", write_gr(Graph.complete(3)))
     code, out, err = run(capsys, "oracle", "--what", what, k3)
     assert code == 1 and out == "" and err.startswith("error:") and "--class" in err
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+CLAW = Graph(4, [(0, 1), (0, 2), (0, 3)])
+FAMILY_MEMBERS = (Graph.complete(2), Graph.complete(3), Graph.path(3), Graph.cycle(4), CLAW)
+NUMBERS = (-1, 0, 1, 2, 3, 8, 9, 1 << 62)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` with a few lines dropped, duplicated or replaced, or a number
+    in a line changed."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "duplicate", "replace", "number")))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace":
+            lines[i] = draw(st.sampled_from(lines + ["", "p hd 2 1", "---", "1 2", "x", "{", "]", "null"]))
+        elif numbers := list(re.finditer(r"-?\d+", lines[i])):
+            m = draw(st.sampled_from(numbers))
+            lines[i] = lines[i][: m.start()] + str(draw(st.sampled_from(NUMBERS))) + lines[i][m.end() :]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def input_files(draw):
+    """(graph, family, decomposition) texts: valid ones of a graph on at most
+    8 vertices, then mutated; the decomposition JSON may be nested."""
+    g = draw(small_graphs())
+    family = draw(st.lists(st.sampled_from(FAMILY_MEMBERS), min_size=1, max_size=2))
+    kind = draw(st.sampled_from(("ed-bip", "ed-k3", "tw", "nice")))
+    if kind == "ed-bip":
+        dec = build_ed_forest(g, 1, BIP).forest
+    elif kind == "ed-k3":
+        dec = build_ed_forest(g, 1, GraphClassSpec.kl_free(3)).forest
+    else:
+        dec = build_tree_h_decomposition(g, 1, BIP).decomposition
+        dec = make_nice(dec) if kind == "nice" else dec
+    depth = draw(st.sampled_from((0, 0, 1, 2, 200_000)))
+    doc = "[" * depth + json.dumps(json.loads(to_json(dec)), indent=1) + "]" * depth
+    return draw(mutated(write_gr(g))), draw(mutated(write_family(family))), draw(mutated(doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(input_files(), st.data())
+def test_mutated_inputs_never_end_in_a_traceback(tmp_path_factory, texts, data):
+    """Every command exits 0, 1 or 2 on mutated small input files; none lets
+    an exception escape."""
+    tmp = tmp_path_factory.getbasetemp()
+    paths = [str(tmp / name) for name in ("fuzz.gr", "fuzz-family.gr", "fuzz.json")]
+    for path, text in zip(paths, texts):
+        with open(path, "w") as f:
+            f.write(text)
+    g, fam, dec = paths
+    cls = data.draw(st.sampled_from(("bip", f"forbid:{fam}")))
+    problem = data.draw(st.sampled_from(("oct", "vc", "klfree")))
+    via = data.draw(st.sampled_from(("elim", "dp")))
+    for argv in (
+        ["verify", dec, g],
+        ["decompose", "--class", cls, "--mode", "ed", "--k", "1", g],
+        ["decompose", "--class", cls, "--mode", "tw", "--k", "1", g],
+        ["solve", "--problem", problem, "--via", via, "--decomp", dec, g],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv

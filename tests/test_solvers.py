@@ -6,7 +6,10 @@ from hypothesis import given, settings
 import numpy as np
 
 from hdecomp.graphs import Graph, GraphClassSpec, is_member, mask_of, proper_2_coloring, set_of
+from hdecomp import solvers
 from hdecomp.decomposition import (
+    EliminationForest,
+    ForestNode,
     TreeHDecomposition,
     _td_from_elimination_order,
     build_ed_forest,
@@ -118,7 +121,8 @@ def test_abc_within_matches_the_anchor_graph_reference():
         b1 = frozenset(v for v in within if rng.random() < 0.3)
         b2 = frozenset(v for v in within if rng.random() < 0.3)
         for k in range(5):
-            got = _abc_within(g, within, b1, b2, k)
+            got = _abc_within(g, mask_of(within), mask_of(b1), mask_of(b2), k)
+            got = None if got is None else set_of(got)
             assert got == abc_reference(g, within, b1, b2, k), (g.edges, within, b1, b2, k)
             found += bool(got)
     assert found > 200
@@ -215,7 +219,7 @@ def test_vc_bipartite_within_is_the_koenig_cover():
             within = frozenset(v for v in range(g.n) if rng.random() < 0.8)
         else:
             within = frozenset(range(g.n))
-        got = _vc_bipartite_within(g, within)
+        got = set_of(_vc_bipartite_within(g, mask_of(within)))
         assert got == koenig_reference(g, within), (g.n, g.edges, sorted(within))
         nontrivial += len(got) > 1
     assert nontrivial > 5000
@@ -261,6 +265,35 @@ def test_oct_rejects_invalid_forest():
     forest = bip_forest(Graph.cycle(4))
     with pytest.raises(ValueError):
         solve_oct_elim(c5, forest)
+
+
+def test_branch_stops_at_the_first_infeasible_child(monkeypatch):
+    """Two triangles on the edge 0-1, forest 0 -> 1 -> leaves {2}, {3}.
+    With 0 and 1 on the same side the first leaf already refuses, so the
+    second is never solved: 3 root branches x 3 branches at 1 x 2 leaves,
+    less one leaf for each of the two conflicting branches."""
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    forest = EliminationForest(
+        [
+            ForestNode(frozenset({0}), -1, False),
+            ForestNode(frozenset({1}), 0, False),
+            ForestNode(frozenset({2}), 1, True),
+            ForestNode(frozenset({3}), 1, True),
+        ],
+        BIP,
+    )
+    assert forest.validate(g) == []
+    calls = []
+    branch = solvers._branch
+
+    def counted(g, forest, sides, leaf):
+        return branch(g, forest, sides, lambda *a: calls.append(a) or leaf(*a))
+
+    monkeypatch.setattr(solvers, "_branch", counted)
+    x = solve_oct_elim(g, forest)
+    assert len(calls) == 3 * 3 * 2 - 2
+    assert len(x) == brute_min_deletion(g, BIP)[0] == 1
+    assert is_member(g, BIP, frozenset(range(g.n)) - x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -580,22 +613,25 @@ def test_dp_engine_matches_the_per_node_reference():
         widths.add(nice.width)
 
         def oct_leaf(t, masks):
-            base = nice.bags[t] & nice.L
-            return _abc_within(g, base, set_of(masks[0]), set_of(masks[1]), len(base))
+            base = mask_of(nice.bags[t] & nice.L)
+            return _abc_within(g, base, masks[0], masks[1], base.bit_count())
 
         def vc_leaf(t, masks):
-            forced = set_of(masks[0])
-            return _vc_bipartite_within(g, (nice.bags[t] & nice.L) - forced) | forced
+            forced = masks[0]
+            return _vc_bipartite_within(g, mask_of(nice.bags[t] & nice.L) & ~forced) | forced
 
         def picky_leaf(t, masks):
             base = sorted(nice.bags[t] & nice.L)
             h = hash((t, masks))
-            return None if any(masks) and h % 3 == 0 else frozenset(base[: h % (len(base) + 1)])
+            return None if any(masks) and h % 3 == 0 else mask_of(base[: h % (len(base) + 1)])
+
+        def as_set(leaf):
+            return lambda *a: None if (sol := leaf(*a)) is None else set_of(sol)
 
         for sides, leaf in ((2, oct_leaf), (1, vc_leaf), (2, picky_leaf), (1, picky_leaf)):
             got_calls, want_calls = [], []
             got = _nice_dp(g, nice, sides, lambda *a: got_calls.append(a) or leaf(*a))
-            want = nice_dp_reference(g, nice, sides, lambda *a: want_calls.append(a) or leaf(*a))
+            want = nice_dp_reference(g, nice, sides, lambda *a: want_calls.append(a) or as_set(leaf)(*a))
             assert got == want, (g.edges, sides, leaf.__name__)
             assert len(got_calls) == len(set(got_calls))
             assert set(got_calls) == set(want_calls), (g.edges, sides, leaf.__name__)
