@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from .graphs import (
     Graph,
     GraphClassSpec,
+    _check_member_size,
     bits,
     components,
     connected_components,
@@ -402,6 +403,8 @@ def _cls_from_json(obj) -> Optional[GraphClassSpec]:
         return None
     if obj["kind"] == "bipartite":
         return GraphClassSpec.bipartite()
+    for f in obj["family"]:
+        _check_member_size(f["n"])
     family = [Graph(f["n"], [tuple(e) for e in f["edges"]]) for f in obj["family"]]
     return GraphClassSpec.forbidden(*family)
 
@@ -773,9 +776,12 @@ def _extremal_finder(cls: GraphClassSpec, restricted: bool, k: int):
     """The builder's mask kernel (g, zmask, k, family) -> (C, S) or None,
     and k2, which bounds its |S| plus the vertex the extremal step adds."""
     if cls.kind == GraphClassSpec.FORBIDDEN:
-        # the exact finder satisfies the restricted guarantee for free
+        # the exact finder satisfies the restricted guarantee for free; g and
+        # cls are fixed within a build, so its obstruction searches are shared
+        images: dict[int, Optional[int]] = {}
+
         def finder(g, z, kk, family):
-            return _forbidden_masks(g, z, kk, cls)
+            return _forbidden_masks(g, z, kk, cls, images)
 
         return finder, k + 1
     if not restricted:

@@ -148,6 +148,13 @@ def neighborhood_mask(g: Graph, part: int, within: Optional[int] = None) -> int:
 MAX_OBSTRUCTION_SIZE = 6
 
 
+def _check_member_size(n: int) -> None:
+    """The size cap on family members; readers check it before they build
+    a member's Graph."""
+    if n > MAX_OBSTRUCTION_SIZE:
+        raise ValueError(f"family member on {n} vertices exceeds the cap of {MAX_OBSTRUCTION_SIZE}")
+
+
 class GraphClassSpec:
     """Runtime description of the target class: bipartite graphs or a class
     excluding a finite family of connected induced subgraphs."""
@@ -168,11 +175,7 @@ class GraphClassSpec:
             for f in family:
                 if f.n < 2:
                     raise ValueError("family members need at least 2 vertices")
-                if f.n > MAX_OBSTRUCTION_SIZE:
-                    raise ValueError(
-                        f"family member on {f.n} vertices exceeds the cap of "
-                        f"{MAX_OBSTRUCTION_SIZE}"
-                    )
+                _check_member_size(f.n)
                 if len(connected_components(f)) != 1:
                     raise ValueError("family members must be connected")
         self.kind = kind
@@ -403,6 +406,11 @@ def write_gr(g: Graph) -> str:
 
 def parse_gr(text: str, first_line: int = 1) -> Graph:
     """A `.gr` graph; error messages count lines from `first_line`."""
+    return Graph(*_parse_gr(text, first_line))
+
+
+def _parse_gr(text: str, first_line: int) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the checked 0-based edges of a `.gr` text."""
     n = m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), first_line):
@@ -433,7 +441,7 @@ def parse_gr(text: str, first_line: int = 1) -> Graph:
         raise ValueError("missing p-line")
     if len(edges) != m:
         raise ValueError(f"p-line announces {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    return n, edges
 
 
 def write_family(family: Sequence[Graph]) -> str:
@@ -449,7 +457,9 @@ def parse_family(text: str) -> list[Graph]:
             block.append(line)
             continue
         if any(b.strip() for b in block):
-            family.append(parse_gr("\n".join(block), first))
+            n, edges = _parse_gr("\n".join(block), first)
+            _check_member_size(n)
+            family.append(Graph(n, edges))
         block, first = [], lineno + 1
     if not family:
         raise ValueError("empty family file")

@@ -145,19 +145,26 @@ def _forbidden_masks(
     zmask: int,
     k: int,
     cls: GraphClassSpec,
+    images: dict[int, Optional[int]],
     stats: Optional[SearchStats] = None,
 ) -> Optional[tuple[int, int]]:
     """Mask kernel of `find_separation_forbidden`: (C, S) masks or None.
 
-    Z must be nonempty and connected; the caller checks.
+    Z must be nonempty and connected; the caller checks.  `images` maps a
+    vertex mask to its obstruction image (the first family member's
+    smallest image) or None; a caller that keeps g and cls may pass the same
+    dict to every call, since the image depends on nothing else.
     """
 
     def obstruction(comp: int) -> Optional[int]:
-        for pattern in cls.family:
-            image = _find_embedding_image(g, pattern, comp)
-            if image is not None:
-                return image
-        return None
+        if comp not in images:
+            images[comp] = None
+            for pattern in cls.family:
+                image = _find_embedding_image(g, pattern, comp)
+                if image is not None:
+                    images[comp] = image
+                    break
+        return images[comp]
 
     def rec(alive: int, budget: int, depth: int) -> Optional[tuple[int, int]]:
         if stats is not None and depth > 0:
@@ -187,7 +194,7 @@ def _forbidden_masks(
     assert (
         not cmask & smask
         and smask.bit_count() <= k
-        and obstruction(cmask) is None
+        and all(_find_embedding_image(g, p, cmask) is None for p in cls.family)
         and not neighborhood_mask(g, cmask) & ~smask
     ), "branching produced an invalid separation"
     return res
@@ -211,7 +218,7 @@ def find_separation_forbidden(
         raise ValueError("find_separation_forbidden needs a forbidden-induced class")
     zmask = mask_of(Z)
     _require_connected_z(g, zmask, g.full_mask())
-    res = _forbidden_masks(g, zmask, k, cls, stats)
+    res = _forbidden_masks(g, zmask, k, cls, {}, stats)
     if res is None:
         return None
     return Separation(set_of(res[0]), set_of(res[1]), cls, k)

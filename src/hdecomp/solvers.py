@@ -243,9 +243,10 @@ def solve_klfree_fdfv(
     umask = mask_of(U)
     kl = Graph.complete(ell)
 
-    def packing_exceeds(mask: int, budget: int) -> bool:
-        count = 0
-        pool = mask
+    def packing_exceeds(pool: int, budget: int) -> bool:
+        # the packing starts from the K_ell that rec has just found, which
+        # is the first one a search would find; `pool` is the rest
+        count = 1
         while count <= budget:
             cl = _find_embedding_image(g, kl, pool)
             if cl is None:
@@ -260,7 +261,7 @@ def solve_klfree_fdfv(
             return 0
         if budget <= 0:
             return None
-        if packing_exceeds(mask, budget):
+        if packing_exceeds(mask & ~clique, budget):
             return None
         best = None
         for v in bits(clique & ~umask):

@@ -207,7 +207,8 @@ def test_deeply_nested_decomposition_is_an_error(files, capsys):
 
 def test_graph_too_large_to_hold_is_an_error(files, capsys):
     """n = 2^62 is refused by the list allocation at once (MemoryError, whose
-    message is empty), as a graph, a family member or a class in a JSON."""
+    message is empty) as a graph; as a family member, in a family file or in
+    a JSON's class, it is refused by the size cap before any allocation."""
     tmp, put = files
     g = put("k2.gr", write_gr(Graph.complete(2)))
     huge = put("huge.gr", f"p hd {1 << 62} 0\n")
@@ -224,9 +225,12 @@ def test_graph_too_large_to_hold_is_an_error(files, capsys):
         ),
         (
             ["decompose", "--class", f"forbid:{huge}", "--mode", "ed", "--k", "1", g],
-            f"error: cannot read family {huge}: MemoryError\n",
+            f"error: cannot read family {huge}: family member on {1 << 62} vertices exceeds the cap of 6\n",
         ),
-        (["verify", dec, g], f"error: cannot read decomposition {dec}: MemoryError\n"),
+        (
+            ["verify", dec, g],
+            f"error: cannot read decomposition {dec}: family member on {1 << 62} vertices exceeds the cap of 6\n",
+        ),
     ]
     for argv, want in cases:
         assert run(capsys, *argv) == (1, "", want), argv

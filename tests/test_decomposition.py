@@ -441,6 +441,47 @@ def test_restricted_search_stops_at_its_first_working_separator(monkeypatch):
     assert digest == "13d5bd9f496f375e3b33fafe0e261981becc8ef67596d1fb9e26be9a1ec1ca78"
 
 
+def test_builder_shares_obstruction_searches_across_finder_calls(monkeypatch):
+    """Within one build, every forbidden-finder call reads and extends one
+    map from a vertex mask to its obstruction image.  Families of two
+    members give the same forests as a build whose every finder call starts
+    from an empty map, with fewer pattern searches."""
+    from hdecomp import decomposition, separation
+
+    calls = 0
+    search = separation._find_embedding_image
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(separation, "_find_embedding_image", counted)
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    classes = [
+        GraphClassSpec.forbidden(claw, Graph.complete(4)),
+        GraphClassSpec.forbidden(Graph.path(4), Graph.cycle(4)),
+    ]
+    rng = random.Random(15)
+    cases = [(random_graph(rng, rng.randint(4, 14), rng.uniform(0.15, 0.5)), rng.randint(1, 2)) for _ in range(200)]
+
+    def build_all():
+        nonlocal calls
+        calls = 0
+        return [to_json(build_ed_forest(g, k, cls).forest) for cls in classes for g, k in cases], calls
+
+    shared, shared_calls = build_all()
+    kernel = decomposition._forbidden_masks
+    monkeypatch.setattr(
+        decomposition,
+        "_forbidden_masks",
+        lambda g, z, k, cls, images, stats=None: kernel(g, z, k, cls, {}, stats),
+    )
+    fresh, fresh_calls = build_all()
+    assert shared == fresh
+    assert shared_calls < fresh_calls
+
+
 def test_validate_checks_only_nonempty_base_parts(monkeypatch):
     """The empty set is in every class, so validate asks the class only about
     bags whose base part is nonempty: one membership test per such bag."""

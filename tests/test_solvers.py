@@ -347,6 +347,27 @@ def test_fdfv_examples():
     assert solve_klfree_fdfv(Graph.cycle(5), frozenset(), 2, 3) == frozenset()
 
 
+def test_fdfv_packing_starts_from_the_branching_clique(monkeypatch):
+    """The packing bound starts from the triangle that the branching step
+    has just found instead of searching for it again: 131 pattern searches
+    on this graph, where searching again made 171."""
+    calls = 0
+    search = solvers._find_embedding_image
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(solvers, "_find_embedding_image", counted)
+    g = random_graph(random.Random(0), 12, 0.5)
+    out = solve_klfree_fdfv(g, frozenset(), 4, 3)
+    assert out == frozenset({0, 6, 7, 11})
+    assert calls == 131
+    assert len(out) == brute_min_deletion(g, TRI)[0]
+    assert solve_klfree_fdfv(g, frozenset(), 3, 3) is None
+
+
 def test_fdfv_rejects_bad_ell():
     with pytest.raises(ValueError):
         solve_klfree_fdfv(Graph(3), frozenset(), 1, 7)
