@@ -1,12 +1,12 @@
 """Vertex-deletion solvers on top of decompositions.
 
-All branching solvers share one skeleton (`_branch`): it walks an
-elimination forest top-down, deletes each ancestor or puts it on a side
-(two sides for odd cycle transversal, one for vertex cover and clique
-deletion), and solves an annotated polynomial case in the base components.
-Both dynamic-programming solvers share one engine (`_nice_dp`) over nice
-tree decompositions, with numpy tables indexed by base-3 (OCT) or base-2
-(VC) encodings of the bag partition.
+Each problem has one leaf finish, `finish(g, base, ann, budget)`, which
+solves its annotated polynomial case on a base component for both routes:
+the branching skeleton (`_branch`) down an elimination forest, which deletes
+each ancestor or puts it on a side that does not refuse it (two sides for
+odd cycle transversal, one for vertex cover and clique deletion), and the
+DP engine (`_nice_dp`) over nice tree decompositions, with numpy tables
+indexed by base-3 (OCT) or base-2 (VC) encodings of the bag partition.
 
 Below the public entry points the solvers pass vertex bit masks: a leaf
 solve returns the mask of a deletion set, or None (the failure value
@@ -28,7 +28,6 @@ from .graphs import (
     bits,
     coloring_mask,
     mask_of,
-    neighborhood_mask,
     set_of,
 )
 from .decomposition import EliminationForest, NiceTreeHDecomposition
@@ -131,25 +130,38 @@ def vc_bipartite(g: Graph) -> frozenset[int]:
 BRANCH_LEAF_BUDGET = 1 << 40
 
 
-def _has_edge_within(g: Graph, m: int) -> bool:
-    return any(g.adj_mask(v) & m for v in bits(m))
+def _oct_finish(g: Graph, base: int, ann: tuple[int, ...], budget: int) -> Optional[int]:
+    """ABC on the base part, given the neighbours of each side."""
+    return _abc_within(g, base, ann[0] & base, ann[1] & base, budget)
+
+
+def _vc_finish(g: Graph, base: int, ann: tuple[int, ...], budget: int) -> int:
+    """Koenig's cover of the base part after forcing in the out-side's neighbours."""
+    forced = ann[0] & base
+    return _vc_bipartite_within(g, base & ~forced) | forced
+
+
+def _independent_join(g: Graph, a: int, v: int) -> Optional[int]:
+    """A side annotated by its neighbourhood refuses v when v has a neighbour on it."""
+    return None if a >> v & 1 else a | g.adj_mask(v)
 
 
 def _branch(
     g: Graph,
     forest: EliminationForest,
     sides: int,
-    leaf: Callable[[int, tuple[int, ...], int], Optional[int]],
+    join: Callable[[Graph, int, int], Optional[int]],
+    finish: Callable[[Graph, int, tuple[int, ...], int], Optional[int]],
 ) -> int:
     """Minimum deletion mask by annotated branching down an elimination forest.
 
-    Each internal vertex is deleted or put on one of `sides` sides, tried in
-    that order; the first branch of smallest size wins, and a branch stops
-    at its first infeasible child.  At a leaf of depth d with bag mask b,
-    `leaf(b, side_masks, d)` solves the base component given the annotated
-    ancestors on each side and returns a deletion mask, or None when the
-    annotation is infeasible.  A forest that needs more than
-    BRANCH_LEAF_BUDGET leaf solves raises ValueError.
+    Each internal vertex v is deleted or put on one of `sides` sides, tried
+    in that order; the first branch of smallest size wins, and a branch
+    stops at its first infeasible child.  `join(g, a, v)` extends a side's
+    annotation a (0 at the roots) by v, or refuses v with None.  At a leaf of
+    depth d with bag mask b, `finish(g, b, anns, d)` returns a deletion mask
+    of the base component, or None when the annotations are infeasible.  A
+    forest that needs more than BRANCH_LEAF_BUDGET leaf solves raises ValueError.
     """
     errs = forest.validate(g)
     if errs:
@@ -175,13 +187,16 @@ def _branch(
 
     def rec(t: int, ann: tuple[int, ...]) -> Optional[int]:
         if forest.nodes[t].leaf:
-            return leaf(bags[t], ann, depths[t])
-        v = bags[t]  # the internal node's one vertex
+            return finish(g, bags[t], ann, depths[t])
+        v = bags[t].bit_length() - 1  # the internal node's one vertex
         best = union(ch[t], ann)
         if best is not None:
-            best |= v
+            best |= bags[t]
         for s in range(sides):
-            cand = union(ch[t], ann[:s] + (ann[s] | v,) + ann[s + 1 :])
+            a = join(g, ann[s], v)
+            if a is None:
+                continue
+            cand = union(ch[t], ann[:s] + (a,) + ann[s + 1 :])
             if cand is not None and (best is None or cand.bit_count() < best.bit_count()):
                 best = cand
         return best
@@ -198,29 +213,14 @@ def solve_oct_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
     """Minimum odd cycle transversal via 3-way branching on a bipartite-class
     elimination forest; base components solved as ABC instances with budget
     equal to the leaf depth."""
-
-    def leaf(bag: int, ann: tuple[int, ...], depth: int) -> Optional[int]:
-        if any(_has_edge_within(g, m) for m in ann):
-            return None
-        b1, b2 = (neighborhood_mask(g, m) & bag for m in ann)
-        return _abc_within(g, bag, b1, b2, depth)
-
-    return set_of(_branch(g, forest, 2, leaf))
+    return set_of(_branch(g, forest, 2, _independent_join, _oct_finish))
 
 
 def solve_vc_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
     """Minimum vertex cover via 2-way branching; base components are solved
     by Koenig's theorem after forcing the neighbors of out-vertices into the
     cover."""
-
-    def leaf(bag: int, ann: tuple[int, ...], depth: int) -> Optional[int]:
-        (out,) = ann
-        if _has_edge_within(g, out):
-            return None
-        forced = neighborhood_mask(g, out) & bag
-        return _vc_bipartite_within(g, bag & ~forced) | forced
-
-    return set_of(_branch(g, forest, 1, leaf))
+    return set_of(_branch(g, forest, 1, _independent_join, _vc_finish))
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +275,23 @@ def solve_klfree_fdfv(
 
 
 def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozenset[int]:
-    """Minimum K_ell-free deletion set via 2-way branching; base components
-    are finished by the forbidden-vertex branching solver with the leaf
-    depth as budget."""
+    """Minimum K_ell-free deletion set via 2-way branching on a K_ell-free
+    forest; a kept ancestor that closes a K_ell is refused, and the leaves
+    are finished by `solve_klfree_fdfv` with the leaf depth as budget."""
+    if forest.cls != GraphClassSpec.kl_free(ell):
+        raise ValueError(f"K_{ell}-free deletion needs a K_{ell}-free-class forest")
     kl = Graph.complete(ell)
 
-    def leaf(bag: int, ann: tuple[int, ...], depth: int) -> Optional[int]:
-        (out,) = ann
-        if _find_embedding_image(g, kl, out) is not None:
-            return None
-        sol = solve_klfree_fdfv(g, set_of(out), depth, ell, set_of(bag | out))
+    def join(g: Graph, kept: int, v: int) -> Optional[int]:
+        grown = kept | 1 << v
+        return None if _find_embedding_image(g, kl, grown) is not None else grown
+
+    def finish(g: Graph, base: int, ann: tuple[int, ...], budget: int) -> Optional[int]:
+        (kept,) = ann
+        sol = solve_klfree_fdfv(g, set_of(kept), budget, ell, set_of(base | kept))
         return None if sol is None else mask_of(sol)
 
-    return set_of(_branch(g, forest, 1, leaf))
+    return set_of(_branch(g, forest, 1, join, finish))
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +359,16 @@ def _nice_dp(
     g: Graph,
     dec: NiceTreeHDecomposition,
     sides: int,
-    leaf: Callable[[int, tuple[int, ...]], Optional[int]],
+    finish: Callable[[Graph, int, tuple[int, ...], int], Optional[int]],
 ) -> tuple[int, frozenset[int]]:
     """Minimum deletion set by DP over a nice tree H-decomposition.
 
     Each non-base bag vertex gets one digit in base sides+1: digits
     0..sides-1 put it on that side, digit `sides` deletes it.  An edge is bad
-    when both ends carry the same side digit.  At a leaf t,
-    `leaf(t, side_masks)` finishes the base part, where side_masks[s] holds
-    the base vertices adjacent to side s; it returns a deletion mask or None
-    and is called once per distinct (t, side_masks).
+    when both ends carry the same side digit.  At a leaf with base part b,
+    `finish(g, b, side_masks, |b|)` finishes the base part, where
+    side_masks[s] holds the base vertices adjacent to side s; it returns a
+    deletion mask or None and is called once per distinct (b, side_masks).
 
     The cell layouts (digits, deletion counts, introduce and forget index
     maps, bad-edge cells) are built once per width and position, and a leaf
@@ -411,18 +415,19 @@ def _nice_dp(
         return cached((kind, w, pos), make)
 
     tables: list[np.ndarray] = [None] * len(plans)  # type: ignore[list-item]
+    basemasks: dict[int, int] = {}  # leaf -> its base part
     nbr: dict[int, list[tuple[int, int]]] = {}  # leaf -> (position, base neighbours) if any
     memo: dict[tuple[int, tuple[int, ...]], Optional[int]] = {}
 
-    def finish(t: int, idx: int) -> Optional[int]:
+    def solve_leaf(t: int, idx: int) -> Optional[int]:
         masks = [0] * sides
         for p, m in nbr[t]:
             d = idx // base**p % base
             if d < sides:
                 masks[d] |= m
-        key = (t, tuple(masks))
+        key = (basemasks[t], tuple(masks))
         if key not in memo:
-            memo[key] = leaf(*key)
+            memo[key] = finish(g, *key, key[0].bit_count())
         return memo[key]
 
     for t in range(len(plans) - 1, -1, -1):
@@ -434,7 +439,7 @@ def _nice_dp(
         for p, q in pairs[t]:
             bad |= cached((w, p, q), lambda: (digits[p] == digits[q]) & (digits[p] != sides))
         if plan.kind == "leaf":  # one finish per digit pattern of the positions with base neighbours
-            basemask = mask_of(dec.bags[t] & dec.L)
+            basemasks[t] = basemask = mask_of(dec.bags[t] & dec.L)
             nbr[t] = [(p, m) for p, v in enumerate(plan.bagvars) if (m := g.adj_mask(v) & basemask)]
             keyed = [p for p, _ in nbr[t]]
             first, group = cached(("keys", w, *keyed), lambda: np.unique(
@@ -443,7 +448,7 @@ def _nice_dp(
             cells = np.flatnonzero(~bad) if pairs[t] else slice(None)
             size = np.full(len(first), INF)
             for k in np.flatnonzero(np.bincount(group[cells])) if pairs[t] else range(len(first)):
-                sol = finish(t, int(first[k]))
+                sol = solve_leaf(t, int(first[k]))
                 size[k] = INF if sol is None else sol.bit_count()
             tables[t] = np.full(base**w, INF, dtype=np.int64)
             tables[t][cells] = np.minimum(deleted[cells] + size[group[cells]], INF)
@@ -472,7 +477,7 @@ def _nice_dp(
         t, idx = stack.pop()
         plan, kids = plans[t], ch[t]
         if plan.kind == "leaf":
-            sol = finish(t, idx)
+            sol = solve_leaf(t, idx)
             assert sol is not None
             solution |= sol
         elif plan.kind == "join":
@@ -497,24 +502,14 @@ def solve_oct_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[
     leaves, with the base size as budget."""
     if dec.cls is None or dec.cls.kind != GraphClassSpec.BIPARTITE:
         raise ValueError("odd cycle transversal needs a bipartite-class decomposition")
-
-    def leaf(t: int, masks: tuple[int, ...]) -> Optional[int]:
-        base = mask_of(dec.bags[t] & dec.L)
-        return _abc_within(g, base, masks[0], masks[1], base.bit_count())
-
-    return _nice_dp(g, dec, 2, leaf)
+    return _nice_dp(g, dec, 2, _oct_finish)
 
 
 def solve_vc_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[int]]:
     """Minimum vertex cover by DP over nice decompositions: one side (out of
     the cover) plus deletion.  Base parts are finished by Koenig's theorem
     after forcing the neighbors of out-vertices into the cover."""
-
-    def leaf(t: int, masks: tuple[int, ...]) -> int:
-        (forced,) = masks
-        return _vc_bipartite_within(g, mask_of(dec.bags[t] & dec.L) & ~forced) | forced
-
-    return _nice_dp(g, dec, 1, leaf)
+    return _nice_dp(g, dec, 1, _vc_finish)
 
 
 # ---------------------------------------------------------------------------

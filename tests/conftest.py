@@ -84,6 +84,33 @@ def brute_important_separators(
     return frozenset(out)
 
 
+def exact_vertex_cover_size(g: Graph) -> int:
+    """Minimum vertex cover size by branching on a vertex v of maximum degree
+    >= 3 (take v, or take all of N(v)); once every degree is at most 2 the
+    components are paths and cycles, which need floor(m/2) resp. ceil(m/2)
+    of their m vertices."""
+
+    def rec(alive: int) -> int:
+        v, deg = -1, 2
+        for u in bits(alive):
+            d = (g.adj_mask(u) & alive).bit_count()
+            if d > deg:
+                v, deg = u, d
+        if v >= 0:
+            nv = g.adj_mask(v) & alive
+            return min(1 + rec(alive & ~(1 << v)), deg + rec(alive & ~nv & ~(1 << v)))
+        out = 0
+        while alive:
+            comp = reach_mask(g, alive & -alive, alive)
+            alive &= ~comp
+            m = comp.bit_count()
+            edges = sum((g.adj_mask(u) & comp).bit_count() for u in bits(comp)) // 2
+            out += (m + (edges == m)) // 2
+        return out
+
+    return rec(g.full_mask())
+
+
 @st.composite
 def graphs(draw, min_n=1, max_n=7):
     n = draw(st.integers(min_n, max_n))

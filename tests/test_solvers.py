@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import numpy as np
 
-from hdecomp.graphs import Graph, GraphClassSpec, is_member, mask_of, proper_2_coloring, set_of
+from hdecomp.graphs import Graph, GraphClassSpec, bits, is_member, mask_of, proper_2_coloring, set_of
 from hdecomp import solvers
 from hdecomp.decomposition import (
     EliminationForest,
@@ -42,10 +42,12 @@ from hdecomp.solvers import (
     _abc_within,
     _assign_edges,
     _nice_dp,
+    _oct_finish,
     _vc_bipartite_within,
+    _vc_finish,
 )
 
-from .conftest import connected_graphs_st, random_graph
+from .conftest import connected_graphs_st, exact_vertex_cover_size, random_graph
 
 BIP = GraphClassSpec.bipartite()
 TRI = GraphClassSpec.triangle_free()
@@ -269,9 +271,9 @@ def test_oct_rejects_invalid_forest():
 
 def test_branch_stops_at_the_first_infeasible_child(monkeypatch):
     """Two triangles on the edge 0-1, forest 0 -> 1 -> leaves {2}, {3}.
-    With 0 and 1 on the same side the first leaf already refuses, so the
-    second is never solved: 3 root branches x 3 branches at 1 x 2 leaves,
-    less one leaf for each of the two conflicting branches."""
+    A side refuses 1 when 0 is already on it, so no leaf below either
+    conflicting branch is finished: 3 root branches x 3 branches at 1 x 2
+    leaves, less both leaves of each of the two conflicting branches."""
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     forest = EliminationForest(
         [
@@ -286,12 +288,12 @@ def test_branch_stops_at_the_first_infeasible_child(monkeypatch):
     calls = []
     branch = solvers._branch
 
-    def counted(g, forest, sides, leaf):
-        return branch(g, forest, sides, lambda *a: calls.append(a) or leaf(*a))
+    def counted(g, forest, sides, join, finish):
+        return branch(g, forest, sides, join, lambda *a: calls.append(a) or finish(*a))
 
     monkeypatch.setattr(solvers, "_branch", counted)
     x = solve_oct_elim(g, forest)
-    assert len(calls) == 3 * 3 * 2 - 2
+    assert len(calls) == 3 * 3 * 2 - 2 * 2
     assert len(x) == brute_min_deletion(g, BIP)[0] == 1
     assert is_member(g, BIP, frozenset(range(g.n)) - x)
 
@@ -396,6 +398,35 @@ def test_klfree_agrees_with_brute(g):
             assert len(x & node.bag) <= depths[i]
 
 
+def test_klfree_rejects_a_forest_of_another_class():
+    """The leaf budget is sound only when every leaf bag is K_ell-free."""
+    forest = EliminationForest([ForestNode(frozenset({0, 1, 2}), -1, True)], BIP)
+    with pytest.raises(ValueError):
+        solve_klfree_elim(Graph.path(3), forest, 2)
+
+
+def test_klfree_join_refuses_a_kept_triangle(monkeypatch):
+    """A kept ancestor that closes a triangle is refused at the join, so no
+    finish sees a kept set with a triangle, and the leaves under a refused
+    join are never finished: 61 finishes where the forest has 80 leaf
+    branches (2^depth summed over its leaves)."""
+    g = random_graph(random.Random(2), 9, 0.5)
+    forest = build_ed_forest(g, 3, TRI).forest
+    assert sum(2**d for d, node in zip(forest.depths(), forest.nodes) if node.leaf) == 80
+    kept_sets = []
+    branch = solvers._branch
+
+    def counted(g, forest, sides, join, finish):
+        return branch(g, forest, sides, join, lambda *a: kept_sets.append(a[2][0]) or finish(*a))
+
+    monkeypatch.setattr(solvers, "_branch", counted)
+    x = solve_klfree_elim(g, forest, 3)
+    assert len(kept_sets) == 61
+    assert all(is_member(g, TRI, set_of(kept)) for kept in kept_sets)
+    assert len(x) == brute_min_deletion(g, TRI)[0] == 3
+    assert is_member(g, TRI, frozenset(range(g.n)) - x)
+
+
 def test_klfree_k4_deletion():
     # K_4-free deletion on K_5 needs 2 deletions (K_5 - 2 = K_3)
     k5 = Graph.complete(5)
@@ -420,6 +451,53 @@ def test_solvers_agree_across_decompositions():
             solve_oct_dp(g, make_nice(ed_to_tree_decomposition(bip_forest(g, k))))[0],
         ]
         assert all(r == want for r in routes)
+
+
+def pendant_cycle_graph(rng, n_min, bridges):
+    """A random tree on 5-10 vertices with odd cycles of length 3, 5 or 7 hung
+    off random tree vertices until there are at least n_min vertices: each
+    cycle shares its tree vertex, or hangs from it by a bridge."""
+    t = rng.randint(5, 10)
+    edges = [(v, rng.randrange(v)) for v in range(1, t)]
+    n = t
+    while n < n_min:
+        length, at = rng.choice((3, 3, 5, 7)), rng.randrange(t)
+        if bridges:
+            cyc = list(range(n, n + length))
+            edges.append((at, n))
+        else:
+            cyc = [at] + list(range(n, n + length - 1))
+        edges += [(cyc[i - 1], cyc[i]) for i in range(length)]
+        n += length - (not bridges)
+    return Graph(n, edges)
+
+
+def test_exact_vertex_cover_reference_matches_brute():
+    rng = random.Random(61)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.15, 0.3, 0.5)))
+        assert exact_vertex_cover_size(g) == brute_min_vertex_cover(g)[0], g.edges
+
+
+def test_routes_agree_past_the_brute_force_guard():
+    """Graphs on 20-40 vertices, out of the oracles' reach, with bipartite
+    forests of depth at most 6: every VC route equals the exact reference,
+    the three OCT routes agree, and every answer is feasible."""
+    rng = random.Random(62)
+    for i in range(60):
+        g = pendant_cycle_graph(rng, rng.randint(20, 33), bridges=i % 2 == 1)
+        assert 20 <= g.n <= 40
+        forest = bip_forest(g, 1)
+        assert forest.depth <= 6
+        nices = [bip_nice(g, 1), make_nice(ed_to_tree_decomposition(forest))]
+        rest = frozenset(range(g.n))
+        octs = [solve_oct_elim(g, forest)] + [solve_oct_dp(g, nice)[1] for nice in nices]
+        assert len({len(x) for x in octs}) == 1, g.edges
+        assert all(is_member(g, BIP, rest - x) for x in octs)
+        want = exact_vertex_cover_size(g)
+        for x in [solve_vc_elim(g, forest)] + [solve_vc_dp(g, nice)[1] for nice in nices]:
+            assert len(x) == want, g.edges
+            assert all(u in x or v in x for u, v in g.edges)
 
 
 def triangle_chain(p):
@@ -517,9 +595,10 @@ def plan_nodes_reference(dec, ch):
     return plans
 
 
-def nice_dp_reference(g, dec, sides, leaf):
+def nice_dp_reference(g, dec, sides, finish):
     """_nice_dp before the shared layouts: digit arrays rebuilt at every
-    node, and every live leaf cell finished one by one."""
+    node, every live leaf cell finished one by one, and finishes memoized
+    per node."""
     errs = dec.validate(g)
     if errs:
         raise ValueError("invalid nice tree decomposition: " + "; ".join(errs))
@@ -531,7 +610,7 @@ def nice_dp_reference(g, dec, sides, leaf):
     nbr = {}
     memo = {}
 
-    def finish(t, idx):
+    def solve_leaf(t, idx):
         masks = [0] * sides
         for p, m in enumerate(nbr[t]):
             d = idx // base**p % base
@@ -539,7 +618,8 @@ def nice_dp_reference(g, dec, sides, leaf):
                 masks[d] |= m
         key = (t, tuple(masks))
         if key not in memo:
-            memo[key] = leaf(*key)
+            basemask = mask_of(dec.bags[t] & dec.L)
+            memo[key] = finish(g, basemask, key[1], basemask.bit_count())
         return memo[key]
 
     for t in range(len(plans) - 1, -1, -1):
@@ -561,7 +641,7 @@ def nice_dp_reference(g, dec, sides, leaf):
             f = np.full(size, INF, dtype=np.int64)
             for i in range(size):
                 if not bad[i]:
-                    sol = finish(t, i)
+                    sol = solve_leaf(t, i)
                     if sol is not None:
                         f[i] = deleted[i] + len(sol)
         elif plan.kind == "join":
@@ -588,7 +668,7 @@ def nice_dp_reference(g, dec, sides, leaf):
         solution.update(v for p, v in enumerate(plan.bagvars) if idx // base**p % base == sides)
         kids = ch[t]
         if plan.kind == "leaf":
-            sol = finish(t, idx)
+            sol = solve_leaf(t, idx)
             assert sol is not None
             solution |= sol
         elif plan.kind == "join":
@@ -627,35 +707,27 @@ def dp_engine_cases():
 
 
 def test_dp_engine_matches_the_per_node_reference():
-    """Same optimum, same solution and the same set of leaf calls, with the
-    OCT and VC leaves and with a leaf that refuses some side masks."""
+    """Same optimum, same solution and the same set of finish calls, with the
+    OCT and VC finishes and with a finish that refuses some side masks."""
     widths = set()
+
+    def picky_finish(g, base, masks, budget):
+        vs = sorted(bits(base))
+        h = hash((base, masks))
+        return None if any(masks) and h % 3 == 0 else mask_of(vs[: h % (len(vs) + 1)])
+
+    def as_set(finish):
+        return lambda *a: None if (sol := finish(*a)) is None else set_of(sol)
+
     for g, nice in dp_engine_cases():
         widths.add(nice.width)
-
-        def oct_leaf(t, masks):
-            base = mask_of(nice.bags[t] & nice.L)
-            return _abc_within(g, base, masks[0], masks[1], base.bit_count())
-
-        def vc_leaf(t, masks):
-            forced = masks[0]
-            return _vc_bipartite_within(g, mask_of(nice.bags[t] & nice.L) & ~forced) | forced
-
-        def picky_leaf(t, masks):
-            base = sorted(nice.bags[t] & nice.L)
-            h = hash((t, masks))
-            return None if any(masks) and h % 3 == 0 else mask_of(base[: h % (len(base) + 1)])
-
-        def as_set(leaf):
-            return lambda *a: None if (sol := leaf(*a)) is None else set_of(sol)
-
-        for sides, leaf in ((2, oct_leaf), (1, vc_leaf), (2, picky_leaf), (1, picky_leaf)):
+        for sides, finish in ((2, _oct_finish), (1, _vc_finish), (2, picky_finish), (1, picky_finish)):
             got_calls, want_calls = [], []
-            got = _nice_dp(g, nice, sides, lambda *a: got_calls.append(a) or leaf(*a))
-            want = nice_dp_reference(g, nice, sides, lambda *a: want_calls.append(a) or as_set(leaf)(*a))
-            assert got == want, (g.edges, sides, leaf.__name__)
+            got = _nice_dp(g, nice, sides, lambda *a: got_calls.append(a) or finish(*a))
+            want = nice_dp_reference(g, nice, sides, lambda *a: want_calls.append(a) or as_set(finish)(*a))
+            assert got == want, (g.edges, sides, finish.__name__)
             assert len(got_calls) == len(set(got_calls))
-            assert set(got_calls) == set(want_calls), (g.edges, sides, leaf.__name__)
+            assert set(got_calls) == set(want_calls), (g.edges, sides, finish.__name__)
     assert widths == set(range(8))
 
 
