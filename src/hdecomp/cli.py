@@ -48,6 +48,15 @@ def _read(what: str, path: str, parse):
         raise CliError(f"cannot read {what} {path}: {str(e) or type(e).__name__}")
 
 
+def _write(what: str, path: str, text: str) -> None:
+    """Write text to the file at path; a file that cannot be written raises
+    `cannot write <what> <path>: <reason>`."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CliError(f"cannot write {what} {path}: {str(e) or type(e).__name__}")
+
+
 def _load_graph(path: str) -> Graph:
     return _read("graph", path, parse_gr)
 
@@ -77,7 +86,7 @@ def _parse_vertices(arg: str, n: int) -> frozenset[int]:
     return out
 
 
-def _dot(obj, path: str):
+def _dot(obj) -> str:
     lines = ["digraph decomposition {"]
     if isinstance(obj, EliminationForest):
         for i, node in enumerate(obj.nodes):
@@ -95,7 +104,7 @@ def _dot(obj, path: str):
             if obj.parents[i] >= 0:
                 lines.append(f"  n{obj.parents[i]} -> n{i};")
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _decompose_one(path: str, cls: GraphClassSpec, mode: str, k: int):
@@ -153,9 +162,9 @@ def cmd_decompose(args) -> int:
         return worst
     message, dec, code = _decompose_one(args.graph, cls, args.mode, args.k)
     if args.out:
-        Path(args.out).write_text(to_json(dec))
+        _write("decomposition", args.out, to_json(dec))
     if args.dot:
-        _dot(dec, args.dot)
+        _write("dot", args.dot, _dot(dec))
     print(message)
     if code == 2:
         print("warning: promise violated (quotient parameter exceeds k+1)", file=sys.stderr)

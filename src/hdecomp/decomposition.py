@@ -259,31 +259,43 @@ class TreeHDecomposition:
 class NiceTreeHDecomposition(TreeHDecomposition):
     kind = "nice"
 
+    def steps(self) -> list[tuple[str, int] | str]:
+        """The step each node takes from its children: ("leaf", -1),
+        ("join", -1) over two equal bags, ("identity", -1) for the strip of
+        L just above a base leaf, ("introduce", v) or ("forget", v) for one
+        vertex outside L.  A node that takes none of these steps gets its
+        error message (a str) in place of the pair."""
+        ch = self.children()
+        out: list[tuple[str, int] | str] = []
+        for i, kids in enumerate(ch):
+            bt = self.bags[i]
+            if not kids:
+                out.append(("leaf", -1))
+            elif len(kids) > 2:
+                out.append(f"node {i}: more than two children")
+            elif len(kids) == 2:
+                same = bt == self.bags[kids[0]] == self.bags[kids[1]]
+                out.append(("join", -1) if same else f"node {i}: join children bags differ")
+            else:
+                (c,) = kids
+                bc = self.bags[c]
+                diff = bt ^ bc
+                if len(diff) == 1 and not diff & self.L:
+                    (v,) = diff
+                    out.append(("introduce" if v in bt else "forget", v))
+                elif not ch[c] and bt == bc - self.L and bc & self.L:
+                    out.append(("identity", -1))
+                else:
+                    out.append(f"node {i}: single-child step is not a legal bag change")
+        return out
+
     def validate(self, g: Graph) -> list[str]:
         errs = super().validate(g)
         if errs:
             return errs
-        root = self.root()
-        if self.bags[root] & self.L:
+        if self.bags[self.root()] & self.L:
             errs.append("root bag intersects L")
-        ch = self.children()
-        for i, kids in enumerate(ch):
-            if len(kids) > 2:
-                errs.append(f"node {i}: more than two children")
-            elif len(kids) == 2:
-                a, b = kids
-                if not (self.bags[i] == self.bags[a] == self.bags[b]):
-                    errs.append(f"node {i}: join children bags differ")
-            elif len(kids) == 1:
-                c = kids[0]
-                bt, bc = self.bags[i], self.bags[c]
-                diff = bt ^ bc
-                if len(diff) == 1 and not diff & self.L:
-                    continue
-                if not ch[c] and bt == bc - self.L and bc & self.L:
-                    continue
-                errs.append(f"node {i}: single-child step is not a legal bag change")
-        return errs
+        return errs + [s for s in self.steps() if isinstance(s, str)]
 
 
 @dataclass(frozen=True)

@@ -229,10 +229,9 @@ def components(g: Graph, pool: int) -> list[int]:
     return comps
 
 
-def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
-    """Connected components of G[within], ordered by smallest member."""
-    pool = g.full_mask() if within is None else mask_of(within)
-    return [set_of(comp) for comp in components(g, pool)]
+def connected_components(g: Graph) -> list[frozenset[int]]:
+    """Connected components of G, ordered by smallest member."""
+    return [set_of(comp) for comp in components(g, g.full_mask())]
 
 
 def is_connected_set(g: Graph, vertices: Iterable[int]) -> bool:
@@ -404,13 +403,19 @@ def write_gr(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_gr(text: str, first_line: int = 1) -> Graph:
-    """A `.gr` graph; error messages count lines from `first_line`."""
-    return Graph(*_parse_gr(text, first_line))
+#: vertices a `.gr` graph may have; a Graph of this size holds 16 MB of
+#: adjacency slots, and a larger p-line is refused before any is allocated
+MAX_GRAPH_VERTICES = 1 << 20
 
 
-def _parse_gr(text: str, first_line: int) -> tuple[int, list[tuple[int, int]]]:
-    """The vertex count and the checked 0-based edges of a `.gr` text."""
+def parse_gr(text: str) -> Graph:
+    """A `.gr` graph on at most MAX_GRAPH_VERTICES vertices."""
+    return Graph(*_parse_gr(text, 1, MAX_GRAPH_VERTICES))
+
+
+def _parse_gr(text: str, first_line: int, cap: int) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count, at most `cap`, and the checked 0-based edges of a
+    `.gr` text; error messages count lines from `first_line`."""
     n = m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), first_line):
@@ -424,6 +429,8 @@ def _parse_gr(text: str, first_line: int) -> tuple[int, list[tuple[int, int]]]:
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "hd" or not (fields[2] + fields[3]).isdecimal():
                 raise ValueError(f"line {lineno}: malformed p-line {line!r}")
             n, m = int(fields[2]), int(fields[3])
+            if n > cap:
+                raise ValueError(f"line {lineno}: n = {n} exceeds the cap of {cap}")
             continue
         if n is None:
             raise ValueError(f"line {lineno}: edge before p-line")
@@ -450,16 +457,15 @@ def write_family(family: Sequence[Graph]) -> str:
 
 def parse_family(text: str) -> list[Graph]:
     """The graphs of a family file, separated by lines that read `---`;
-    errors give the line numbers of the file."""
+    errors give the line numbers of the file, and a member over
+    MAX_OBSTRUCTION_SIZE vertices is refused at its p-line."""
     family, block, first = [], [], 1
     for lineno, line in enumerate(text.splitlines() + ["---"], 1):
         if line.strip() != "---":
             block.append(line)
             continue
         if any(b.strip() for b in block):
-            n, edges = _parse_gr("\n".join(block), first)
-            _check_member_size(n)
-            family.append(Graph(n, edges))
+            family.append(Graph(*_parse_gr("\n".join(block), first, MAX_OBSTRUCTION_SIZE)))
         block, first = [], lineno + 1
     if not family:
         raise ValueError("empty family file")

@@ -299,57 +299,6 @@ def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozense
 # ---------------------------------------------------------------------------
 
 
-def _assign_edges(g: Graph, dec: NiceTreeHDecomposition) -> list[list[tuple[int, int]]]:
-    """Deepest covering node per edge, smallest id on ties."""
-    n_nodes = len(dec.parents)
-    depth = [0] * n_nodes
-    for i, p in enumerate(dec.parents):
-        if p >= 0:
-            depth[i] = depth[p] + 1
-    occ: list[list[int]] = [[] for _ in range(g.n)]
-    for i, bag in enumerate(dec.bags):
-        for v in bag:
-            occ[v].append(i)
-    assigned: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    for u, v in sorted(g.edges):
-        a, b = (u, v) if len(occ[u]) <= len(occ[v]) else (v, u)
-        covering = [i for i in occ[a] if b in dec.bags[i]]  # in node order
-        assert covering, "edge not covered"
-        assigned[max(covering, key=depth.__getitem__)].append((u, v))
-    return assigned
-
-
-@dataclass
-class _NodePlan:
-    bagvars: list[int]  # sorted bag minus L
-    kind: str  # leaf / identity / introduce / forget / join
-    child_pos: Optional[int] = None  # position of the changing vertex
-
-
-def _plan_nodes(dec: NiceTreeHDecomposition, ch: list[list[int]]) -> list[_NodePlan]:
-    """One plan per node; the bag steps are read off masks of the bags minus L."""
-    bagvars = [sorted(b - dec.L) for b in dec.bags]
-    masks = [mask_of(vs) for vs in bagvars]
-    plans = []
-    for t, kids in enumerate(ch):
-        vm = masks[t]
-        if not kids:
-            plans.append(_NodePlan(bagvars[t], "leaf"))
-        elif len(kids) == 2:
-            plans.append(_NodePlan(bagvars[t], "join"))
-        else:
-            cm = masks[kids[0]]
-            if cm == vm:
-                plans.append(_NodePlan(bagvars[t], "identity"))
-            elif vm & ~cm:  # the vertex's position among the larger bag's
-                v = (vm & ~cm).bit_length() - 1
-                plans.append(_NodePlan(bagvars[t], "introduce", (vm & ((1 << v) - 1)).bit_count()))
-            else:
-                v = (cm & ~vm).bit_length() - 1
-                plans.append(_NodePlan(bagvars[t], "forget", (cm & ((1 << v) - 1)).bit_count()))
-    return plans
-
-
 #: bytes that `_nice_dp`'s tables and cell layouts may take; a decomposition
 #: that needs more is refused before the first allocation
 DP_TABLE_BUDGET = 256 << 20
@@ -381,17 +330,34 @@ def _nice_dp(
         raise ValueError("invalid nice tree decomposition: " + "; ".join(errs))
     base = sides + 1
     ch = dec.children()
-    plans = _plan_nodes(dec, ch)
-    pairs = []  # bag positions of the edges assigned to each node
-    for plan, edges in zip(plans, _assign_edges(g, dec)):
-        pos = {v: i for i, v in enumerate(plan.bagvars)} if edges else {}
-        pairs.append([(pos[u], pos[v]) for u, v in edges if u in pos and v in pos])
+    steps = dec.steps()
+    lmask = mask_of(dec.L)
+    vms = [mask_of(b) & ~lmask for b in dec.bags]  # the vertices with a digit, in position order
+    ws = [vm.bit_count() for vm in vms]
 
-    steps = {(p.kind, len(p.bagvars), p.child_pos) for p in plans if p.child_pos is not None}
+    def pos(t: int, v: int) -> int:
+        return (vms[t] & (1 << v) - 1).bit_count()
+
+    # An edge's bad cells are marked where its two ends first meet: inside a
+    # leaf's bag, or where its second end is introduced.  Every node above
+    # holds both ends until one is forgotten, and takes those cells' INF
+    # from its children.
+    pairs: list[list[tuple[int, int]]] = []  # positions of the edges that meet at each node
+    moves: list[Optional[int]] = []  # position of the introduced or forgotten vertex
+    for t, (kind, v) in enumerate(steps):
+        arrive = vms[t] if kind == "leaf" else 1 << v if kind == "introduce" else 0
+        met, here = [], vms[t] & ~arrive
+        for x in bits(arrive):
+            met += [(pos(t, u), pos(t, x)) for u in bits(g.adj_mask(x) & here)]
+            here |= 1 << x
+        pairs.append(met)
+        moves.append(pos(t, v) if kind == "introduce" else pos(ch[t][0], v) if kind == "forget" else None)
+
+    maps = {(kind, w, p) for (kind, _), w, p in zip(steps, ws, moves) if p is not None}
     # tables, bad cells and leaf keys
-    need = sum(base ** len(p.bagvars) * (8 + len(q) + 16 * (p.kind == "leaf")) for p, q in zip(plans, pairs))
-    need += sum(base**w * (w + 8) for w in {len(p.bagvars) for p in plans})  # digits, deletion counts
-    need += sum(8 * base ** (w + (kind == "forget")) for kind, w, _ in steps)  # index maps
+    need = sum(base**w * (8 + len(q) + 16 * (kind == "leaf")) for (kind, _), w, q in zip(steps, ws, pairs))
+    need += sum(base**w * (w + 8) for w in set(ws))  # digits, deletion counts
+    need += sum(8 * base ** (w + (kind == "forget")) for kind, w, _ in maps)  # index maps
     if need > DP_TABLE_BUDGET:
         raise ValueError(f"DP tables need {-(-need >> 20)} MiB, over the {DP_TABLE_BUDGET >> 20} MiB budget")
 
@@ -414,7 +380,7 @@ def _nice_dp(
 
         return cached((kind, w, pos), make)
 
-    tables: list[np.ndarray] = [None] * len(plans)  # type: ignore[list-item]
+    tables: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
     basemasks: dict[int, int] = {}  # leaf -> its base part
     nbr: dict[int, list[tuple[int, int]]] = {}  # leaf -> (position, base neighbours) if any
     memo: dict[tuple[int, tuple[int, ...]], Optional[int]] = {}
@@ -430,17 +396,16 @@ def _nice_dp(
             memo[key] = finish(g, *key, key[0].bit_count())
         return memo[key]
 
-    for t in range(len(plans) - 1, -1, -1):
-        plan, kids = plans[t], ch[t]
-        w = len(plan.bagvars)
+    for t in range(len(steps) - 1, -1, -1):
+        kind, kids, w = steps[t][0], ch[t], ws[t]
         digits = cached(w, lambda: np.indices((base,) * w, dtype=np.int8).reshape(w, base**w)[::-1])  # row p: digit p
         deleted = cached(("deleted", w), lambda: (digits == sides).sum(axis=0))
         bad = np.zeros(base**w, dtype=bool)
         for p, q in pairs[t]:
             bad |= cached((w, p, q), lambda: (digits[p] == digits[q]) & (digits[p] != sides))
-        if plan.kind == "leaf":  # one finish per digit pattern of the positions with base neighbours
-            basemasks[t] = basemask = mask_of(dec.bags[t] & dec.L)
-            nbr[t] = [(p, m) for p, v in enumerate(plan.bagvars) if (m := g.adj_mask(v) & basemask)]
+        if kind == "leaf":  # one finish per digit pattern of the positions with base neighbours
+            basemasks[t] = basemask = mask_of(dec.bags[t]) & lmask
+            nbr[t] = [(p, m) for p, v in enumerate(bits(vms[t])) if (m := g.adj_mask(v) & basemask)]
             keyed = [p for p, _ in nbr[t]]
             first, group = cached(("keys", w, *keyed), lambda: np.unique(
                 base ** np.array(keyed, dtype=np.int64) @ digits[keyed], return_index=True, return_inverse=True
@@ -453,15 +418,15 @@ def _nice_dp(
             tables[t] = np.full(base**w, INF, dtype=np.int64)
             tables[t][cells] = np.minimum(deleted[cells] + size[group[cells]], INF)
             continue
-        if plan.kind == "join":
+        if kind == "join":
             f = np.minimum(tables[kids[0]] + tables[kids[1]] - deleted, INF)
-        elif plan.kind == "identity":
+        elif kind == "identity":
             f = tables[kids[0]]
-        elif plan.kind == "introduce":
-            pos = plan.child_pos
-            f = np.minimum(tables[kids[0]][index_map("introduce", w, pos)] + (digits[pos] == sides), INF)
+        elif kind == "introduce":
+            p = moves[t]
+            f = np.minimum(tables[kids[0]][index_map("introduce", w, p)] + (digits[p] == sides), INF)
         else:  # forget: best digit of the forgotten vertex
-            f = tables[kids[0]][index_map("forget", w, plan.child_pos)].min(axis=0)
+            f = tables[kids[0]][index_map("forget", w, moves[t])].min(axis=0)
         tables[t] = np.where(bad, INF, f) if pairs[t] else f
 
     root = dec.root()
@@ -471,26 +436,26 @@ def _nice_dp(
 
     # walk the argmin back down, first minimum on forgets; a vertex's digit
     # is fixed below the node that forgets it (or the root)
-    solution = mask_of(v for p, v in enumerate(plans[root].bagvars) if best_idx // base**p % base == sides)
+    solution = mask_of(v for p, v in enumerate(bits(vms[root])) if best_idx // base**p % base == sides)
     stack = [(root, best_idx)]
     while stack:
         t, idx = stack.pop()
-        plan, kids = plans[t], ch[t]
-        if plan.kind == "leaf":
+        (kind, v), kids = steps[t], ch[t]
+        if kind == "leaf":
             sol = solve_leaf(t, idx)
             assert sol is not None
             solution |= sol
-        elif plan.kind == "join":
+        elif kind == "join":
             stack += [(kids[0], idx), (kids[1], idx)]
-        elif plan.kind == "identity":
+        elif kind == "identity":
             stack.append((kids[0], idx))
-        elif plan.kind == "introduce":
-            stack.append((kids[0], int(index_map("introduce", len(plan.bagvars), plan.child_pos)[idx])))
+        elif kind == "introduce":
+            stack.append((kids[0], int(index_map("introduce", ws[t], moves[t])[idx])))
         else:
-            ins = index_map("forget", len(plan.bagvars), plan.child_pos)[:, idx]
+            ins = index_map("forget", ws[t], moves[t])[:, idx]
             d = int(np.argmin(tables[kids[0]][ins]))
             if d == sides:
-                solution |= 1 << plans[kids[0]].bagvars[plan.child_pos]
+                solution |= 1 << v
             stack.append((kids[0], int(ins[d])))
     assert solution.bit_count() == best
     return best, set_of(solution)

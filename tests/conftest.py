@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from typing import Iterable
@@ -42,6 +43,22 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+@functools.lru_cache(maxsize=4)
+def _reaches(g: Graph, xmask: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """(S, |S|, R_S(X)) for every S of at most k vertices outside X.
+
+    R_S(X) does not depend on Y, so the queries (X, Y) of one graph and one
+    X share this table: criterion 1 asks every Y of a corpus graph in turn.
+    """
+    full = g.full_mask()
+    free = sorted(bits(full & ~xmask))
+    return tuple(
+        (smask, size, reach_mask(g, xmask, full & ~smask))
+        for size in range(k + 1)
+        for smask in map(mask_of, itertools.combinations(free, size))
+    )
+
+
 def brute_important_separators(
     g: Graph, X: Iterable[int], Y: Iterable[int], k: int
 ) -> frozenset[frozenset[int]]:
@@ -57,31 +74,24 @@ def brute_important_separators(
     if xmask & ymask:
         raise ValueError("X and Y must be disjoint")
     full = g.full_mask()
-    free = sorted(bits(full & ~xmask & ~ymask))
-    seps = []  # (mask, size, reach)
-    for size in range(0, k + 1):
-        for combo in itertools.combinations(free, size):
-            smask = mask_of(combo)
-            r = reach_mask(g, xmask, full & ~smask)
-            if not r & ymask:
-                seps.append((smask, size, r))
-    out = []
-    for smask, size, r in seps:
-        minimal = True
-        for v in bits(smask):
-            if not reach_mask(g, xmask, full & ~(smask ^ (1 << v))) & ymask:
-                minimal = False
-                break
-        if not minimal:
+    seps = []  # (mask, size, reach) of the inclusion-minimal separators
+    for smask, size, r in _reaches(g, xmask, k):
+        if smask & ymask or r & ymask:
             continue
-        dominated = False
-        for smask2, size2, r2 in seps:
-            if size2 <= size and r & ~r2 == 0 and r != r2:
-                dominated = True
-                break
-        if not dominated:
-            out.append(set_of(smask))
-    return frozenset(out)
+        # S - v is a separator unless v, put back, joins the X side to the
+        # Y side; so S is minimal iff every v in S has a neighbour reachable
+        # from X and one reachable from Y in G - S
+        ry = reach_mask(g, ymask, full & ~smask)
+        if all(g.adj_mask(v) & r and g.adj_mask(v) & ry for v in bits(smask)):
+            seps.append((smask, size, r))
+    # a separator S' that dominates S holds a minimal separator, which has
+    # no more vertices than S' and reaches at least R_S'(X); so S is
+    # dominated iff a minimal separator dominates it
+    return frozenset(
+        set_of(smask)
+        for smask, size, r in seps
+        if not any(size2 <= size and r & ~r2 == 0 and r != r2 for _, size2, r2 in seps)
+    )
 
 
 def exact_vertex_cover_size(g: Graph) -> int:
@@ -109,6 +119,56 @@ def exact_vertex_cover_size(g: Graph) -> int:
         return out
 
     return rec(g.full_mask())
+
+
+def exact_oct_size(g: Graph) -> int:
+    """Minimum odd cycle transversal size by branching on the vertices of a
+    shortest odd closed walk: its vertex set holds an odd cycle, so a
+    transversal deletes one of them.  Vertices of degree <= 1 lie on no
+    cycle and are pruned first, components are summed, and the size of
+    each pruned vertex set is memoized."""
+    memo: dict[int, int] = {}
+
+    def odd_walk(alive: int) -> int:
+        """The vertices of two BFS paths from one root whose ends are joined
+        by an edge inside a layer, fewest over the roots; 0 when G[alive] is
+        bipartite."""
+        best = 0
+        for r in bits(alive):
+            path, layer, seen = {r: 1 << r}, [r], 1 << r
+            while layer:
+                layer_mask = mask_of(layer)
+                u = next((u for u in layer if g.adj_mask(u) & layer_mask), None)
+                if u is not None:
+                    walk = path[u] | path[(g.adj_mask(u) & layer_mask).bit_length() - 1]
+                    if not best or walk.bit_count() < best.bit_count():
+                        best = walk
+                    break
+                nxt = []
+                for u in layer:
+                    for w in bits(g.adj_mask(u) & alive & ~seen):
+                        seen |= 1 << w
+                        path[w] = path[u] | 1 << w
+                        nxt.append(w)
+                layer = nxt
+            if best.bit_count() == 3:
+                break
+        return best
+
+    def size(alive: int) -> int:
+        while low := [v for v in bits(alive) if (g.adj_mask(v) & alive).bit_count() <= 1]:
+            alive &= ~mask_of(low)
+        if alive not in memo:
+            comp = reach_mask(g, alive & -alive, alive)
+            if comp != alive:
+                memo[alive] = size(comp) + size(alive & ~comp)
+            elif walk := odd_walk(alive):
+                memo[alive] = 1 + min(size(alive & ~(1 << v)) for v in bits(walk))
+            else:
+                memo[alive] = 0
+        return memo[alive]
+
+    return size(g.full_mask())
 
 
 @st.composite

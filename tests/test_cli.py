@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdecomp.cli import main
-from hdecomp.graphs import Graph, write_family, write_gr
+from hdecomp.graphs import MAX_GRAPH_VERTICES, Graph, write_family, write_gr
 from hdecomp.decomposition import (
     TreeHDecomposition,
     build_ed_forest,
@@ -206,26 +206,31 @@ def test_deeply_nested_decomposition_is_an_error(files, capsys):
 
 
 def test_graph_too_large_to_hold_is_an_error(files, capsys):
-    """n = 2^62 is refused by the list allocation at once (MemoryError, whose
-    message is empty) as a graph; as a family member, in a family file or in
-    a JSON's class, it is refused by the size cap before any allocation."""
+    """A graph's p-line over MAX_GRAPH_VERTICES, and a family member's over
+    the member cap, are refused at that line before any allocation: n =
+    2^62, which no list could hold, and n = 2^20 + 1, which the oracle used
+    to allocate and answer TOO LARGE.  In a JSON's class, a member's n is
+    refused by the member cap."""
     tmp, put = files
     g = put("k2.gr", write_gr(Graph.complete(2)))
     huge = put("huge.gr", f"p hd {1 << 62} 0\n")
+    over = put("over.gr", f"c one past the cap\np hd {MAX_GRAPH_VERTICES + 1} 0\n")
     forest = build_ed_forest(Graph.complete(2), 0, GraphClassSpec.forbidden(Graph.complete(3))).forest
     doc = json.loads(to_json(forest))
     doc["class"]["family"][0]["n"] = 1 << 62
     dec = put("dec.json", json.dumps(doc))
+    too_big = f"error: cannot read graph {huge}: line 1: n = {1 << 62} exceeds the cap of {MAX_GRAPH_VERTICES}\n"
     cases = [
-        (["verify", dec, huge], f"error: cannot read graph {huge}: MemoryError\n"),
-        (["oracle", "--what", "ed", "--class", "bip", huge], f"error: cannot read graph {huge}: MemoryError\n"),
+        (["verify", dec, huge], too_big),
+        (["oracle", "--what", "ed", "--class", "bip", huge], too_big),
+        (["decompose", "--class", "bip", "--mode", "ed", "--k", "1", huge], too_big),
         (
-            ["decompose", "--class", "bip", "--mode", "ed", "--k", "1", huge],
-            f"error: cannot read graph {huge}: MemoryError\n",
+            ["oracle", "--what", "ed", "--class", "bip", over],
+            f"error: cannot read graph {over}: line 2: n = {MAX_GRAPH_VERTICES + 1} exceeds the cap of 1048576\n",
         ),
         (
             ["decompose", "--class", f"forbid:{huge}", "--mode", "ed", "--k", "1", g],
-            f"error: cannot read family {huge}: family member on {1 << 62} vertices exceeds the cap of 6\n",
+            f"error: cannot read family {huge}: line 1: n = {1 << 62} exceeds the cap of 6\n",
         ),
         (
             ["verify", dec, g],
@@ -503,6 +508,17 @@ def test_dot_export(files, capsys):
     assert code == 0
     text = dot_path.read_text()
     assert text.startswith("digraph") and "box" in text
+
+
+@pytest.mark.parametrize("flag, what", [("--out", "decomposition"), ("--dot", "dot")])
+def test_unwritable_output_is_an_error(files, capsys, flag, what):
+    """An output path in a missing directory exits 1 with one error line."""
+    tmp, put = files
+    k3 = put("k3.gr", write_gr(Graph.complete(3)))
+    path = str(tmp / "missing" / "out")
+    code, out, err = run(capsys, "decompose", "--class", "bip", "--mode", "ed", "--k", "1", k3, flag, path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {what} {path}: ") and err.count("\n") == 1, err
 
 
 def test_bad_usage_exits_1(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -38,16 +39,14 @@ from hdecomp.solvers import (
 from hdecomp.separators import min_vertex_separator
 from hdecomp.solvers import (
     INF,
-    _NodePlan,
     _abc_within,
-    _assign_edges,
     _nice_dp,
     _oct_finish,
     _vc_bipartite_within,
     _vc_finish,
 )
 
-from .conftest import connected_graphs_st, exact_vertex_cover_size, random_graph
+from .conftest import connected_graphs_st, exact_oct_size, exact_vertex_cover_size, random_graph
 
 BIP = GraphClassSpec.bipartite()
 TRI = GraphClassSpec.triangle_free()
@@ -479,10 +478,17 @@ def test_exact_vertex_cover_reference_matches_brute():
         assert exact_vertex_cover_size(g) == brute_min_vertex_cover(g)[0], g.edges
 
 
+def test_exact_oct_reference_matches_brute():
+    rng = random.Random(63)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.15, 0.3, 0.5)))
+        assert exact_oct_size(g) == brute_min_deletion(g, BIP)[0], g.edges
+
+
 def test_routes_agree_past_the_brute_force_guard():
     """Graphs on 20-40 vertices, out of the oracles' reach, with bipartite
-    forests of depth at most 6: every VC route equals the exact reference,
-    the three OCT routes agree, and every answer is feasible."""
+    forests of depth at most 6: every VC and OCT route equals its exact
+    reference, and every answer is feasible."""
     rng = random.Random(62)
     for i in range(60):
         g = pendant_cycle_graph(rng, rng.randint(20, 33), bridges=i % 2 == 1)
@@ -492,7 +498,7 @@ def test_routes_agree_past_the_brute_force_guard():
         nices = [bip_nice(g, 1), make_nice(ed_to_tree_decomposition(forest))]
         rest = frozenset(range(g.n))
         octs = [solve_oct_elim(g, forest)] + [solve_oct_dp(g, nice)[1] for nice in nices]
-        assert len({len(x) for x in octs}) == 1, g.edges
+        assert {len(x) for x in octs} == {exact_oct_size(g)}, g.edges
         assert all(is_member(g, BIP, rest - x) for x in octs)
         want = exact_vertex_cover_size(g)
         for x in [solve_vc_elim(g, forest)] + [solve_vc_dp(g, nice)[1] for nice in nices]:
@@ -550,13 +556,30 @@ def assign_edges_reference(g, dec):
     return assigned
 
 
-def test_assign_edges_matches_reference():
+def test_steps_match_the_plan_reference():
+    """steps() classifies every node as the DP's old planner did, and each
+    edge outside L first meets at a leaf or an introduce node: the deepest
+    cover is one, and every other cover has a covering child."""
     rng = random.Random(29)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.4, 0.6)))
         k = rng.randint(0, 2)
         nice = make_nice(ed_to_tree_decomposition(bip_forest(g, k)))
-        assert _assign_edges(g, nice) == assign_edges_reference(g, nice)
+        ch = nice.children()
+        steps = nice.steps()
+        for t, ((kind, v), plan) in enumerate(zip(steps, plan_nodes_reference(nice, ch))):
+            assert kind == plan.kind
+            if kind in ("introduce", "forget"):
+                bag = nice.bags[t] if kind == "introduce" else nice.bags[ch[t][0]]
+                assert sorted(bag - nice.L).index(v) == plan.child_pos
+        for t, edges in enumerate(assign_edges_reference(g, nice)):
+            for u, v in edges:
+                if u in nice.L or v in nice.L:
+                    continue
+                covers = [i for i, b in enumerate(nice.bags) if u in b and v in b]
+                meets = [i for i in covers if steps[i][0] == "leaf" or steps[i] in (("introduce", u), ("introduce", v))]
+                assert t in meets
+                assert all(any(c in covers for c in ch[i]) for i in covers if i not in meets)
 
 
 def _drop_index(idx, pos, base):
@@ -569,6 +592,9 @@ def _insert_indices(idx, pos, base):
     low = idx % base**pos
     high = idx // base**pos * base ** (pos + 1)
     return [low + d * base**pos + high for d in range(base)]
+
+
+_NodePlan = namedtuple("_NodePlan", "bagvars kind child_pos", defaults=(None,))
 
 
 def plan_nodes_reference(dec, ch):
@@ -605,7 +631,7 @@ def nice_dp_reference(g, dec, sides, finish):
     base = sides + 1
     ch = dec.children()
     plans = plan_nodes_reference(dec, ch)
-    assigned = _assign_edges(g, dec)
+    assigned = assign_edges_reference(g, dec)
     tables = [None] * len(plans)
     nbr = {}
     memo = {}
