@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
 from pathlib import Path
@@ -357,10 +358,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser, built by the first `main` call and reused by later ones (a
+#: fresh one costs about 1 ms, as much as a small op)
+_parser = functools.cache(_build_parser)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

@@ -1,7 +1,8 @@
 """Decomposition structures and pipelines.
 
 Builds separation decompositions by repeated extremal separation finding,
-computes exact treedepth/treewidth of (small) quotient graphs, and converts
+decides the promise "quotient treedepth/treewidth <= k+1", computes exact
+treedepth/treewidth of (small) quotient graphs, and converts
 the results into validated elimination forests and tree decompositions with
 base components, including the nice normal form used by the dynamic
 programming solvers.
@@ -20,7 +21,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -290,12 +292,18 @@ class NiceTreeHDecomposition(TreeHDecomposition):
         return out
 
     def validate(self, g: Graph) -> list[str]:
+        return self._check(g)[0]
+
+    def _check(self, g: Graph) -> tuple[list[str], list[tuple[str, int] | str]]:
+        """validate's messages, and the steps once the tree itself is sound
+        (else []), so that the DP takes the steps it checked."""
         errs = super().validate(g)
         if errs:
-            return errs
+            return errs, []
         if self.bags[self.root()] & self.L:
             errs.append("root bag intersects L")
-        return errs + [s for s in self.steps() if isinstance(s, str)]
+        steps = self.steps()
+        return errs + [s for s in steps if isinstance(s, str)], steps
 
 
 @dataclass(frozen=True)
@@ -601,6 +609,44 @@ def exact_treedepth(g: Graph) -> TreedepthResult:
     return TreedepthResult(value, forest, exact)
 
 
+def treedepth_at_most(g: Graph, d: int) -> bool:
+    """Whether the treedepth of g is at most d, exactly.  The builders ask
+    it up to TD_EXACT_GUARD vertices, as `exact_treedepth` is exact there.
+
+    A memoized search over connected sets keyed on (C, d):
+    td(C) <= d iff |C| <= d, or some v in C leaves components of C - v that
+    each have treedepth at most d - 1.  It stops at the first such v, so it
+    answers "yes" without the optimum.  It answers "no" at once when every
+    vertex of C has at least d neighbours in C, since td(C) > tw(C) >= the
+    least degree.
+    """
+    adj = g._adj_masks
+    memo: dict[tuple[int, int], bool] = {}
+
+    def conn(mask: int, d: int) -> bool:
+        if mask.bit_count() <= d:
+            return True
+        key = (mask, d)
+        fits = memo.get(key)
+        if fits is None:
+            fits = any((adj[v] & mask).bit_count() < d for v in bits(mask)) and any(
+                parts(mask & ~(1 << v), d - 1) for v in bits(mask)
+            )
+            memo[key] = fits
+        return fits
+
+    def parts(mask: int, d: int) -> bool:
+        pool = mask
+        while pool:
+            comp = reach_mask(g, pool & -pool, pool)
+            if not conn(comp, d):
+                return False
+            pool &= ~comp
+        return True
+
+    return parts(g.full_mask(), d)
+
+
 def _td_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeHDecomposition:
     """Standard tree decomposition realized by an elimination order."""
     n = g.n
@@ -656,10 +702,37 @@ def exact_treewidth(g: Graph) -> TreewidthResult:
         dec = _td_from_elimination_order(g, order)
         return TreewidthResult(dec.width, dec, False)
     full = g.full_mask()
-    adj = g._adj_masks
-    # every f(s) above the min-fill width is stored once as `above`: the
-    # recovery path never leaves the sets with f <= f(V) <= ub
+    # the recovery path never leaves the sets with f <= f(V) <= the
+    # min-fill width, so the search is capped there
     ub = _td_from_elimination_order(g, _min_fill_order(g)).width
+    tw_parts = _tw_search(g, ub)
+    value = tw_parts(full)
+    assert value <= ub
+    # recover an optimal elimination order (first eliminated first)
+    order = []
+    s = full
+    while s:
+        fs = tw_parts(s)
+        m = s
+        while m:
+            b = m & -m
+            m ^= b
+            if tw_parts(reach_mask(g, b, s) ^ b) <= fs:
+                break
+        order.append(b.bit_length() - 1)
+        s ^= b
+    order.reverse()
+    dec = _td_from_elimination_order(g, order)
+    assert dec.width == value or (n == 1 and value == 0)
+    return TreewidthResult(value, dec, True)
+
+
+def _tw_search(g: Graph, ub: int):
+    """`exact_treewidth`'s search capped at ub: the function s -> f(s) when
+    f(s) <= ub, and ub + 1 otherwise."""
+    n = g.n
+    adj = g._adj_masks
+    # every f(s) above ub is stored once as `above`
     above = ub + 1
     # below[d]: the vertices of degree < d
     below = [sum(1 << v for v in range(n) if adj[v].bit_count() < d) for d in range(n + 1)]
@@ -729,25 +802,17 @@ def exact_treewidth(g: Graph) -> TreewidthResult:
         memo[mask] = value
         return value
 
-    value = tw_parts(full)
-    assert value <= ub
-    # recover an optimal elimination order (first eliminated first)
-    order = []
-    s = full
-    while s:
-        fs = tw_parts(s)
-        m = s
-        while m:
-            b = m & -m
-            m ^= b
-            if tw_parts(reach_mask(g, b, s) ^ b) <= fs:
-                break
-        order.append(b.bit_length() - 1)
-        s ^= b
-    order.reverse()
-    dec = _td_from_elimination_order(g, order)
-    assert dec.width == value or (n == 1 and value == 0)
-    return TreewidthResult(value, dec, True)
+    return tw_parts
+
+
+def treewidth_at_most(g: Graph, d: int) -> bool:
+    """Whether the treewidth of g is at most d, exactly: "yes" when the
+    min-fill width is, else `exact_treewidth`'s search capped at d decides.
+    That search tables all 2^n vertex sets, so the builders ask it up to
+    TW_EXACT_GUARD vertices only."""
+    if g.n == 0 or _td_from_elimination_order(g, _min_fill_order(g)).width <= d:
+        return True
+    return _tw_search(g, d)(g.full_mask()) <= d
 
 
 def _min_fill_order(g: Graph) -> list[int]:
@@ -1025,73 +1090,104 @@ def tree_decomp_from_sepdecomp(
 
 @dataclass
 class EdForestResult:
-    forest: EliminationForest
+    """The promise verdict, decided by the build, and the forest, built from
+    `make_forest` when it is first read: its exact quotient treedepth costs
+    more than the verdict, and auto mode reads it only for the passing k."""
+
     promise_ok: bool
+    make_forest: Callable[[], EliminationForest]
+
+    @cached_property
+    def forest(self) -> EliminationForest:
+        return self.make_forest()
 
 
 @dataclass
 class TreeDecompResult:
-    decomposition: TreeHDecomposition
+    """As `EdForestResult`, for a tree H-decomposition."""
+
     promise_ok: bool
+    make_decomposition: Callable[[], TreeHDecomposition]
+
+    @cached_property
+    def decomposition(self) -> TreeHDecomposition:
+        return self.make_decomposition()
+
+
+def _decided_parts(g: Graph, k: int, cls: GraphClassSpec, restricted: bool, fits, exact, guard: int):
+    """Whether every component of g passes the promise, and per component
+    (induced subgraph, mapping, separation decomposition, quotient q, the
+    result of exact(q) or None).  Up to `guard` quotient vertices a verdict
+    is the exact fits(q, k + 1); past it, it is the heuristic value of
+    exact(q), whose result the build then reuses.  No verdict is sought
+    once one fails."""
+    parts = []
+    ok = True
+    for comp in connected_components(g):
+        sub, mapping = g.induced(comp)
+        dec = build_separation_decomposition(sub, k, cls, restricted=restricted)
+        q, _ = quotient(sub, dec)
+        known = exact(q) if ok and q.n > guard else None
+        ok = ok and (known.value <= k + 1 if known else fits(q, k + 1))
+        parts.append((sub, mapping, dec, q, known))
+    return ok, parts
 
 
 def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
-    """Per component: separation decomposition, exact treedepth of the
-    quotient, conversion.  Promise check: quotient treedepth <= k+1."""
-    nodes: list[ForestNode] = []
-    ok = True
-    for comp in connected_components(g):
-        sub, mapping = g.induced(comp)
-        dec = build_separation_decomposition(sub, k, cls, restricted=False)
-        q, _ = quotient(sub, dec)
-        td = exact_treedepth(q)
-        if td.value > k + 1:
-            ok = False
-        forest = ed_forest_from_sepdecomp(sub, dec, td.forest).relabel(mapping)
-        offset = len(nodes)
-        for node in forest.nodes:
-            nodes.append(
-                ForestNode(node.bag, node.parent + offset if node.parent >= 0 else -1, node.leaf)
-            )
-    if g.n == 0:
-        nodes.append(ForestNode(frozenset(), -1, True))
-    return EdForestResult(EliminationForest(nodes, cls), ok)
+    """Per component: separation decomposition, then the promise check
+    "quotient treedepth <= k+1" by `treedepth_at_most`.  The forest (exact
+    treedepth of each quotient, conversion) is built on first read."""
+    ok, parts = _decided_parts(g, k, cls, False, treedepth_at_most, exact_treedepth, TD_EXACT_GUARD)
+
+    def make_forest() -> EliminationForest:
+        nodes: list[ForestNode] = []
+        for sub, mapping, dec, q, known in parts:
+            forest = ed_forest_from_sepdecomp(sub, dec, (known or exact_treedepth(q)).forest).relabel(mapping)
+            offset = len(nodes)
+            for node in forest.nodes:
+                nodes.append(
+                    ForestNode(node.bag, node.parent + offset if node.parent >= 0 else -1, node.leaf)
+                )
+        if g.n == 0:
+            nodes.append(ForestNode(frozenset(), -1, True))
+        return EliminationForest(nodes, cls)
+
+    return EdForestResult(ok, make_forest)
 
 
 def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDecompResult:
-    """Per component: restricted separation decomposition, exact treewidth of
-    the quotient, conversion; components joined under a fresh empty root.
-    Promise check: quotient treewidth <= k+1."""
-    pieces: list[TreeHDecomposition] = []
-    ok = True
-    for comp in connected_components(g):
-        sub, mapping = g.induced(comp)
-        dec = build_separation_decomposition(sub, k, cls, restricted=True)
-        q, _ = quotient(sub, dec)
-        tw = exact_treewidth(q)
-        if tw.value > k + 1:
-            ok = False
-        pieces.append(tree_decomp_from_sepdecomp(sub, dec, tw.decomposition).relabel(mapping))
-    if not pieces:
-        dec0 = TreeHDecomposition([-1], [frozenset()], frozenset(), cls)
-        return TreeDecompResult(dec0, ok)
-    if len(pieces) == 1:
-        return TreeDecompResult(pieces[0], ok)
-    parents = [-1]
-    bags = [frozenset()]
-    L: set[int] = set()
-    for piece in pieces:
-        offset = len(parents)
-        root = piece.root()
-        for i, p in enumerate(piece.parents):
-            if i == root:
-                parents.append(0)
-            else:
-                parents.append(p + offset)
-            bags.append(piece.bags[i])
-        L |= piece.L
-    # parents must precede children: renumber by BFS order
-    return TreeDecompResult(_renumber(TreeHDecomposition(parents, bags, frozenset(L), cls)), ok)
+    """Per component: restricted separation decomposition, then the promise
+    check "quotient treewidth <= k+1" by `treewidth_at_most`.  The
+    decomposition (exact treewidth of each quotient, conversion, components
+    joined under a fresh empty root) is built on first read."""
+    ok, parts = _decided_parts(g, k, cls, True, treewidth_at_most, exact_treewidth, TW_EXACT_GUARD)
+
+    def make_decomposition() -> TreeHDecomposition:
+        pieces = [
+            tree_decomp_from_sepdecomp(sub, dec, (known or exact_treewidth(q)).decomposition).relabel(mapping)
+            for sub, mapping, dec, q, known in parts
+        ]
+        if not pieces:
+            return TreeHDecomposition([-1], [frozenset()], frozenset(), cls)
+        if len(pieces) == 1:
+            return pieces[0]
+        parents = [-1]
+        bags = [frozenset()]
+        L: set[int] = set()
+        for piece in pieces:
+            offset = len(parents)
+            root = piece.root()
+            for i, p in enumerate(piece.parents):
+                if i == root:
+                    parents.append(0)
+                else:
+                    parents.append(p + offset)
+                bags.append(piece.bags[i])
+            L |= piece.L
+        # parents must precede children: renumber by BFS order
+        return _renumber(TreeHDecomposition(parents, bags, frozenset(L), cls))
+
+    return TreeDecompResult(ok, make_decomposition)
 
 
 def _renumber(dec: TreeHDecomposition) -> TreeHDecomposition:

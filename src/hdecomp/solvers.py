@@ -325,12 +325,11 @@ def _nice_dp(
     base neighbours.  Tables and layouts over DP_TABLE_BUDGET bytes raise
     ValueError before any is allocated.
     """
-    errs = dec.validate(g)
+    errs, steps = dec._check(g)
     if errs:
         raise ValueError("invalid nice tree decomposition: " + "; ".join(errs))
     base = sides + 1
     ch = dec.children()
-    steps = dec.steps()
     lmask = mask_of(dec.L)
     vms = [mask_of(b) & ~lmask for b in dec.bags]  # the vertices with a digit, in position order
     ws = [vm.bit_count() for vm in vms]
@@ -400,9 +399,10 @@ def _nice_dp(
         kind, kids, w = steps[t][0], ch[t], ws[t]
         digits = cached(w, lambda: np.indices((base,) * w, dtype=np.int8).reshape(w, base**w)[::-1])  # row p: digit p
         deleted = cached(("deleted", w), lambda: (digits == sides).sum(axis=0))
-        bad = np.zeros(base**w, dtype=bool)
-        for p, q in pairs[t]:
-            bad |= cached((w, p, q), lambda: (digits[p] == digits[q]) & (digits[p] != sides))
+        if pairs[t]:
+            bad = np.zeros(base**w, dtype=bool)
+            for p, q in pairs[t]:
+                bad |= cached((w, p, q), lambda: (digits[p] == digits[q]) & (digits[p] != sides))
         if kind == "leaf":  # one finish per digit pattern of the positions with base neighbours
             basemasks[t] = basemask = mask_of(dec.bags[t]) & lmask
             nbr[t] = [(p, m) for p, v in enumerate(bits(vms[t])) if (m := g.adj_mask(v) & basemask)]

@@ -497,6 +497,63 @@ def test_auto_mode_builds_once(files, capsys, monkeypatch, via, problem):
     assert out == ("SOLUTION vc 3\n1\n3\n5\n" if problem == "vc" else f"SOLUTION {problem} 0\n")
 
 
+@pytest.mark.parametrize("via", ["elim", "dp"])
+def test_auto_mode_builds_structures_only_at_the_passing_k(files, capsys, monkeypatch, via):
+    """Builds that fail the promise stop at the verdict: no exact quotient
+    search and no conversion runs for them.  The answer is the one a
+    direct build at the passing k gives."""
+    import random
+
+    from hdecomp import cli, decomposition
+    from hdecomp.solvers import solution_block, solve_oct_dp, solve_oct_elim
+
+    from .conftest import random_graph
+
+    g = random_graph(random.Random(5), 12, 0.3)  # fails at k = 1 and 2 in both modes
+    tmp, put = files
+    path = put("g.gr", write_gr(g))
+    name = "build_ed_forest" if via == "elim" else "build_tree_h_decomposition"
+    ks, reached = [], []
+    build = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda g, k, cls: ks.append(k) or build(g, k, cls))
+    for fn in ("exact_treedepth", "exact_treewidth", "ed_forest_from_sepdecomp", "tree_decomp_from_sepdecomp"):
+        inner = getattr(decomposition, fn)
+        monkeypatch.setattr(decomposition, fn, lambda *a, inner=inner, fn=fn: reached.append((fn, ks[-1])) or inner(*a))
+    code, out, _ = run(capsys, "solve", "--problem", "oct", "--via", via, path)
+    assert code == 0 and ks == [1, 2, 3]
+    assert reached and {k for _, k in reached} == {3}
+    if via == "elim":
+        x = solve_oct_elim(g, build_ed_forest(g, 3, BIP).forest)
+    else:
+        x = solve_oct_dp(g, make_nice(build_tree_h_decomposition(g, 3, BIP).decomposition))[1]
+    assert out == solution_block("oct", x)
+
+
+def test_cached_parser_answers_as_a_fresh_one(files, capsys, monkeypatch):
+    """main reuses one parser across calls; a failed parse, an option left
+    out after a call that gave it, and a refusal after parsing read the
+    same as with a parser built for the call."""
+    from hdecomp import cli
+
+    tmp, put = files
+    k4 = put("k4.gr", write_gr(Graph.complete(4)))
+    calls = [
+        ("solve", "--problem", "nope", k4),
+        ("solve", "--problem", "klfree", "--l", "4", k4),
+        ("solve", "--problem", "klfree", k4),
+        ("decompose", "--class", "bip", "--mode", "ed", "--k", "1", "--batch", str(tmp), k4),
+    ]
+    cli._parser.cache_clear()
+    cached = [run(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info()[:2] == (len(calls) - 1, 1)  # hits, misses
+    monkeypatch.setattr(cli, "_parser", cli._build_parser)
+    assert cached == [run(capsys, *argv) for argv in calls]
+    assert cached[0][0] == 1 and "invalid choice" in cached[0][2]
+    assert cached[1][0] == 0 and cached[1][1].startswith("SOLUTION klfree 1\n")
+    assert cached[2][0] == 0 and cached[2][1].startswith("SOLUTION klfree 2\n")  # l = 3, the default
+    assert cached[3] == (1, "", "error: a graph file cannot be combined with --batch\n")
+
+
 def test_dot_export(files, capsys):
     tmp, put = files
     k3 = put("k3.gr", write_gr(Graph.complete(3)))

@@ -35,8 +35,10 @@ from hdecomp.decomposition import (
     quotient,
     to_json,
     tree_decomp_from_sepdecomp,
+    treedepth_at_most,
+    treewidth_at_most,
 )
-from hdecomp.decomposition import _min_fill_order, _td_from_elimination_order
+from hdecomp.decomposition import _min_fill_order, _td_from_elimination_order, _tw_search
 from hdecomp.oracles import brute_ed
 from hdecomp.tree import children, preorder, renumber
 
@@ -169,6 +171,52 @@ def test_exact_dps_match_the_unpruned_references():
         assert (td.value, td.exact, to_json(td.forest)) == (value, True, to_json(forest))
         value, dec = treewidth_reference(g)
         assert (tw.value, tw.exact, to_json(tw.decomposition)) == (value, True, to_json(dec))
+
+
+def test_promise_decisions_match_the_exact_values():
+    """treedepth_at_most(g, d) == (td <= d) and treewidth_at_most(g, d) ==
+    (tw <= d) for every d from 0 to n + 1.  The capped treewidth search is
+    checked on its own at the caps tw - 1 and tw, since min-fill answers
+    most "yes" verdicts before it runs."""
+    rng = random.Random(31)
+    for i in range(320):
+        n = rng.randint(13, 16) if i % 16 == 0 else rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3] if n > 12 else [0.1, 0.2, 0.3, 0.5, 0.8]))
+        td, tw = exact_treedepth(g), exact_treewidth(g)
+        assert td.exact and tw.exact
+        for d in range(n + 2):
+            assert treedepth_at_most(g, d) == (td.value <= d), (g.edges, d)
+            assert treewidth_at_most(g, d) == (tw.value <= d), (g.edges, d)
+            if tw.value - 1 <= d <= tw.value and d < n:  # the decision passes caps below n
+                assert (_tw_search(g, d)(g.full_mask()) <= d) == (tw.value <= d), (g.edges, d)
+
+
+def test_builders_give_the_heuristic_verdict_past_the_guards():
+    """Past TD_EXACT_GUARD / TW_EXACT_GUARD quotient vertices the promise
+    verdict is still the heuristic value that exact_treedepth /
+    exact_treewidth return there, as before the builders decided it."""
+    from .test_golden import pendant_triangles
+
+    rng = random.Random(11)
+    cases = [(pendant_triangles(p), k) for p in (20, 22) for k in (1, 2)]
+    cases += [(random_graph(rng, rng.randint(20, 26), 0.2), 1) for _ in range(8)]
+    modes = (
+        (False, build_ed_forest, exact_treedepth, TD_EXACT_GUARD),
+        (True, build_tree_h_decomposition, exact_treewidth, TW_EXACT_GUARD),
+    )
+    verdicts = set()
+    for g, k in cases:
+        for restricted, build, exact, guard in modes:
+            res = build(g, k, BIP)
+            quotients = []
+            for comp in connected_components(g):
+                sub, _ = g.induced(comp)
+                quotients.append(quotient(sub, build_separation_decomposition(sub, k, BIP, restricted=restricted))[0])
+            if all(q.n > guard for q in quotients):
+                old = all(exact(q).value <= k + 1 for q in quotients)
+                assert res.promise_ok == old
+                verdicts.add((restricted, old))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _grid(rows, cols):
