@@ -88,22 +88,17 @@ def _parse_vertices(arg: str, n: int) -> frozenset[int]:
 
 
 def _dot(obj) -> str:
-    lines = ["digraph decomposition {"]
     if isinstance(obj, EliminationForest):
-        for i, node in enumerate(obj.nodes):
-            label = ",".join(str(v + 1) for v in sorted(node.bag)) or "()"
-            shape = "box" if node.leaf else "ellipse"
-            lines.append(f'  n{i} [label="{label}" shape={shape}];')
-            if node.parent >= 0:
-                lines.append(f"  n{node.parent} -> n{i};")
+        nodes = [(node.bag, node.parent, node.leaf) for node in obj.nodes]
     else:
-        for i in range(len(obj.parents)):
-            bag = obj.bags[i]
-            label = ",".join(str(v + 1) for v in sorted(bag)) or "()"
-            shape = "box" if bag & obj.L else "ellipse"
-            lines.append(f'  n{i} [label="{label}" shape={shape}];')
-            if obj.parents[i] >= 0:
-                lines.append(f"  n{obj.parents[i]} -> n{i};")
+        nodes = [(bag, p, bool(bag & obj.L)) for p, bag in zip(obj.parents, obj.bags)]
+    lines = ["digraph decomposition {"]
+    for i, (bag, parent, boxed) in enumerate(nodes):
+        label = ",".join(str(v + 1) for v in sorted(bag)) or "()"
+        shape = "box" if boxed else "ellipse"
+        lines.append(f'  n{i} [label="{label}" shape={shape}];')
+        if parent >= 0:
+            lines.append(f"  n{parent} -> n{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -113,19 +108,15 @@ def _decompose_one(path: str, cls: GraphClassSpec, mode: str, k: int):
     g = _load_graph(path)
     if mode == "ed":
         res = build_ed_forest(g, k, cls)
-        errs = res.forest.validate(g)
-        if errs:
-            raise CliError("internal: built forest invalid: " + "; ".join(errs))
-        return f"DEPTH {res.forest.depth}", res.forest, 0 if res.promise_ok else 2
-    res = build_tree_h_decomposition(g, k, cls)
-    errs = res.decomposition.validate(g)
+        dec, what = res.forest, "forest"
+    else:
+        res = build_tree_h_decomposition(g, k, cls)
+        dec, what = res.decomposition, "decomposition"
+    errs = dec.validate(g)
     if errs:
-        raise CliError("internal: built decomposition invalid: " + "; ".join(errs))
-    return (
-        f"WIDTH {res.decomposition.width}",
-        res.decomposition,
-        0 if res.promise_ok else 2,
-    )
+        raise CliError(f"internal: built {what} invalid: " + "; ".join(errs))
+    message = f"DEPTH {dec.depth}" if mode == "ed" else f"WIDTH {dec.width}"
+    return message, dec, 0 if res.promise_ok else 2
 
 
 def cmd_decompose(args) -> int:

@@ -1,11 +1,12 @@
 """Decomposition structures and pipelines.
 
 Builds separation decompositions by repeated extremal separation finding,
-decides the promise "quotient treedepth/treewidth <= k+1", computes exact
-treedepth/treewidth of (small) quotient graphs, and converts
-the results into validated elimination forests and tree decompositions with
-base components, including the nice normal form used by the dynamic
-programming solvers.
+computes exact treedepth/treewidth of (small) quotient graphs, where a cap
+of k+1 turns the one search into the promise check "quotient
+treedepth/treewidth <= k+1" that keeps its structure when it passes, and
+converts the results into validated elimination forests and tree
+decompositions with base components, including the nice normal form used
+by the dynamic programming solvers.
 
 Conventions:
   * elimination forests follow the edge-depth convention; standard forests
@@ -514,14 +515,14 @@ def _from_doc(doc):
 @dataclass
 class TreedepthResult:
     value: int
-    forest: EliminationForest
+    forest: Optional[EliminationForest]
     exact: bool
 
 
 @dataclass
 class TreewidthResult:
     value: int
-    decomposition: TreeHDecomposition
+    decomposition: Optional[TreeHDecomposition]
     exact: bool
 
 
@@ -529,47 +530,25 @@ TD_EXACT_GUARD = 20
 TW_EXACT_GUARD = 18
 
 
-def exact_treedepth(g: Graph) -> TreedepthResult:
+def exact_treedepth(g: Graph, cap: Optional[int] = None) -> TreedepthResult:
     """Treedepth in the vertex-count convention plus a realizing standard
     elimination forest (empty auxiliary leaves appended).
 
     Exact (memoized branching over roots of connected subgraphs) up to
     TD_EXACT_GUARD vertices; beyond that a single-vertex-separator heuristic
-    upper bound is returned with exact=False.
+    upper bound is returned with exact=False, and the cap is ignored.
+    Within the guard, a treedepth above the cap is returned as cap + 1 with
+    no forest, and one within it with the forest of the uncapped call: the
+    recovery compares every value it reads with one below the cap, so the
+    capped values pick the same roots.
     """
     exact = g.n <= TD_EXACT_GUARD
-    memo: dict[int, int] = {}
-
-    def td_conn(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        if mask & (mask - 1) == 0:
-            memo[mask] = 1
-            return 1
-        # td(C - v) <= td(C) <= 1 + td(C - v) for every v in a connected C:
-        # once the best upper bound meets the largest lower bound, the
-        # remaining roots cannot change the value
-        best, lb = g.n + 1, 0
-        for v in bits(mask):
-            sub = td_parts(mask & ~(1 << v))
-            best = min(best, 1 + sub)
-            lb = max(lb, sub)
-            if best == lb:
-                break
-        memo[mask] = best
-        return best
-
-    def td_parts(mask: int) -> int:
-        # the hot loop of the 2^q DP: inlined, since calling components()
-        # here cost 10-15% on a 16-vertex quotient
-        value = 0
-        pool = mask
-        while pool:
-            comp = reach_mask(g, pool & -pool, pool)
-            value = max(value, td_conn(comp))
-            pool &= ~comp
-        return value
+    full = g.full_mask()
+    if exact:
+        td_parts = _td_search(g, g.n if cap is None else cap)
+        value = td_parts(full)
+        if cap is not None and value > cap:
+            return TreedepthResult(cap + 1, None, True)
 
     def heuristic_root(mask: int) -> int:
         best_v, best_sz = -1, g.n + 1
@@ -580,7 +559,6 @@ def exact_treedepth(g: Graph) -> TreedepthResult:
         return best_v
 
     nodes: list[ForestNode] = []
-    full = g.full_mask()
     if g.n == 0:
         nodes.append(ForestNode(frozenset(), -1, True))
     # depth-first: (component, parent node), the first component on top
@@ -593,7 +571,7 @@ def exact_treedepth(g: Graph) -> TreedepthResult:
             nodes.append(ForestNode(frozenset(), i, True))
             continue
         if exact:
-            target = td_conn(comp)
+            target = td_parts(comp)
             root = -1
             for v in bits(comp):
                 if 1 + td_parts(comp & ~(1 << v)) == target:
@@ -604,47 +582,57 @@ def exact_treedepth(g: Graph) -> TreedepthResult:
         nodes.append(ForestNode(frozenset({root}), parent, False))
         stack += [(c, i) for c in reversed(components(g, comp & ~(1 << root)))]
     forest = EliminationForest(nodes, None)
-    value = td_parts(full) if exact else forest.depth
-    assert forest.depth == value
-    return TreedepthResult(value, forest, exact)
+    assert not exact or forest.depth == value
+    return TreedepthResult(forest.depth, forest, exact)
 
 
-def treedepth_at_most(g: Graph, d: int) -> bool:
-    """Whether the treedepth of g is at most d, exactly.  The builders ask
-    it up to TD_EXACT_GUARD vertices, as `exact_treedepth` is exact there.
-
-    A memoized search over connected sets keyed on (C, d):
-    td(C) <= d iff |C| <= d, or some v in C leaves components of C - v that
-    each have treedepth at most d - 1.  It stops at the first such v, so it
-    answers "yes" without the optimum.  It answers "no" at once when every
-    vertex of C has at least d neighbours in C, since td(C) > tw(C) >= the
-    least degree.
-    """
+def _td_search(g: Graph, ub: int):
+    """`exact_treedepth`'s search capped at ub: the function s -> td(G[s])
+    when that is at most ub, and ub + 1 otherwise."""
     adj = g._adj_masks
-    memo: dict[tuple[int, int], bool] = {}
+    # every td(C) above ub is stored once as `above`
+    above = ub + 1
+    # a connected C holding a vertex of degree < ub in g cannot be cut by
+    # its least degree
+    low = sum(1 << v for v in range(g.n) if adj[v].bit_count() < ub)
+    memo: dict[int, int] = {}
 
-    def conn(mask: int, d: int) -> bool:
-        if mask.bit_count() <= d:
-            return True
-        key = (mask, d)
-        fits = memo.get(key)
-        if fits is None:
-            fits = any((adj[v] & mask).bit_count() < d for v in bits(mask)) and any(
-                parts(mask & ~(1 << v), d - 1) for v in bits(mask)
-            )
-            memo[key] = fits
-        return fits
+    def td_conn(mask: int) -> int:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        if mask & (mask - 1) == 0:
+            memo[mask] = 1
+            return 1
+        # td(C) > tw(C) >= the least degree in C
+        if not mask & low and all((adj[v] & mask).bit_count() >= ub for v in bits(mask)):
+            memo[mask] = above
+            return above
+        # td(C - v) <= td(C) <= 1 + td(C - v) for every v in a connected C:
+        # once the best upper bound meets the largest lower bound, the
+        # remaining roots cannot change the value
+        best, lb = above, 0
+        for v in bits(mask):
+            sub = td_parts(mask & ~(1 << v))
+            best = min(best, 1 + sub)
+            lb = max(lb, sub)
+            if best == lb:
+                break
+        memo[mask] = best
+        return best
 
-    def parts(mask: int, d: int) -> bool:
+    def td_parts(mask: int) -> int:
+        # the hot loop: inlined, since calling components() here cost
+        # 10-15% on a 16-vertex quotient
+        value = 0
         pool = mask
-        while pool:
+        while pool and value < above:
             comp = reach_mask(g, pool & -pool, pool)
-            if not conn(comp, d):
-                return False
+            value = max(value, td_conn(comp))
             pool &= ~comp
-        return True
+        return value
 
-    return parts(g.full_mask(), d)
+    return td_parts
 
 
 def _td_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeHDecomposition:
@@ -672,10 +660,13 @@ def _td_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeHDecomposi
     return TreeHDecomposition(renumber(parents, order), bags[::-1], frozenset(), None)
 
 
-def exact_treewidth(g: Graph) -> TreewidthResult:
+def exact_treewidth(g: Graph, cap: Optional[int] = None) -> TreewidthResult:
     """Exact treewidth by a memoized search over connected vertex sets,
     capped at the min-fill width (guarded to TW_EXACT_GUARD vertices;
-    min-fill heuristic beyond).
+    min-fill heuristic beyond, where the cap is ignored).  Within the
+    guard, a treewidth above the cap is returned as cap + 1 with no
+    decomposition, and one within it with the decomposition of the
+    uncapped call (the recovery below reads only values within it).
 
     f(s) is the least, over the orders that eliminate the set s first, of
     the largest degree a vertex of s has when it is eliminated, and the
@@ -703,11 +694,14 @@ def exact_treewidth(g: Graph) -> TreewidthResult:
         return TreewidthResult(dec.width, dec, False)
     full = g.full_mask()
     # the recovery path never leaves the sets with f <= f(V) <= the
-    # min-fill width, so the search is capped there
+    # min-fill width, so the search is capped there, or at a lower cap
     ub = _td_from_elimination_order(g, _min_fill_order(g)).width
+    if cap is not None:
+        ub = min(ub, cap)
     tw_parts = _tw_search(g, ub)
     value = tw_parts(full)
-    assert value <= ub
+    if value > ub:
+        return TreewidthResult(cap + 1, None, True)
     # recover an optimal elimination order (first eliminated first)
     order = []
     s = full
@@ -803,16 +797,6 @@ def _tw_search(g: Graph, ub: int):
         return value
 
     return tw_parts
-
-
-def treewidth_at_most(g: Graph, d: int) -> bool:
-    """Whether the treewidth of g is at most d, exactly: "yes" when the
-    min-fill width is, else `exact_treewidth`'s search capped at d decides.
-    That search tables all 2^n vertex sets, so the builders ask it up to
-    TW_EXACT_GUARD vertices only."""
-    if g.n == 0 or _td_from_elimination_order(g, _min_fill_order(g)).width <= d:
-        return True
-    return _tw_search(g, d)(g.full_mask()) <= d
 
 
 def _min_fill_order(g: Graph) -> list[int]:
@@ -1091,8 +1075,9 @@ def tree_decomp_from_sepdecomp(
 @dataclass
 class EdForestResult:
     """The promise verdict, decided by the build, and the forest, built from
-    `make_forest` when it is first read: its exact quotient treedepth costs
-    more than the verdict, and auto mode reads it only for the passing k."""
+    `make_forest` when it is first read: its conversion (and, for a failing
+    build, the uncapped quotient search) costs more than the verdict, and
+    auto mode reads it only for the passing k."""
 
     promise_ok: bool
     make_forest: Callable[[], EliminationForest]
@@ -1114,35 +1099,37 @@ class TreeDecompResult:
         return self.make_decomposition()
 
 
-def _decided_parts(g: Graph, k: int, cls: GraphClassSpec, restricted: bool, fits, exact, guard: int):
+def _decided_parts(g: Graph, k: int, cls: GraphClassSpec, restricted: bool, exact):
     """Whether every component of g passes the promise, and per component
     (induced subgraph, mapping, separation decomposition, quotient q, the
-    result of exact(q) or None).  Up to `guard` quotient vertices a verdict
-    is the exact fits(q, k + 1); past it, it is the heuristic value of
-    exact(q), whose result the build then reuses.  No verdict is sought
-    once one fails."""
+    result of exact(q, k + 1) or None).  Up to the exact guards that
+    capped search decides the verdict exactly and holds the structure when
+    it passes; past them it is the heuristic value with its structure.  No
+    verdict is sought once one fails."""
     parts = []
     ok = True
     for comp in connected_components(g):
         sub, mapping = g.induced(comp)
         dec = build_separation_decomposition(sub, k, cls, restricted=restricted)
         q, _ = quotient(sub, dec)
-        known = exact(q) if ok and q.n > guard else None
-        ok = ok and (known.value <= k + 1 if known else fits(q, k + 1))
-        parts.append((sub, mapping, dec, q, known))
+        res = exact(q, k + 1) if ok else None
+        ok = ok and res.value <= k + 1
+        parts.append((sub, mapping, dec, q, res))
     return ok, parts
 
 
 def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
     """Per component: separation decomposition, then the promise check
-    "quotient treedepth <= k+1" by `treedepth_at_most`.  The forest (exact
-    treedepth of each quotient, conversion) is built on first read."""
-    ok, parts = _decided_parts(g, k, cls, False, treedepth_at_most, exact_treedepth, TD_EXACT_GUARD)
+    "quotient treedepth <= k+1" by `exact_treedepth` capped at k + 1.  The
+    forest (conversion, and the uncapped search where the capped one left
+    no forest) is built on first read."""
+    ok, parts = _decided_parts(g, k, cls, False, exact_treedepth)
 
     def make_forest() -> EliminationForest:
         nodes: list[ForestNode] = []
-        for sub, mapping, dec, q, known in parts:
-            forest = ed_forest_from_sepdecomp(sub, dec, (known or exact_treedepth(q)).forest).relabel(mapping)
+        for sub, mapping, dec, q, res in parts:
+            quotient_forest = (res and res.forest) or exact_treedepth(q).forest
+            forest = ed_forest_from_sepdecomp(sub, dec, quotient_forest).relabel(mapping)
             offset = len(nodes)
             for node in forest.nodes:
                 nodes.append(
@@ -1157,15 +1144,18 @@ def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
 
 def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDecompResult:
     """Per component: restricted separation decomposition, then the promise
-    check "quotient treewidth <= k+1" by `treewidth_at_most`.  The
-    decomposition (exact treewidth of each quotient, conversion, components
-    joined under a fresh empty root) is built on first read."""
-    ok, parts = _decided_parts(g, k, cls, True, treewidth_at_most, exact_treewidth, TW_EXACT_GUARD)
+    check "quotient treewidth <= k+1" by `exact_treewidth` capped at k + 1.
+    The decomposition (conversion, the uncapped search where the capped one
+    left no decomposition, components joined under a fresh empty root) is
+    built on first read."""
+    ok, parts = _decided_parts(g, k, cls, True, exact_treewidth)
 
     def make_decomposition() -> TreeHDecomposition:
         pieces = [
-            tree_decomp_from_sepdecomp(sub, dec, (known or exact_treewidth(q)).decomposition).relabel(mapping)
-            for sub, mapping, dec, q, known in parts
+            tree_decomp_from_sepdecomp(
+                sub, dec, (res and res.decomposition) or exact_treewidth(q).decomposition
+            ).relabel(mapping)
+            for sub, mapping, dec, q, res in parts
         ]
         if not pieces:
             return TreeHDecomposition([-1], [frozenset()], frozenset(), cls)

@@ -299,8 +299,9 @@ def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozense
 # ---------------------------------------------------------------------------
 
 
-#: bytes that `_nice_dp`'s tables and cell layouts may take; a decomposition
-#: that needs more is refused before the first allocation
+#: bytes that `_nice_dp`'s tables, cell layouts and the largest node's
+#: working arrays may take; a decomposition that needs more is refused
+#: before the first allocation
 DP_TABLE_BUDGET = 256 << 20
 
 
@@ -322,8 +323,8 @@ def _nice_dp(
     The cell layouts (digits, deletion counts, introduce and forget index
     maps, bad-edge cells) are built once per width and position, and a leaf
     finishes one cell per distinct digit pattern of its bag vertices with
-    base neighbours.  Tables and layouts over DP_TABLE_BUDGET bytes raise
-    ValueError before any is allocated.
+    base neighbours.  Tables, layouts and the largest node's working arrays
+    over DP_TABLE_BUDGET bytes raise ValueError before any is allocated.
     """
     errs, steps = dec._check(g)
     if errs:
@@ -357,6 +358,11 @@ def _nice_dp(
     need = sum(base**w * (8 + len(q) + 16 * (kind == "leaf")) for (kind, _), w, q in zip(steps, ws, pairs))
     need += sum(base**w * (w + 8) for w in set(ws))  # digits, deletion counts
     need += sum(8 * base ** (w + (kind == "forget")) for kind, w, _ in maps)  # index maps
+    # the working arrays of the largest node: a leaf's np.unique passes and
+    # gathers, a forget's gather of base rows, and elsewhere the sum, the
+    # np.minimum result and the np.where result
+    per_cell = {"leaf": 64, "forget": 8 * base + 16}
+    need += max(base**w * per_cell.get(kind, 24) for (kind, _), w in zip(steps, ws))
     if need > DP_TABLE_BUDGET:
         raise ValueError(f"DP tables need {-(-need >> 20)} MiB, over the {DP_TABLE_BUDGET >> 20} MiB budget")
 

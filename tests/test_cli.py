@@ -499,9 +499,10 @@ def test_auto_mode_builds_once(files, capsys, monkeypatch, via, problem):
 
 @pytest.mark.parametrize("via", ["elim", "dp"])
 def test_auto_mode_builds_structures_only_at_the_passing_k(files, capsys, monkeypatch, via):
-    """Builds that fail the promise stop at the verdict: no exact quotient
-    search and no conversion runs for them.  The answer is the one a
-    direct build at the passing k gives."""
+    """Builds that fail the promise stop at the verdict: their quotient
+    searches are capped at k + 1 and return no structure, and no
+    conversion runs for them.  The answer is the one a direct build at the
+    passing k gives."""
     import random
 
     from hdecomp import cli, decomposition
@@ -513,15 +514,27 @@ def test_auto_mode_builds_structures_only_at_the_passing_k(files, capsys, monkey
     tmp, put = files
     path = put("g.gr", write_gr(g))
     name = "build_ed_forest" if via == "elim" else "build_tree_h_decomposition"
-    ks, reached = [], []
+    ks, reached, searched = [], [], []
     build = getattr(cli, name)
     monkeypatch.setattr(cli, name, lambda g, k, cls: ks.append(k) or build(g, k, cls))
-    for fn in ("exact_treedepth", "exact_treewidth", "ed_forest_from_sepdecomp", "tree_decomp_from_sepdecomp"):
+    for fn in ("ed_forest_from_sepdecomp", "tree_decomp_from_sepdecomp"):
         inner = getattr(decomposition, fn)
         monkeypatch.setattr(decomposition, fn, lambda *a, inner=inner, fn=fn: reached.append((fn, ks[-1])) or inner(*a))
+    for fn, field in (("exact_treedepth", "forest"), ("exact_treewidth", "decomposition")):
+        inner = getattr(decomposition, fn)
+
+        def search(q, *cap, inner=inner, field=field):
+            res = inner(q, *cap)
+            searched.append((ks[-1], cap, getattr(res, field)))
+            return res
+
+        monkeypatch.setattr(decomposition, fn, search)
     code, out, _ = run(capsys, "solve", "--problem", "oct", "--via", via, path)
     assert code == 0 and ks == [1, 2, 3]
     assert reached and {k for _, k in reached} == {3}
+    failing = [(k, cap, structure) for k, cap, structure in searched if k < 3]
+    assert {k for k, _, _ in failing} == {1, 2}
+    assert all(cap == (k + 1,) and structure is None for k, cap, structure in failing)
     if via == "elim":
         x = solve_oct_elim(g, build_ed_forest(g, 3, BIP).forest)
     else:

@@ -35,10 +35,8 @@ from hdecomp.decomposition import (
     quotient,
     to_json,
     tree_decomp_from_sepdecomp,
-    treedepth_at_most,
-    treewidth_at_most,
 )
-from hdecomp.decomposition import _min_fill_order, _td_from_elimination_order, _tw_search
+from hdecomp.decomposition import _min_fill_order, _td_from_elimination_order
 from hdecomp.oracles import brute_ed
 from hdecomp.tree import children, preorder, renumber
 
@@ -174,10 +172,11 @@ def test_exact_dps_match_the_unpruned_references():
 
 
 def test_promise_decisions_match_the_exact_values():
-    """treedepth_at_most(g, d) == (td <= d) and treewidth_at_most(g, d) ==
-    (tw <= d) for every d from 0 to n + 1.  The capped treewidth search is
-    checked on its own at the caps tw - 1 and tw, since min-fill answers
-    most "yes" verdicts before it runs."""
+    """exact_treedepth(g, d) and exact_treewidth(g, d) for every d from 0 to
+    n + 1: the verdict value <= d is the uncapped one; above the cap the
+    value is d + 1 with no structure, and within it the result is the
+    uncapped call's, structure byte for byte.  Caps below the min-fill width
+    run the treewidth search capped at d itself."""
     rng = random.Random(31)
     for i in range(320):
         n = rng.randint(13, 16) if i % 16 == 0 else rng.randint(1, 12)
@@ -185,10 +184,38 @@ def test_promise_decisions_match_the_exact_values():
         td, tw = exact_treedepth(g), exact_treewidth(g)
         assert td.exact and tw.exact
         for d in range(n + 2):
-            assert treedepth_at_most(g, d) == (td.value <= d), (g.edges, d)
-            assert treewidth_at_most(g, d) == (tw.value <= d), (g.edges, d)
-            if tw.value - 1 <= d <= tw.value and d < n:  # the decision passes caps below n
-                assert (_tw_search(g, d)(g.full_mask()) <= d) == (tw.value <= d), (g.edges, d)
+            for full, capped, field in (
+                (td, exact_treedepth(g, d), "forest"),
+                (tw, exact_treewidth(g, d), "decomposition"),
+            ):
+                assert capped.exact and (capped.value <= d) == (full.value <= d), (g.edges, d, field)
+                if full.value > d:
+                    assert capped.value == d + 1 and getattr(capped, field) is None, (g.edges, d, field)
+                else:
+                    assert capped.value == full.value, (g.edges, d, field)
+                    assert to_json(getattr(capped, field)) == to_json(getattr(full, field)), (g.edges, d, field)
+
+
+def test_passing_tw_build_runs_min_fill_once_per_quotient(monkeypatch):
+    """A tree H-decomposition build whose quotients lie within the exact
+    guard runs min-fill once per quotient: the capped search that gives
+    the verdict also gives the decomposition."""
+    from hdecomp import decomposition
+
+    from .test_golden import cycle_tree
+
+    calls = []
+    inner = decomposition._min_fill_order
+    monkeypatch.setattr(decomposition, "_min_fill_order", lambda g: calls.append(g.n) or inner(g))
+    rng = random.Random(23)
+    for _ in range(12):
+        one = cycle_tree(rng, [rng.choice((3, 5)) for _ in range(rng.randint(2, 5))], rng.random() < 0.3)
+        g = Graph(2 * one.n, [*one.edges, *((a + one.n, b + one.n) for a, b in one.edges)])
+        calls.clear()
+        res = build_tree_h_decomposition(g, 1, BIP)
+        assert res.promise_ok and len(calls) == 2 and 0 < min(calls) and max(calls) <= TW_EXACT_GUARD
+        assert not res.decomposition.validate(g)
+        assert len(calls) == 2  # reading the decomposition ran no second min-fill
 
 
 def test_builders_give_the_heuristic_verdict_past_the_guards():

@@ -757,6 +757,33 @@ def test_dp_engine_matches_the_per_node_reference():
     assert widths == set(range(8))
 
 
+def test_dp_budget_covers_the_traced_peak(monkeypatch):
+    """The budget counts the largest node's working arrays as well as the
+    tables and layouts: with DP_TABLE_BUDGET one byte below the tracemalloc
+    peak of a width-8 OCT DP, the same DP is refused before it allocates."""
+    import tracemalloc
+
+    rng = random.Random(5)
+    cases = []
+    while len(cases) < 3:
+        n = rng.randint(8, 14)
+        g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        dec = _td_from_elimination_order(g, rng.sample(range(n), n))
+        if dec.width == 8:
+            cases.append((g, make_nice(dec)))
+    for g, nice in cases:
+        tracemalloc.start()
+        try:
+            _nice_dp(g, nice, 2, _oct_finish)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(solvers, "DP_TABLE_BUDGET", peak - 1)
+        with pytest.raises(ValueError, match="over the .* MiB budget"):
+            _nice_dp(g, nice, 2, _oct_finish)
+        monkeypatch.undo()
+
+
 def test_solution_block_format():
     assert solution_block("oct", frozenset({0, 4})) == "SOLUTION oct 2\n1\n5\n"
     assert solution_block("vc", frozenset()) == "SOLUTION vc 0\n"
