@@ -16,11 +16,8 @@ from .graphs import (
 )
 from .separators import (
     ImportantSeparatorQuery,
-    InfeasibleSeparation,
     SearchStats,
     enumerate_important_separators,
-    min_vertex_separator,
-    reachable,
 )
 from .separation import (
     Separation,
@@ -60,7 +57,6 @@ from .solvers import (
     solve_oct_elim,
     solve_vc_dp,
     solve_vc_elim,
-    vc_bipartite,
 )
 from .oracles import (
     brute_abc,

@@ -486,10 +486,17 @@ def _from_doc(doc):
     if [d["id"] for d in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be dense 0-based")
     parents = _ints(d["parent"] for d in nodes)
-    bags = [frozenset(_ints(d["bag"])) for d in nodes]
+    bags = [_ints(d["bag"]) for d in nodes]
+    leaves = [d["leaf"] for d in nodes]
+    if min(parents, default=-1) < -1:
+        raise ValueError("a parent must be -1 (a root) or a node id")
+    if any(len(set(b)) < len(b) for b in bags):
+        raise ValueError("a bag lists a vertex twice")
+    if any(type(f) is not bool for f in leaves):
+        raise ValueError("leaf flags must be true or false")
     if kind == "elimination-forest":
         forest = EliminationForest(
-            [ForestNode(b, p, d["leaf"]) for b, p, d in zip(bags, parents, nodes)], cls
+            [ForestNode(frozenset(b), p, f) for b, p, f in zip(bags, parents, leaves)], cls
         )
         if forest.depth != doc["depth"]:
             raise ValueError("stored depth disagrees with the structure")
@@ -499,10 +506,8 @@ def _from_doc(doc):
         dec = klass(parents, bags, frozenset(_ints(doc["L"])), cls)
         if dec.width != doc["width"]:
             raise ValueError("stored width disagrees with the structure")
-        ch = dec.children()
-        for d in nodes:
-            if d["leaf"] == bool(ch[d["id"]]):
-                raise ValueError("leaf flags disagree with the structure")
+        if leaves != [not c for c in dec.children()]:
+            raise ValueError("leaf flags disagree with the structure")
         return dec
     raise ValueError(f"unknown kind {kind!r}")
 

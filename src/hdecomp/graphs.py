@@ -234,13 +234,6 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
     return [set_of(comp) for comp in components(g, g.full_mask())]
 
 
-def is_connected_set(g: Graph, vertices: Iterable[int]) -> bool:
-    m = mask_of(vertices)
-    if m == 0:
-        return False
-    return reach_mask(g, m & -m, m) == m
-
-
 def coloring_mask(g: Graph, pool: int) -> Optional[int]:
     """Color class 1 of the proper 2-coloring of G[pool] that gives the
     smallest vertex of each component color 1, or None when G[pool] is not

@@ -20,10 +20,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .graphs import Graph, bits, mask_of, reach_mask, set_of
 
 
-class InfeasibleSeparation(Exception):
-    """Raised when an edge joins X and Y directly, so no separator exists."""
-
-
 @dataclass(frozen=True)
 class ImportantSeparatorQuery:
     X: frozenset[int]
@@ -51,10 +47,6 @@ class SearchStats:
 # states: 2*v = v_in, 2*v + 1 = v_out
 
 
-def _has_xy_edge(adj: Sequence[int], xmask: int, ymask: int) -> bool:
-    return any(adj[v] & ymask for v in bits(xmask))
-
-
 def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: int):
     """Min vertex (X,Y)-cut within the graph of adjacency masks `adj`
     restricted to `alive`, terminals non-deletable.
@@ -64,7 +56,7 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
     """
     xmask &= alive
     ymask &= alive
-    if cap < 0 or _has_xy_edge(adj, xmask, ymask):
+    if cap < 0 or any(adj[v] & ymask for v in bits(xmask)):
         return None
     free = alive & ~xmask & ~ymask
     used = 0  # vertices carrying one unit of flow
@@ -160,45 +152,27 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
     return flow_value, free & out_r & ~in_r
 
 
-def reachable(g: Graph, X: Iterable[int], S: Iterable[int]) -> frozenset[int]:
-    """Vertices reachable from X \\ S in G - S (includes X \\ S)."""
-    smask = mask_of(S)
-    return set_of(reach_mask(g, mask_of(X) & ~smask, g.full_mask() & ~smask))
-
-
-def min_vertex_separator(
-    g: Graph, X: Iterable[int], Y: Iterable[int], cap: int
-) -> Optional[frozenset[int]]:
-    """Minimum-size (X,Y)-separator of size <= cap, farthest from X.
-
-    None when the minimum exceeds cap; raises InfeasibleSeparation when an
-    edge joins X and Y directly (no separator exists at all).
-    """
-    xmask, ymask = mask_of(X), mask_of(Y)
-    if xmask & ymask:
-        raise ValueError("X and Y must be disjoint")
-    if _has_xy_edge(g._adj_masks, xmask, ymask):
-        raise InfeasibleSeparation("an edge joins X and Y")
-    res = _vertex_flow(g._adj_masks, g.full_mask(), xmask, ymask, cap)
-    return None if res is None else set_of(res[1])
-
-
 # -- important separators ----------------------------------------------------
 
 
 def _is_important(g: Graph, alive: int, xmask: int, ymask: int, sep: int) -> bool:
-    """Exact importance test per the definition (minimal + non-dominated)."""
+    """Whether `sep`, vertices of `alive` outside X and Y, is an important
+    (X,Y)-separator in G[alive]: exactly when S is the farthest minimum
+    (R, Y)-cut, R = R_S(X).
+    (=>) An important S is minimal, so S = N(R) within alive.  An (R, Y)-cut
+    T avoids R, so it separates X from Y, and it reaches past R unless it
+    holds N(R) = S.  So a cut smaller than S, or as small with a larger
+    reach, would dominate S: lambda(R, Y) = |S| and the farthest minimum cut
+    is S.
+    (<=) If some v could leave S, S - v would be an (R, Y)-cut smaller than
+    lambda.  A dominating T would be a minimum (R, Y)-cut reaching past R,
+    so the farthest minimum cut would not be S.
+    """
     r = reach_mask(g, xmask, alive & ~sep)
     if r & ymask:
         return False
-    for v in bits(sep):
-        if not reach_mask(g, xmask, alive & ~(sep ^ (1 << v))) & ymask:
-            return False  # not inclusion-minimal
-    size = bin(sep).count("1")
-    for v in bits(sep):
-        if _vertex_flow(g._adj_masks, alive, r | (1 << v), ymask, size) is not None:
-            return False  # a separator as small whose reach is larger
-    return True
+    res = _vertex_flow(g._adj_masks, alive, r, ymask, sep.bit_count())
+    return res is not None and res[1] == sep
 
 
 def _important_masks(

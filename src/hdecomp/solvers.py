@@ -111,13 +111,8 @@ def _vc_bipartite_within(g: Graph, wmask: int) -> int:
     leaves free."""
     class1 = coloring_mask(g, wmask)
     if class1 is None:
-        raise ValueError("vc_bipartite needs a bipartite graph")
+        raise ValueError("the Koenig cover needs a bipartite graph")
     return _anchored_cut(g, wmask, wmask & ~class1, class1, wmask.bit_count())
-
-
-def vc_bipartite(g: Graph) -> frozenset[int]:
-    """Minimum vertex cover of a bipartite graph (Koenig)."""
-    return set_of(_vc_bipartite_within(g, g.full_mask()))
 
 
 # ---------------------------------------------------------------------------

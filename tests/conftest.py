@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hdecomp.graphs import Graph, bits, mask_of, reach_mask, set_of
+from hdecomp.separators import _vertex_flow
 
 from .smallgraphs import all_graphs, connected_graphs, from_edge_mask
 
@@ -92,6 +93,29 @@ def brute_important_separators(
         for smask, size, r in seps
         if not any(size2 <= size and r & ~r2 == 0 and r != r2 for _, size2, r2 in seps)
     )
+
+
+def reachable(g: Graph, X: Iterable[int], S: Iterable[int]) -> frozenset[int]:
+    """Vertices reachable from X \\ S in G - S (includes X \\ S)."""
+    smask = mask_of(S)
+    return set_of(reach_mask(g, mask_of(X) & ~smask, g.full_mask() & ~smask))
+
+
+def definitional_is_important(g: Graph, alive: int, xmask: int, ymask: int, sep: int) -> bool:
+    """Exact importance test per the definition (minimal + non-dominated):
+    one reachability search per vertex of S for minimality, then one flow
+    per vertex v of S, from R_S(X) + v, for domination."""
+    r = reach_mask(g, xmask, alive & ~sep)
+    if r & ymask:
+        return False
+    for v in bits(sep):
+        if not reach_mask(g, xmask, alive & ~(sep ^ (1 << v))) & ymask:
+            return False  # not inclusion-minimal
+    size = bin(sep).count("1")
+    for v in bits(sep):
+        if _vertex_flow(g._adj_masks, alive, r | (1 << v), ymask, size) is not None:
+            return False  # a separator as small whose reach is larger
+    return True
 
 
 def exact_vertex_cover_size(g: Graph) -> int:

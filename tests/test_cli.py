@@ -181,6 +181,42 @@ def test_malformed_decomposition_json_exit_1(files, capsys):
             assert err.startswith("error: cannot read decomposition"), (name, err)
 
 
+def test_decomposition_json_fields_are_read_strictly(files, capsys):
+    """The writer only produces JSON booleans as leaf flags, bags without a
+    repeated vertex and parents of at least -1; a document with anything
+    else is refused by the reader, not read loosely and verified."""
+    tmp, put = files
+    g = put("c5.gr", write_gr(Graph.cycle(5)))
+
+    def leaf_flags(doc):
+        for d in doc["nodes"]:
+            if doc["kind"] != "elimination-forest":
+                d["leaf"] = "x"
+            elif d["leaf"]:
+                d["leaf"] = "no"
+
+    def repeated_vertex(doc):
+        d = next(d for d in doc["nodes"] if d["bag"])
+        d["bag"].append(d["bag"][0])
+
+    def parent(doc):
+        next(d for d in doc["nodes"] if d["parent"] == -1)["parent"] = -7
+
+    for mode, via in (("ed", "elim"), ("tw", "dp")):
+        dec = tmp / f"{mode}.json"
+        code, _, _ = run(capsys, "decompose", "--class", "bip", "--mode", mode, "--k", "1", g, "--out", str(dec))
+        assert code == 0
+        for mutate in (leaf_flags, repeated_vertex, parent):
+            doc = json.loads(dec.read_text())
+            mutate(doc)
+            path = put(f"{mode}-{mutate.__name__}.json", json.dumps(doc))
+            solve = ["solve", "--problem", "oct", "--via", via, "--decomp", path, g]
+            for argv in (["verify", path, g], solve):
+                code, out, err = run(capsys, *argv)
+                assert code == 1 and out == "", (mode, mutate.__name__, argv, out)
+                assert re.fullmatch(f"error: cannot read decomposition {re.escape(path)}: .+\n", err), err
+
+
 def test_verify_rejects_negative_bag_vertex(files, capsys):
     tmp, put = files
     g = put("k3.gr", write_gr(Graph.complete(3)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hdecomp.graphs import (
     Graph,
     GraphClassSpec,
+    bits,
     find_induced_obstruction,
     is_member,
     mask_of,
@@ -28,8 +29,8 @@ from hdecomp.separators import (
     ImportantSeparatorQuery,
     SearchStats,
     _important_masks,
+    _vertex_flow,
     enumerate_important_separators,
-    min_vertex_separator,
 )
 
 from .conftest import connected_graphs_st, random_graph
@@ -233,10 +234,10 @@ def bip_reference(g, Z, k, within=None):
         xterm, yterm = {2 * v1, 2 * v2 + 1}, {2 * v1 + 1, 2 * v2}
     else:
         xterm, yterm = {2 * v1}, {2 * v1 + 1}
-    cut = min_vertex_separator(gp, xterm, yterm, 2 * k)
-    if cut is None:
+    res = _vertex_flow(gp._adj_masks, gp.full_mask(), mask_of(xterm), mask_of(yterm), 2 * k)
+    if res is None:
         return None
-    deleted = mask_of(rest[c // 2] for c in cut)
+    deleted = mask_of(rest[c // 2] for c in bits(res[1]))
     cmask = reach_mask(g, zmask, comp & ~deleted)
     smask = neighborhood_mask(g, cmask, comp)
     sep = Separation(set_of(cmask), set_of(smask), BIP, 2 * k)

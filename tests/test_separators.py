@@ -1,23 +1,27 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-from hdecomp.graphs import Graph, mask_of, neighborhood_mask, reach_mask, set_of
+from hdecomp.graphs import Graph, bits, mask_of, neighborhood_mask, reach_mask, set_of
 from hdecomp.separators import (
     ImportantSeparatorQuery,
-    InfeasibleSeparation,
     SearchStats,
     _important_masks,
     _is_important,
     _vertex_flow,
     enumerate_important_separators,
-    min_vertex_separator,
-    reachable,
 )
 
-from .conftest import brute_important_separators, graphs, random_graph
+from .conftest import (
+    brute_important_separators,
+    definitional_is_important,
+    graphs,
+    random_graph,
+    reachable,
+)
 
 PATH3 = Graph.path(3)
 DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -32,21 +36,12 @@ def enum(g, x, y, k, stats=None):
     return frozenset(out)
 
 
-def test_reachable_examples():
-    assert reachable(PATH3, {0}, {1}) == {0}
-    g = Graph(4, [(0, 1), (2, 3)])
-    assert reachable(g, set(range(4)), set()) == {0, 1, 2, 3}
-    assert reachable(DIAMOND, {0}, {1}) == {0, 2, 3}
-
-
 def test_min_vertex_separator_examples():
-    assert min_vertex_separator(PATH3, {0}, {2}, 1) == {1}
-    assert min_vertex_separator(DIAMOND, {0}, {3}, 2) == {1, 2}
-    assert min_vertex_separator(DIAMOND, {0}, {3}, 1) is None
-    with pytest.raises(InfeasibleSeparation):
-        min_vertex_separator(Graph(2, [(0, 1)]), {0}, {1}, 3)
-    with pytest.raises(ValueError):
-        min_vertex_separator(PATH3, {0, 1}, {1}, 1)
+    assert _vertex_flow(PATH3._adj_masks, 0b111, 0b001, 0b100, 1) == (1, 0b010)
+    assert _vertex_flow(DIAMOND._adj_masks, 0b1111, 0b0001, 0b1000, 2) == (2, 0b0110)
+    assert _vertex_flow(DIAMOND._adj_masks, 0b1111, 0b0001, 0b1000, 1) is None
+    # an edge joins X and Y: no separator at any cap
+    assert _vertex_flow(Graph(2, [(0, 1)])._adj_masks, 0b11, 0b01, 0b10, 3) is None
 
 
 def test_enumerate_examples():
@@ -114,10 +109,10 @@ def test_min_separator_size_matches_brute_minimum():
         x, y = rng.sample(range(g.n), 2)
         if g.has_edge(x, y):
             continue
-        sep = min_vertex_separator(g, {x}, {y}, g.n)
+        res = _vertex_flow(g._adj_masks, g.full_mask(), 1 << x, 1 << y, g.n)
         brute = brute_important_separators(g, {x}, {y}, g.n)
-        assert sep is not None
-        assert len(sep) == min(len(s) for s in brute)
+        assert res is not None
+        assert res[0] == res[1].bit_count() == min(len(s) for s in brute)
 
 
 def test_min_separator_is_the_farthest_minimum_cut():
@@ -144,11 +139,13 @@ def test_min_separator_is_the_farthest_minimum_cut():
             ]
             if minimum:
                 break
-        sep = min_vertex_separator(g, x, y, size)
-        assert sep in minimum
+        xmask, ymask = mask_of(x), mask_of(y)
+        lam, cut = _vertex_flow(g._adj_masks, g.full_mask(), xmask, ymask, size)
+        sep = set_of(cut)
+        assert lam == size and sep in minimum
         reach = reachable(g, x, sep)
         assert all(reachable(g, x, s) <= reach for s in minimum)
-        assert min_vertex_separator(g, x, y, size - 1) is None
+        assert _vertex_flow(g._adj_masks, g.full_mask(), xmask, ymask, size - 1) is None
         checked += 1
         ties += len({reachable(g, x, s) for s in minimum}) > 1
     assert checked >= 200 and ties >= 15
@@ -160,9 +157,9 @@ def test_stats_counts_recursion_nodes():
     assert stats.nodes >= 1
 
 
-def important_reference(g, xmask0, ymask0, k, alive0):
+def branching_leaves(g, xmask0, ymask0, k, alive0):
     """The branching enumeration at every budget (the kernel keeps it for
-    k >= 2 only): the separators it emits, in order."""
+    k >= 2 only): the separator of each leaf, in order."""
     out = []
 
     def rec(alive, xmask, budget, acc):
@@ -171,8 +168,7 @@ def important_reference(g, xmask0, ymask0, k, alive0):
             return
         lam, cut = res
         if lam == 0:
-            if _is_important(g, alive0, xmask0, ymask0, acc):
-                out.append(acc)
+            out.append(acc)
             return
         v = cut & -cut
         rec(alive & ~v, xmask, budget - 1, acc | v)
@@ -181,6 +177,44 @@ def important_reference(g, xmask0, ymask0, k, alive0):
 
     rec(alive0, xmask0, k, 0)
     return out
+
+
+def important_reference(g, xmask0, ymask0, k, alive0):
+    """The separators the branching enumeration emits at every budget, in
+    order."""
+    leaves = branching_leaves(g, xmask0, ymask0, k, alive0)
+    return [s for s in leaves if _is_important(g, alive0, xmask0, ymask0, s)]
+
+
+def test_one_flow_importance_matches_the_definition():
+    """`_is_important` gives the definitional filter's verdict on the
+    separators at the leaves of the k = 3 branching, which are what the
+    enumeration asks it about, and on one random vertex set per instance.
+    Terminals may lie outside `alive`."""
+    rng = random.Random(11)
+    seen = Counter()  # (important, min(|S|, 2)) -> cases
+    outside = Counter()  # important -> cases with a terminal outside alive
+    while sum(seen.values()) < 3000:
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.45]))
+        order = rng.sample(range(n), n)
+        nx = rng.randint(1, min(3, n - 1))
+        ny = rng.randint(1, min(3, n - nx))
+        xmask, ymask = mask_of(order[:nx]), mask_of(order[nx : nx + ny])
+        alive = g.full_mask()
+        if rng.random() < 0.5:
+            alive &= ~mask_of(rng.sample(range(n), rng.randint(1, 2)))
+        free = list(bits(alive & ~xmask & ~ymask))
+        seps = set(branching_leaves(g, xmask, ymask, 3, alive))
+        seps.add(mask_of(rng.sample(free, rng.randint(0, min(3, len(free))))))
+        for sep in sorted(seps):
+            want = definitional_is_important(g, alive, xmask, ymask, sep)
+            assert _is_important(g, alive, xmask, ymask, sep) == want, (g.edges, alive, xmask, ymask, sep)
+            seen[want, min(sep.bit_count(), 2)] += 1
+            outside[want] += (xmask | ymask) & ~alive != 0
+    assert seen[True, 1] + seen[True, 2] >= 100, seen
+    assert min(seen[True, 2], seen[False, 1], seen[False, 2]) >= 30, seen
+    assert min(outside.values()) >= 30 and len(outside) == 2, outside
 
 
 def test_budget_at_most_one_emits_what_the_branching_emits():

@@ -34,9 +34,8 @@ from hdecomp.solvers import (
     solve_oct_elim,
     solve_vc_dp,
     solve_vc_elim,
-    vc_bipartite,
 )
-from hdecomp.separators import min_vertex_separator
+from hdecomp.separators import _vertex_flow
 from hdecomp.solvers import (
     INF,
     _abc_within,
@@ -107,7 +106,9 @@ def abc_reference(g, within, B1, B2, k):
     s, t = g.n, g.n + 1
     edges = [(u, v) for u, v in g.edges if u in within and v in within]
     edges += [(s, v) for v in t1] + [(t, v) for v in t2]
-    return min_vertex_separator(Graph(g.n + 2, edges), {s}, {t}, k)
+    anchored = Graph(g.n + 2, edges)
+    res = _vertex_flow(anchored._adj_masks, anchored.full_mask(), 1 << s, 1 << t, k)
+    return None if res is None else set_of(res[1])
 
 
 def test_abc_within_matches_the_anchor_graph_reference():
@@ -134,11 +135,11 @@ def test_abc_within_matches_the_anchor_graph_reference():
 
 def test_vc_bipartite_examples():
     matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
-    assert len(vc_bipartite(matching)) == 3
+    assert _vc_bipartite_within(matching, matching.full_mask()).bit_count() == 3
     star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert vc_bipartite(star) == {0}
+    assert _vc_bipartite_within(star, star.full_mask()) == 0b1
     with pytest.raises(ValueError):
-        vc_bipartite(Graph.complete(3))
+        _vc_bipartite_within(Graph.complete(3), 0b111)
 
 
 def test_vc_bipartite_matches_brute():
@@ -149,7 +150,7 @@ def test_vc_bipartite_matches_brute():
         if not is_member(g, BIP):
             continue
         done += 1
-        got = vc_bipartite(g)
+        got = set_of(_vc_bipartite_within(g, g.full_mask()))
         assert all(u in got or v in got for u, v in g.edges)
         assert len(got) == brute_min_vertex_cover(g)[0]
 
@@ -236,7 +237,7 @@ def long_path(n):
 
 def test_vc_bipartite_long_augmenting_path():
     g = long_path(1200)
-    got = vc_bipartite(g)
+    got = set_of(_vc_bipartite_within(g, g.full_mask()))
     assert len(got) == 1201
     assert all(u in got or v in got for u, v in g.edges)
 
