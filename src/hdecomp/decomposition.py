@@ -475,7 +475,7 @@ def from_json(text: str):
 def _ints(values) -> list[int]:
     out = list(values)
     if not all(type(v) is int for v in out):
-        raise ValueError("parents, bags and L must hold integers")
+        raise ValueError("node ids, parents, bags, L, depth and width must be integers")
     return out
 
 
@@ -483,7 +483,7 @@ def _from_doc(doc):
     kind = doc["kind"]
     cls = _cls_from_json(doc["class"])
     nodes = sorted(doc["nodes"], key=lambda d: d["id"])
-    if [d["id"] for d in nodes] != list(range(len(nodes))):
+    if _ints(d["id"] for d in nodes) != list(range(len(nodes))):
         raise ValueError("node ids must be dense 0-based")
     parents = _ints(d["parent"] for d in nodes)
     bags = [_ints(d["bag"]) for d in nodes]
@@ -498,13 +498,16 @@ def _from_doc(doc):
         forest = EliminationForest(
             [ForestNode(frozenset(b), p, f) for b, p, f in zip(bags, parents, leaves)], cls
         )
-        if forest.depth != doc["depth"]:
+        if [forest.depth] != _ints([doc["depth"]]):
             raise ValueError("stored depth disagrees with the structure")
         return forest
     if kind in ("tree-h-decomposition", "nice"):
         klass = NiceTreeHDecomposition if kind == "nice" else TreeHDecomposition
-        dec = klass(parents, bags, frozenset(_ints(doc["L"])), cls)
-        if dec.width != doc["width"]:
+        base = _ints(doc["L"])
+        if len(set(base)) < len(base):
+            raise ValueError("L lists a vertex twice")
+        dec = klass(parents, bags, frozenset(base), cls)
+        if [dec.width] != _ints([doc["width"]]):
             raise ValueError("stored width disagrees with the structure")
         if leaves != [not c for c in dec.children()]:
             raise ValueError("leaf flags disagree with the structure")
@@ -805,31 +808,50 @@ def _tw_search(g: Graph, ub: int):
 
 
 def _min_fill_order(g: Graph) -> list[int]:
+    """Min-fill elimination order, smallest id on ties.
+
+    The fill counts sit in a min-heap of (fill, v) whose stale entries are
+    skipped, so the order is the one a full rescan per step would give.
+    Eliminating v changes the count of a vertex only when the vertex loses
+    v as a neighbour or a fill edge joins two of its neighbours; so only
+    N(v) and the common neighbours of each fill edge's ends are rescored.
+    """
     adj = list(g._adj_masks)
     alive = g.full_mask()
-    order = []
-    while alive:
-        best_v, best_fill = -1, g.n * g.n  # above any fill count
-        m = alive
+
+    def fill(v: int) -> int:
+        # the missing pairs of v's alive neighbours, each counted twice
+        nb = adj[v] & alive
+        f = 0
+        m = nb
         while m:
             b = m & -m
-            v = b.bit_length() - 1
+            f += (nb & ~adj[b.bit_length() - 1] & ~b).bit_count()
             m ^= b
-            nb = adj[v] & alive
-            fill = 0
-            rest = nb
-            # stop once v cannot beat the best; strict < keeps the smallest id
-            while rest and fill < best_fill:
-                a = rest & -rest
-                fill += (nb & ~adj[a.bit_length() - 1] & ~a).bit_count()
-                rest ^= a
-            if fill < best_fill:
-                best_v, best_fill = v, fill
-        nb = adj[best_v] & alive
+        return f
+
+    score = [fill(v) for v in range(g.n)]
+    heap = [(f, v) for v, f in enumerate(score)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if f != score[v] or not alive >> v & 1:
+            continue
+        nb = adj[v] & alive
+        changed = nb
         for a in bits(nb):
-            adj[a] |= nb & ~(1 << a)
-        alive &= ~(1 << best_v)
-        order.append(best_v)
+            new = nb & ~adj[a] & ~(1 << a)  # the fill edges at a
+            for c in bits(new):
+                changed |= adj[a] & adj[c]
+            adj[a] |= new
+        alive &= ~(1 << v)
+        order.append(v)
+        for u in bits(changed & alive):
+            f = fill(u)
+            if f != score[u]:
+                score[u] = f
+                heapq.heappush(heap, (f, u))
     return order
 
 

@@ -2,11 +2,14 @@
 
 The flow model splits each deletable vertex v into v_in -> v_out with unit
 capacity; terminal vertices are not split (they are never deleted).  Edges
-carry infinite capacity in both directions.  The farthest minimum cut is
-extracted by one reverse BFS from the sink over the residual arcs: the cut
-vertices are those whose out-state reaches the sink and whose in-state does
-not.  It is the unique minimum separator S with R_S(X) inclusion-maximal, so
-it does not depend on which maximum flow was found.
+carry infinite capacity in both directions, so the network is symmetric:
+reversing every arc and swapping each vertex's in- and out-states turns the
+X->Y network into the Y->X one, with the same flows and minimum cuts.  The
+flow is augmented from Y, and the farthest minimum cut from X is read off
+the last, failed search: the vertices whose in-state Y's residual side holds
+and whose out-state it does not.  It is the unique minimum separator S with
+R_S(X) inclusion-maximal, so it does not depend on which maximum flow was
+found.
 
 All internal computations use vertex bitmasks for speed; the public API
 speaks frozensets.
@@ -49,14 +52,20 @@ class SearchStats:
 
 def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: int):
     """Min vertex (X,Y)-cut within the graph of adjacency masks `adj`
-    restricted to `alive`, terminals non-deletable.
+    restricted to `alive`, terminals non-deletable; X and Y are disjoint and
+    `adj` is symmetric.
 
     Returns (lambda, farthest_cut_mask), or None when the minimum exceeds
     `cap` or an edge joins X and Y inside `alive` (no cut exists at all).
+    The network is symmetric (module docstring), so the flow is augmented
+    from the Y out-states, and the last, failed search reaches exactly Y's
+    residual side: the free vertices whose in-state it reached and whose
+    out-state it did not are the minimum cut closest to Y, the farthest from
+    X.  A flow of value lambda costs lambda + 1 searches.
     """
     xmask &= alive
     ymask &= alive
-    if cap < 0 or any(adj[v] & ymask for v in bits(xmask)):
+    if cap < 0 or any(adj[v] & xmask for v in bits(ymask)):
         return None
     free = alive & ~xmask & ~ymask
     used = 0  # vertices carrying one unit of flow
@@ -64,11 +73,11 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
     fin: dict[int, int] = {}  # bit v of fin[u]: one unit flows v -> u
     flow_value = 0
     while True:
-        # BFS from the X out-states, one layer of (in-states, out-states)
-        # masks per distance; X in-states are dead ends and never entered
-        layers = [(0, xmask)]
-        seen_in, seen_out = 0, xmask
-        fr_in, fr_out = 0, xmask
+        # BFS from the Y out-states, one layer of (in-states, out-states)
+        # masks per distance; Y in-states are dead ends and never entered
+        layers = [(0, ymask)]
+        seen_in, seen_out = 0, ymask
+        fr_in, fr_out = 0, ymask
         hit = 0
         while fr_in or fr_out:
             nin = fr_out & used  # reverse internal arcs v_out -> v_in
@@ -77,7 +86,7 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
                 b = m & -m
                 nin |= adj[b.bit_length() - 1]
                 m ^= b
-            hit = nin & ymask
+            hit = nin & xmask
             if hit:
                 break
             nin &= free & ~seen_in
@@ -93,11 +102,12 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
             fr_in, fr_out = nin, nout
             layers.append((nin, nout))
         if not hit:
-            break
+            # Y's residual side: the cut is closest to Y, farthest from X
+            return flow_value, seen_in & ~seen_out
         flow_value += 1
         if flow_value > cap:
             return None
-        # retrace a shortest path from the Y in-state, one layer per step
+        # retrace a shortest path from the X in-state, one layer per step
         v, is_out = (hit & -hit).bit_length() - 1, 0
         path = [(v, 0)]
         for lin, lout in reversed(layers):
@@ -125,31 +135,6 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
             else:
                 fout[p] = fout.get(p, 0) | 1 << s
                 fin[s] = fin.get(s, 0) | 1 << p
-    # farthest min cut: reverse BFS from the Y in-states over residual arcs
-    front = in_r = ymask
-    out_r = 0
-    while front:
-        # predecessors of v_in: u_out for every alive neighbour u, and v_out
-        # when v carries flow
-        nout = front & used
-        m = front
-        while m:
-            b = m & -m
-            nout |= adj[b.bit_length() - 1]
-            m ^= b
-        nout &= alive & ~out_r
-        out_r |= nout
-        # predecessors of v_out: v_in when v is free and unused, and u_in for
-        # each u that v sends flow to
-        nin = nout & free & ~used
-        m = nout & (used | xmask)  # the vertices that send flow
-        while m:
-            b = m & -m
-            nin |= fout.get(b.bit_length() - 1, 0)
-            m ^= b
-        front = nin & ~in_r
-        in_r |= front
-    return flow_value, free & out_r & ~in_r
 
 
 # -- important separators ----------------------------------------------------

@@ -1,7 +1,7 @@
 import functools
 import itertools
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -116,6 +116,115 @@ def definitional_is_important(g: Graph, alive: int, xmask: int, ymask: int, sep:
         if _vertex_flow(g._adj_masks, alive, r | (1 << v), ymask, size) is not None:
             return False  # a separator as small whose reach is larger
     return True
+
+
+def reference_vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: int):
+    """The forward flow kernel that `_vertex_flow` replaced, kept as its
+    reference: it augments from the X out-states and reads the farthest cut
+    off one reverse BFS from the Y in-states over the residual arcs.
+
+    Min vertex (X,Y)-cut within the graph of adjacency masks `adj`
+    restricted to `alive`, terminals non-deletable.
+
+    Returns (lambda, farthest_cut_mask), or None when the minimum exceeds
+    `cap` or an edge joins X and Y inside `alive` (no cut exists at all).
+    """
+    xmask &= alive
+    ymask &= alive
+    if cap < 0 or any(adj[v] & ymask for v in bits(xmask)):
+        return None
+    free = alive & ~xmask & ~ymask
+    used = 0  # vertices carrying one unit of flow
+    fout: dict[int, int] = {}  # bit u of fout[v]: one unit flows v -> u
+    fin: dict[int, int] = {}  # bit v of fin[u]: one unit flows v -> u
+    flow_value = 0
+    while True:
+        # BFS from the X out-states, one layer of (in-states, out-states)
+        # masks per distance; X in-states are dead ends and never entered
+        layers = [(0, xmask)]
+        seen_in, seen_out = 0, xmask
+        fr_in, fr_out = 0, xmask
+        hit = 0
+        while fr_in or fr_out:
+            nin = fr_out & used  # reverse internal arcs v_out -> v_in
+            m = fr_out
+            while m:  # edge arcs v_out -> u_in
+                b = m & -m
+                nin |= adj[b.bit_length() - 1]
+                m ^= b
+            hit = nin & ymask
+            if hit:
+                break
+            nin &= free & ~seen_in
+            nout = fr_in & ~used  # internal arcs v_in -> v_out
+            m = fr_in & used
+            while m:  # reverse edge arcs v_in -> u_out (cancel flow u -> v)
+                b = m & -m
+                nout |= fin[b.bit_length() - 1]
+                m ^= b
+            nout &= ~seen_out
+            seen_in |= nin
+            seen_out |= nout
+            fr_in, fr_out = nin, nout
+            layers.append((nin, nout))
+        if not hit:
+            break
+        flow_value += 1
+        if flow_value > cap:
+            return None
+        # retrace a shortest path from the Y in-state, one layer per step
+        v, is_out = (hit & -hit).bit_length() - 1, 0
+        path = [(v, 0)]
+        for lin, lout in reversed(layers):
+            if is_out:
+                if used >> v & 1:  # u_in -> v_out cancels flow v -> u
+                    m = fout[v] & lin
+                    v = (m & -m).bit_length() - 1
+                is_out = 0  # else v_in -> v_out
+            else:
+                m = adj[v] & lout  # u_out -> v_in by an edge
+                if m:
+                    v = (m & -m).bit_length() - 1
+                is_out = 1  # else v_out -> v_in, cancelling v's unit
+            path.append((v, is_out))
+        # push one unit along each arc p -> s of the path
+        for (s, _), (p, p_out) in zip(path, path[1:]):
+            if p == s:
+                if p_out:
+                    used &= ~(1 << p)
+                else:
+                    used |= 1 << p
+            elif not p_out or fout.get(s, 0) >> p & 1:  # cancel flow s -> p
+                fout[s] &= ~(1 << p)
+                fin[p] &= ~(1 << s)
+            else:
+                fout[p] = fout.get(p, 0) | 1 << s
+                fin[s] = fin.get(s, 0) | 1 << p
+    # farthest min cut: reverse BFS from the Y in-states over residual arcs
+    front = in_r = ymask
+    out_r = 0
+    while front:
+        # predecessors of v_in: u_out for every alive neighbour u, and v_out
+        # when v carries flow
+        nout = front & used
+        m = front
+        while m:
+            b = m & -m
+            nout |= adj[b.bit_length() - 1]
+            m ^= b
+        nout &= alive & ~out_r
+        out_r |= nout
+        # predecessors of v_out: v_in when v is free and unused, and u_in for
+        # each u that v sends flow to
+        nin = nout & free & ~used
+        m = nout & (used | xmask)  # the vertices that send flow
+        while m:
+            b = m & -m
+            nin |= fout.get(b.bit_length() - 1, 0)
+            m ^= b
+        front = nin & ~in_r
+        in_r |= front
+    return flow_value, free & out_r & ~in_r
 
 
 def exact_vertex_cover_size(g: Graph) -> int:

@@ -182,9 +182,12 @@ def test_malformed_decomposition_json_exit_1(files, capsys):
 
 
 def test_decomposition_json_fields_are_read_strictly(files, capsys):
-    """The writer only produces JSON booleans as leaf flags, bags without a
-    repeated vertex and parents of at least -1; a document with anything
-    else is refused by the reader, not read loosely and verified."""
+    """The writer only produces JSON booleans as leaf flags, bags and an L
+    without a repeated vertex, parents of at least -1, and integers as node
+    ids, depth and width; a document with anything else is refused by the
+    reader, not read loosely and verified.  C5's forest has depth 1 and its
+    tree decomposition width 0, so a float or boolean there equals the
+    integer."""
     tmp, put = files
     g = put("c5.gr", write_gr(Graph.cycle(5)))
 
@@ -202,11 +205,28 @@ def test_decomposition_json_fields_are_read_strictly(files, capsys):
     def parent(doc):
         next(d for d in doc["nodes"] if d["parent"] == -1)["parent"] = -7
 
-    for mode, via in (("ed", "elim"), ("tw", "dp")):
+    def float_number(doc):
+        key = "depth" if "depth" in doc else "width"
+        doc[key] = float(doc[key])
+
+    def bool_number(doc):
+        key = "depth" if "depth" in doc else "width"
+        doc[key] = bool(doc[key])
+
+    def bool_ids(doc):
+        for d in doc["nodes"]:
+            if d["id"] < 2:
+                d["id"] = bool(d["id"])
+
+    def repeated_base_vertex(doc):
+        doc["L"].append(doc["L"][0])
+
+    common = [leaf_flags, repeated_vertex, parent, float_number, bool_number, bool_ids]
+    for mode, via, mutators in (("ed", "elim", common), ("tw", "dp", common + [repeated_base_vertex])):
         dec = tmp / f"{mode}.json"
         code, _, _ = run(capsys, "decompose", "--class", "bip", "--mode", mode, "--k", "1", g, "--out", str(dec))
         assert code == 0
-        for mutate in (leaf_flags, repeated_vertex, parent):
+        for mutate in mutators:
             doc = json.loads(dec.read_text())
             mutate(doc)
             path = put(f"{mode}-{mutate.__name__}.json", json.dumps(doc))

@@ -312,11 +312,50 @@ def _min_fill_reference(g):
     return order
 
 
+def _chain_like(rng, n):
+    """Cycles of length 3 or 5 strung into a chain by one edge each, and
+    n // 10 random chords: sparse graphs like the chain bench's quotients."""
+    edges, cycles, v = [], [], 0
+    while v < n:
+        cyc = list(range(v, min(n, v + rng.choice([3, 5]))))
+        edges += zip(cyc, cyc[1:] + cyc[:1]) if len(cyc) > 2 else zip(cyc, cyc[1:])
+        if cycles:
+            edges.append((rng.choice(cycles[-1]), rng.choice(cyc)))
+        cycles.append(cyc)
+        v += len(cyc)
+    edges += (rng.sample(range(n), 2) for _ in range(n // 10))
+    return Graph(n, edges)
+
+
+def _tie_heavy_graphs():
+    """Graphs where many vertices share the least fill count at each step."""
+    grid = [(r * 10 + c, r * 10 + c + 1) for r in range(8) for c in range(9)]
+    grid += [(r * 10 + c, r * 10 + c + 10) for r in range(7) for c in range(10)]
+    yield Graph.cycle(60)
+    yield Graph.cycle(99)
+    yield Graph(80, grid)
+    for a, b in ((3, 7), (5, 5), (4, 30)):
+        yield Graph(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+    yield Graph(60, [(c + u, c + w) for c in range(0, 60, 6) for u, w in itertools.combinations(range(6), 2)])
+
+
 def test_min_fill_order_matches_reference():
     rng = random.Random(12)
     for _ in range(100):
         g = random_graph(rng, rng.randint(0, 30), rng.choice([0.1, 0.2, 0.4, 0.7]))
         assert _min_fill_order(g) == _min_fill_reference(g)
+    # the sizes of the chain bench's quotients, where only the vertices an
+    # elimination changed are rescored
+    for _ in range(12):
+        g = _chain_like(rng, rng.randint(60, 120))
+        assert _min_fill_order(g) == _min_fill_reference(g)
+    # ties must go to the smallest id, under the given ids and shuffled ones
+    for g in _tie_heavy_graphs():
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled = Graph(g.n, [(perm[u], perm[w]) for u, w in g.edges])
+        for h in (g, shuffled):
+            assert _min_fill_order(h) == _min_fill_reference(h)
 
 
 def test_treedepth_dominates_treewidth():

@@ -21,6 +21,7 @@ from .conftest import (
     graphs,
     random_graph,
     reachable,
+    reference_vertex_flow,
 )
 
 PATH3 = Graph.path(3)
@@ -149,6 +150,47 @@ def test_min_separator_is_the_farthest_minimum_cut():
         checked += 1
         ties += len({reachable(g, x, s) for s in minimum}) > 1
     assert checked >= 200 and ties >= 15
+
+
+def test_vertex_flow_matches_the_forward_reference():
+    """The flow augmented from Y, with its cut read off the last search,
+    returns exactly what the forward kernel with its reverse BFS returns,
+    None included: on plain (X, Y) queries, on the parity graph of
+    `_bip_masks` (2n states) and on the two anchor states of
+    `_anchored_cut`."""
+    rng = random.Random(2103)
+    seen = Counter()
+    for i in range(12_000):
+        g = random_graph(rng, rng.randint(1, 16), rng.choice([0.1, 0.2, 0.35, 0.5, 0.7]))
+        n, adj, vs = g.n, list(g._adj_masks), list(range(g.n))
+        rng.shuffle(vs)
+        alive = mask_of(v for v in vs if rng.random() < 0.85)  # terminals may fall outside
+        cap = rng.randint(-1, 5)
+        kind = ("plain", "parity", "anchored")[i % 3]
+        if kind == "plain":  # X or Y may be empty, and an edge may join them
+            nx = rng.randint(0, 3)
+            xmask, ymask = mask_of(vs[:nx]), mask_of(vs[nx : nx + rng.randint(0, 3)])
+        elif kind == "parity":  # state v + n is the odd copy of v
+            z = vs[: rng.randint(1, 4)]
+            class1 = mask_of(v for v in z if rng.random() < 0.5)
+            class2 = mask_of(z) & ~class1
+            adj = [a << n for a in adj] + adj
+            alive |= alive << n
+            xmask, ymask = class1 | class2 << n, class1 << n | class2
+        else:  # states n and n + 1 anchor the deletable terminal sets T1, T2
+            t1, t2 = (mask_of(v for v in vs if rng.random() < 0.25) for _ in range(2))
+            s, t = 1 << n, 1 << n + 1
+            adj = [a | s * (t1 >> v & 1) | t * (t2 >> v & 1) for v, a in enumerate(adj)] + [t1, t2]
+            alive |= s | t
+            xmask, ymask = s, t
+        got = _vertex_flow(adj, alive, xmask, ymask, cap)
+        assert got == reference_vertex_flow(adj, alive, xmask, ymask, cap), (i, kind)
+        seen[kind, got is None] += 1
+        seen["outside"] += bool((xmask | ymask) & ~alive)
+        seen["empty"] += not (xmask & alive and ymask & alive)
+        seen["edge"] += any(adj[v] & ymask & alive for v in bits(xmask & alive))
+        seen["lambda >= 2"] += got is not None and got[0] >= 2
+    assert min(seen.values()) >= 300, seen
 
 
 def test_stats_counts_recursion_nodes():
