@@ -612,15 +612,20 @@ def _td_search(g: Graph, ub: int):
         if mask & (mask - 1) == 0:
             memo[mask] = 1
             return 1
+        vs = list(bits(mask))
+        deg = [(adj[v] & mask).bit_count() for v in vs]
         # td(C) > tw(C) >= the least degree in C
-        if not mask & low and all((adj[v] & mask).bit_count() >= ub for v in bits(mask)):
+        if not mask & low and min(deg) >= ub:
             memo[mask] = above
             return above
         # td(C - v) <= td(C) <= 1 + td(C - v) for every v in a connected C:
         # once the best upper bound meets the largest lower bound, the
-        # remaining roots cannot change the value
+        # remaining roots cannot change the value.  The vertex with the most
+        # neighbours in C tends to give the best root, and the one with the
+        # fewest the largest lower bound, so they are tried first.
+        hi, lo = vs[deg.index(max(deg))], vs[deg.index(min(deg))]
         best, lb = above, 0
-        for v in bits(mask):
+        for v in (hi, lo, *(v for v in vs if v != hi and v != lo)):
             sub = td_parts(mask & ~(1 << v))
             best = min(best, 1 + sub)
             lb = max(lb, sub)
@@ -872,6 +877,7 @@ def _extremal_finder(cls: GraphClassSpec, restricted: bool, k: int):
             return _forbidden_masks(g, z, kk, cls, images)
 
         return finder, k + 1
+    # G is connected, so Z's component is all of G
     if not restricted:
 
         def finder(g, z, kk, family):
@@ -880,7 +886,7 @@ def _extremal_finder(cls: GraphClassSpec, restricted: bool, k: int):
         return finder, cls.h_value(k) + 1
 
     # family: the ancestors' V masks, whose preconditions the builder checks
-    # once per node; G is connected, so Z's component is all of G
+    # once per node
     def finder(g, z, kk, family):
         return _restricted_masks(g, z, kk, family, _bip_masks, g.full_mask())
 

@@ -60,8 +60,8 @@ class Separation:
 
 
 # base finders take (g, Z, k, within); mask base finders take
-# (g, zmask, k, alive) and extremal finders (g, zmask, k, family masks), and
-# both return (cmask, smask) or None
+# (g, zmask, k, Z's component) and extremal finders (g, zmask, k, family
+# masks), and both return (cmask, smask) or None
 BaseFinderFn = Callable[[Graph, frozenset, int, Optional[frozenset]], Optional[Separation]]
 MaskFinderFn = Callable[[Graph, int, int, int], Optional[tuple[int, int]]]
 ExtremalFinderFn = Callable[[Graph, int, int, Sequence[int]], Optional[tuple[int, int]]]
@@ -79,12 +79,12 @@ def _require_connected_z(g: Graph, zmask: int, alive: int):
 # -- bipartite ---------------------------------------------------------------
 
 
-def _bip_masks(g: Graph, zmask: int, k: int, alive: int) -> Optional[tuple[int, int]]:
-    """Mask kernel of `find_separation_bip` on G[alive]: (C, S) masks or None.
+def _bip_masks(g: Graph, zmask: int, k: int, comp: int) -> Optional[tuple[int, int]]:
+    """Mask kernel of `find_separation_bip`, given `comp`, the component of
+    Z in the considered vertex set: (C, S) masks or None.
 
-    Z must be nonempty, connected and inside `alive`; the caller checks.
+    Z must be nonempty and connected; the caller checks.
     """
-    comp = reach_mask(g, zmask, alive)
     if k == 0:
         return (comp, 0) if coloring_mask(g, comp) is not None else None
     class1 = coloring_mask(g, zmask)
@@ -104,15 +104,12 @@ def _bip_masks(g: Graph, zmask: int, k: int, alive: int) -> Optional[tuple[int, 
     cut = res[1]
     deleted = (cut | cut >> n) & comp
     cmask = reach_mask(g, zmask, comp & ~deleted)
+    # C lies in the component comp, so N(C) within the considered vertex
+    # set is S; under the restricted search the important separators
+    # already taken are outside it, and the caller adds them to S
     smask = neighborhood_mask(g, cmask, comp)
-    # the conditions of Separation.validate within G[alive]: under the
-    # restricted search the important separators already taken are outside
-    # `alive`, and the caller adds them to S
     assert (
-        not cmask & smask
-        and smask.bit_count() <= 2 * k
-        and coloring_mask(g, cmask) is not None
-        and not neighborhood_mask(g, cmask, alive) & ~smask
+        smask.bit_count() <= 2 * k and coloring_mask(g, cmask) is not None
     ), "parity construction produced an invalid separation"
     return cmask, smask
 
@@ -131,7 +128,7 @@ def find_separation_bip(
     alive = g.full_mask() if within is None else mask_of(within)
     zmask = mask_of(Z)
     _require_connected_z(g, zmask, alive)
-    res = _bip_masks(g, zmask, k, alive)
+    res = _bip_masks(g, zmask, k, reach_mask(g, zmask, alive))
     if res is None:
         return None
     return Separation(set_of(res[0]), set_of(res[1]), GraphClassSpec.bipartite(), 2 * k)
@@ -173,12 +170,13 @@ def _forbidden_masks(
         image = obstruction(comp)
         if image is None:
             return comp, 0
+        if budget <= 0:  # the image lies in comp, so no empty set cuts it from Z
+            return None
         branch = image & ~zmask
-        if budget >= 1:
-            for u in bits(branch):  # branch (a): u joins the separator
-                sub = rec(alive & ~(1 << u), budget - 1, depth + 1)
-                if sub is not None:
-                    return sub[0], sub[1] | (1 << u)
+        for u in bits(branch):  # branch (a): u joins the separator
+            sub = rec(alive & ~(1 << u), budget - 1, depth + 1)
+            if sub is not None:
+                return sub[0], sub[1] | (1 << u)
         for u in bits(branch):  # branch (b): cut u away from Z
             for sep in _important_masks(g, 1 << u, zmask, budget, comp):
                 sub = rec(alive & ~sep, budget - sep.bit_count(), depth + 1)
@@ -247,6 +245,8 @@ def _restricted_masks(
         fam = [f for f in fam if f & ~comp == 0]
         if len(fam) <= budget:
             return base(g, zmask, budget, comp)
+        if budget <= 0:  # the members lie in comp, so no empty set cuts them from Z
+            return None
         for fmask in fam[: budget + 1]:
             for sep in _important_masks(g, fmask, zmask, budget, comp):
                 sub = rec(reach_mask(g, zmask, comp & ~sep), budget - sep.bit_count(), fam, depth + 1)

@@ -52,8 +52,8 @@ class SearchStats:
 
 def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: int):
     """Min vertex (X,Y)-cut within the graph of adjacency masks `adj`
-    restricted to `alive`, terminals non-deletable; X and Y are disjoint and
-    `adj` is symmetric.
+    restricted to `alive`, terminals non-deletable; `adj` is symmetric, and
+    X and Y must be disjoint within `alive` (ValueError otherwise).
 
     Returns (lambda, farthest_cut_mask), or None when the minimum exceeds
     `cap` or an edge joins X and Y inside `alive` (no cut exists at all).
@@ -65,6 +65,8 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
     """
     xmask &= alive
     ymask &= alive
+    if xmask & ymask:
+        raise ValueError("X and Y must be disjoint within alive")
     if cap < 0 or any(adj[v] & xmask for v in bits(ymask)):
         return None
     free = alive & ~xmask & ~ymask
@@ -73,13 +75,15 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
     fin: dict[int, int] = {}  # bit v of fin[u]: one unit flows v -> u
     flow_value = 0
     while True:
-        # BFS from the Y out-states, one layer of (in-states, out-states)
-        # masks per distance; Y in-states are dead ends and never entered
+        # search from the Y out-states, one layer of (in-states, out-states)
+        # masks per step; Y in-states are dead ends and never entered.  A
+        # flow-free vertex's in-state has one arc out, to its out-state, and
+        # that is the one arc in, so both join the same layer.
         layers = [(0, ymask)]
         seen_in, seen_out = 0, ymask
-        fr_in, fr_out = 0, ymask
+        fr_out, fr_used = ymask, 0  # fr_used: the last layer's used in-states
         hit = 0
-        while fr_in or fr_out:
+        while fr_out or fr_used:
             nin = fr_out & used  # reverse internal arcs v_out -> v_in
             m = fr_out
             while m:  # edge arcs v_out -> u_in
@@ -90,8 +94,8 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
             if hit:
                 break
             nin &= free & ~seen_in
-            nout = fr_in & ~used  # internal arcs v_in -> v_out
-            m = fr_in & used
+            nout = nin & ~used  # internal arcs v_in -> v_out
+            m = fr_used
             while m:  # reverse edge arcs v_in -> u_out (cancel flow u -> v)
                 b = m & -m
                 nout |= fin[b.bit_length() - 1]
@@ -99,7 +103,7 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
             nout &= ~seen_out
             seen_in |= nin
             seen_out |= nout
-            fr_in, fr_out = nin, nout
+            fr_out, fr_used = nout, nin & used
             layers.append((nin, nout))
         if not hit:
             # Y's residual side: the cut is closest to Y, farthest from X
@@ -107,21 +111,24 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
         flow_value += 1
         if flow_value > cap:
             return None
-        # retrace a shortest path from the X in-state, one layer per step
-        v, is_out = (hit & -hit).bit_length() - 1, 0
+        # retrace a path from the X in-state: an in-state's predecessor is an
+        # out-state of the layer before; a used out-state's is an in-state of
+        # the layer before, a flow-free one's its own in-state
+        v, j = (hit & -hit).bit_length() - 1, len(layers)
         path = [(v, 0)]
-        for lin, lout in reversed(layers):
-            if is_out:
-                if used >> v & 1:  # u_in -> v_out cancels flow v -> u
-                    m = fout[v] & lin
-                    v = (m & -m).bit_length() - 1
-                is_out = 0  # else v_in -> v_out
-            else:
-                m = adj[v] & lout  # u_out -> v_in by an edge
-                if m:
-                    v = (m & -m).bit_length() - 1
-                is_out = 1  # else v_out -> v_in, cancelling v's unit
-            path.append((v, is_out))
+        while True:
+            j -= 1
+            m = adj[v] & layers[j][1]  # u_out -> v_in by an edge
+            if m:
+                v = (m & -m).bit_length() - 1
+            path.append((v, 1))  # else v_out -> v_in, cancelling v's unit
+            if not j:  # a Y out-state
+                break
+            if used >> v & 1:  # u_in -> v_out cancels flow v -> u
+                j -= 1
+                m = fout[v] & layers[j][0]
+                v = (m & -m).bit_length() - 1
+            path.append((v, 0))  # else v_in -> v_out
         # push one unit along each arc p -> s of the path
         for (s, _), (p, p_out) in zip(path, path[1:]):
             if p == s:

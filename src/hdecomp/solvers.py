@@ -294,7 +294,7 @@ def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozense
 # ---------------------------------------------------------------------------
 
 
-#: bytes that `_nice_dp`'s tables, cell layouts and the largest node's
+#: bytes that `_nice_dp`'s tables, node plans and the largest node's
 #: working arrays may take; a decomposition that needs more is refused
 #: before the first allocation
 DP_TABLE_BUDGET = 256 << 20
@@ -315,11 +315,15 @@ def _nice_dp(
     side_masks[s] holds the base vertices adjacent to side s; it returns a
     deletion mask or None and is called once per distinct (b, side_masks).
 
-    The cell layouts (digits, deletion counts, introduce and forget index
-    maps, bad-edge cells) are built once per width and position, and a leaf
-    finishes one cell per distinct digit pattern of its bag vertices with
-    base neighbours.  Tables, layouts and the largest node's working arrays
-    over DP_TABLE_BUDGET bytes raise ValueError before any is allocated.
+    Each node shape (its step, width, moved position and the positions of
+    the edges that meet there) gets one plan, built once per call: an index
+    map into the child's table (a leaf's: into its finished digit patterns)
+    and an int64 addend that is INF on bad cells, +1 where an introduced
+    digit deletes, -deleted at a join and +deleted at a leaf.  A node is
+    then one gather, add and minimum.  A leaf finishes one cell per live
+    digit pattern of its bag vertices with base neighbours.  Tables, plans
+    and the largest node's working arrays over DP_TABLE_BUDGET bytes raise
+    ValueError before any is allocated.
     """
     errs, steps = dec._check(g)
     if errs:
@@ -337,58 +341,74 @@ def _nice_dp(
     # leaf's bag, or where its second end is introduced.  Every node above
     # holds both ends until one is forgotten, and takes those cells' INF
     # from its children.
-    pairs: list[list[tuple[int, int]]] = []  # positions of the edges that meet at each node
-    moves: list[Optional[int]] = []  # position of the introduced or forgotten vertex
+    basemasks: dict[int, int] = {}  # leaf -> its base part
+    nbr: dict[int, list[int]] = {}  # leaf -> the base neighbours of its keyed positions
+    shapes = []
     for t, (kind, v) in enumerate(steps):
         arrive = vms[t] if kind == "leaf" else 1 << v if kind == "introduce" else 0
         met, here = [], vms[t] & ~arrive
         for x in bits(arrive):
             met += [(pos(t, u), pos(t, x)) for u in bits(g.adj_mask(x) & here)]
             here |= 1 << x
-        pairs.append(met)
-        moves.append(pos(t, v) if kind == "introduce" else pos(ch[t][0], v) if kind == "forget" else None)
+        move = pos(t, v) if kind == "introduce" else pos(ch[t][0], v) if kind == "forget" else None
+        keyed = ()
+        if kind == "leaf":
+            basemasks[t] = basemask = mask_of(dec.bags[t]) & lmask
+            keys = [(p, m) for p, u in enumerate(bits(vms[t])) if (m := g.adj_mask(u) & basemask)]
+            keyed, nbr[t] = tuple(p for p, _ in keys), [m for _, m in keys]
+        shapes.append((kind, ws[t], move, tuple(met), keyed))
 
-    maps = {(kind, w, p) for (kind, _), w, p in zip(steps, ws, moves) if p is not None}
-    # tables, bad cells and leaf keys
-    need = sum(base**w * (8 + len(q) + 16 * (kind == "leaf")) for (kind, _), w, q in zip(steps, ws, pairs))
+    need = sum(8 * base**w for w in ws)  # tables
     need += sum(base**w * (w + 8) for w in set(ws))  # digits, deletion counts
-    need += sum(8 * base ** (w + (kind == "forget")) for kind, w, _ in maps)  # index maps
-    # the working arrays of the largest node: a leaf's np.unique passes and
-    # gathers, a forget's gather of base rows, and elsewhere the sum, the
-    # np.minimum result and the np.where result
-    per_cell = {"leaf": 64, "forget": 8 * base + 16}
-    need += max(base**w * per_cell.get(kind, 24) for (kind, _), w in zip(steps, ws))
+    # plans: addends, index maps (a leaf's: the digit pattern of each cell)
+    per_cell = {"leaf": 16, "introduce": 16, "join": 8, "forget": 8 * base}
+    need += sum(base**w * per_cell.get(kind, 0) for kind, w, *_ in set(shapes))
+    # the working arrays of the largest node: a leaf's plan arrays, a
+    # forget's gather of base rows, and elsewhere the sum and its minimum
+    work = {"leaf": 64, "forget": 8 * base + 16}
+    need += max(base**w * work.get(kind, 24) for kind, w, *_ in shapes)
     if need > DP_TABLE_BUDGET:
         raise ValueError(f"DP tables need {-(-need >> 20)} MiB, over the {DP_TABLE_BUDGET >> 20} MiB budget")
 
-    cache: dict = {}  # cell layouts, keyed by what they depend on
+    cache: dict = {}  # digits and deletion counts per width, plans per shape
 
     def cached(key, make):
         if key not in cache:
             cache[key] = make()
         return cache[key]
 
-    def index_map(kind: str, w: int, pos: int) -> np.ndarray:
-        """The child cell of each cell (introduce), or one row per digit
-        inserted at `pos` (forget)."""
+    def make_plan(kind: str, w: int, p: Optional[int], met: tuple, keyed: tuple):
+        """(index map, addend, the digit patterns a leaf finishes)."""
+        digits = cached(w, lambda: np.indices((base,) * w, dtype=np.int8).reshape(w, base**w)[::-1])  # row p: digit p
+        deleted = cached(("deleted", w), lambda: (digits == sides).sum(axis=0))
+        if kind == "join":
+            return None, -deleted, None
+        if kind == "identity":
+            return None, None, None
+        if kind == "forget":  # one row per digit inserted at p
+            high, low = np.divmod(np.arange(base**w), base**p)
+            return low + high * base ** (p + 1) + base**p * np.arange(base)[:, None], None, None
+        bad = np.zeros(base**w, dtype=bool)
+        for x in {x for _, x in met}:  # the edges to x that meet here
+            ends = [u for u, y in met if y == x]
+            bad |= (digits[ends] == digits[x]).any(axis=0) & (digits[x] != sides)
+        if kind == "introduce":  # the child cell of each cell
+            high, low = np.divmod(np.arange(base**w), base**p)
+            return low + high // base * base**p, np.where(bad, INF, digits[p] == sides), None
+        # a leaf numbers the digit patterns of its keyed positions (digit i
+        # of the number is that of keyed position i) and finishes the live ones
+        m = len(keyed)
+        pattern = base ** np.arange(m) @ digits[list(keyed)]
+        live = np.flatnonzero(np.bincount(pattern[~bad], minlength=base**m))
+        return pattern, np.where(bad, INF, deleted), live
 
-        def make() -> np.ndarray:
-            high, low = np.divmod(np.arange(base**w), base**pos)
-            if kind == "introduce":
-                return low + high // base * base**pos
-            return low + high * base ** (pos + 1) + base**pos * np.arange(base)[:, None]
-
-        return cached((kind, w, pos), make)
-
-    tables: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
-    basemasks: dict[int, int] = {}  # leaf -> its base part
-    nbr: dict[int, list[tuple[int, int]]] = {}  # leaf -> (position, base neighbours) if any
     memo: dict[tuple[int, tuple[int, ...]], Optional[int]] = {}
 
-    def solve_leaf(t: int, idx: int) -> Optional[int]:
+    def solve_leaf(t: int, k: int) -> Optional[int]:
+        """Finish leaf t at digit pattern k."""
         masks = [0] * sides
-        for p, m in nbr[t]:
-            d = idx // base**p % base
+        for i, m in enumerate(nbr[t]):
+            d = k // base**i % base
             if d < sides:
                 masks[d] |= m
         key = (basemasks[t], tuple(masks))
@@ -396,39 +416,25 @@ def _nice_dp(
             memo[key] = finish(g, *key, key[0].bit_count())
         return memo[key]
 
+    plans = [cached(shape, lambda: make_plan(*shape)) for shape in shapes]
+    tables: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
     for t in range(len(steps) - 1, -1, -1):
-        kind, kids, w = steps[t][0], ch[t], ws[t]
-        digits = cached(w, lambda: np.indices((base,) * w, dtype=np.int8).reshape(w, base**w)[::-1])  # row p: digit p
-        deleted = cached(("deleted", w), lambda: (digits == sides).sum(axis=0))
-        if pairs[t]:
-            bad = np.zeros(base**w, dtype=bool)
-            for p, q in pairs[t]:
-                bad |= cached((w, p, q), lambda: (digits[p] == digits[q]) & (digits[p] != sides))
-        if kind == "leaf":  # one finish per digit pattern of the positions with base neighbours
-            basemasks[t] = basemask = mask_of(dec.bags[t]) & lmask
-            nbr[t] = [(p, m) for p, v in enumerate(bits(vms[t])) if (m := g.adj_mask(v) & basemask)]
-            keyed = [p for p, _ in nbr[t]]
-            first, group = cached(("keys", w, *keyed), lambda: np.unique(
-                base ** np.array(keyed, dtype=np.int64) @ digits[keyed], return_index=True, return_inverse=True
-            )[1:])
-            cells = np.flatnonzero(~bad) if pairs[t] else slice(None)
-            size = np.full(len(first), INF)
-            for k in np.flatnonzero(np.bincount(group[cells])) if pairs[t] else range(len(first)):
-                sol = solve_leaf(t, int(first[k]))
+        kind, kids = steps[t][0], ch[t]
+        imap, add, live = plans[t]
+        if kind == "leaf":
+            size = np.full(base ** len(nbr[t]), INF)
+            for k in live:
+                sol = solve_leaf(t, int(k))
                 size[k] = INF if sol is None else sol.bit_count()
-            tables[t] = np.full(base**w, INF, dtype=np.int64)
-            tables[t][cells] = np.minimum(deleted[cells] + size[group[cells]], INF)
-            continue
-        if kind == "join":
-            f = np.minimum(tables[kids[0]] + tables[kids[1]] - deleted, INF)
+            tables[t] = np.minimum(size[imap] + add, INF)
+        elif kind == "join":
+            tables[t] = np.minimum(tables[kids[0]] + tables[kids[1]] + add, INF)
         elif kind == "identity":
-            f = tables[kids[0]]
+            tables[t] = tables[kids[0]]
         elif kind == "introduce":
-            p = moves[t]
-            f = np.minimum(tables[kids[0]][index_map("introduce", w, p)] + (digits[p] == sides), INF)
+            tables[t] = np.minimum(tables[kids[0]][imap] + add, INF)
         else:  # forget: best digit of the forgotten vertex
-            f = tables[kids[0]][index_map("forget", w, moves[t])].min(axis=0)
-        tables[t] = np.where(bad, INF, f) if pairs[t] else f
+            tables[t] = tables[kids[0]][imap].min(axis=0)
 
     root = dec.root()
     best_idx = int(np.argmin(tables[root]))
@@ -441,9 +447,9 @@ def _nice_dp(
     stack = [(root, best_idx)]
     while stack:
         t, idx = stack.pop()
-        (kind, v), kids = steps[t], ch[t]
+        (kind, v), kids, imap = steps[t], ch[t], plans[t][0]
         if kind == "leaf":
-            sol = solve_leaf(t, idx)
+            sol = solve_leaf(t, int(imap[idx]))
             assert sol is not None
             solution |= sol
         elif kind == "join":
@@ -451,9 +457,9 @@ def _nice_dp(
         elif kind == "identity":
             stack.append((kids[0], idx))
         elif kind == "introduce":
-            stack.append((kids[0], int(index_map("introduce", ws[t], moves[t])[idx])))
+            stack.append((kids[0], int(imap[idx])))
         else:
-            ins = index_map("forget", ws[t], moves[t])[:, idx]
+            ins = imap[:, idx]
             d = int(np.argmin(tables[kids[0]][ins]))
             if d == sides:
                 solution |= 1 << v

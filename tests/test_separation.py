@@ -261,7 +261,7 @@ def test_bip_finder_matches_the_parity_graph_reference():
         for k in range(5):
             want = bip_reference(g, Z, k, within)
             got = find_separation_bip(g, Z, k, within=within)
-            kernel = _bip_masks(g, mask_of(Z), k, alive)
+            kernel = _bip_masks(g, mask_of(Z), k, reach_mask(g, mask_of(Z), alive))
             assert (got is None) == (want is None) == (kernel is None), (g.edges, sorted(Z), k, within)
             if got is not None:
                 assert (got.C, got.S) == (want.C, want.S), (g.edges, sorted(Z), k, within)

@@ -193,6 +193,79 @@ def test_vertex_flow_matches_the_forward_reference():
     assert min(seen.values()) >= 300, seen
 
 
+def unique_shortest_interior(adj, alive, x, y):
+    """The inner vertices of the one shortest x-y path in the graph of
+    `adj` within `alive`, or None when there are several or none."""
+    dist, count, frontier = {x: 0}, {x: 1}, [x]
+    while frontier and y not in dist:
+        nxt = []
+        for u in frontier:
+            for w in bits(adj[u] & alive):
+                if w not in dist:
+                    dist[w], count[w] = dist[u] + 1, 0
+                    nxt.append(w)
+                if dist[w] == dist[u] + 1:
+                    count[w] += count[u]
+        frontier = nxt
+    if count.get(y) != 1:
+        return None
+    inner, v = 0, y
+    while dist[v] > 1:
+        v = next(u for u in bits(adj[v] & alive) if dist.get(u) == dist[v] - 1)
+        inner |= 1 << v
+    return inner
+
+
+def test_vertex_flow_cancels_flow_like_the_forward_reference():
+    """Seeded graphs with n <= 40 and lambda <= 5 around a planted trap: the
+    one shortest X-Y path x-a-b-y, beside x-c-c'-b and a-d-d'-y, plus longer
+    disjoint paths and noise.  The first search takes that path (it is
+    shortest), and where no lambda - 1 disjoint paths avoid it, a later
+    search must send flow back through a and b.  The flow equals the
+    forward reference's on every case, and the trap is checked, not
+    assumed."""
+    rng = random.Random(2212)
+    seen = Counter()
+    for i in range(3_000):
+        n = rng.randint(12, 40)
+        vs = list(range(n))
+        rng.shuffle(vs)
+        x, y, a, b, c1, c2, d1, d2 = vs[:8]
+        edges = {(x, a), (a, b), (b, y), (x, c1), (c1, c2), (c2, b), (a, d1), (d1, d2), (d2, y)}
+        rest = vs[8:]
+        for _ in range(rng.randint(0, 3)):  # longer disjoint x-y paths
+            length = rng.randint(3, 5)
+            if len(rest) < length:
+                break
+            path, rest = [x] + rest[:length] + [y], rest[length:]
+            edges |= set(zip(path, path[1:]))
+        inner = [v for v in vs if v not in (x, y) and v not in rest]
+        for v in rest:  # noise: a neighbour or two inside, at most one terminal
+            edges |= {(v, u) for u in rng.sample(inner + rest, 2) if u != v}
+            if rng.random() < 0.2:
+                edges.add((v, rng.choice((x, y))))
+        g = Graph(n, [(min(e), max(e)) for e in edges])
+        if max(g.degree(x), g.degree(y)) > 5:
+            continue
+        adj, alive, cap = g._adj_masks, g.full_mask(), rng.randint(1, 5)
+        got = _vertex_flow(adj, alive, 1 << x, 1 << y, cap)
+        assert got == reference_vertex_flow(adj, alive, 1 << x, 1 << y, cap), (i, sorted(edges))
+        lam = reference_vertex_flow(adj, alive, 1 << x, 1 << y, n)[0]
+        trap = unique_shortest_interior(adj, alive, x, y)
+        if trap is not None:
+            rest_lam = reference_vertex_flow(adj, alive & ~trap, 1 << x, 1 << y, n)[0]
+            seen["forced", lam] += rest_lam < lam - 1 and lam <= cap
+        seen["None"] += got is None
+    assert seen["None"] >= 100 and all(seen["forced", lam] >= 20 for lam in range(2, 6)), seen
+
+
+def test_vertex_flow_refuses_terminals_in_both_sets():
+    with pytest.raises(ValueError, match="disjoint"):
+        _vertex_flow(PATH3._adj_masks, 0b111, 0b011, 0b110, 2)
+    # a shared vertex outside `alive` takes no part in the flow
+    assert _vertex_flow(PATH3._adj_masks, 0b101, 0b011, 0b110, 2) == (0, 0)
+
+
 def test_stats_counts_recursion_nodes():
     stats = SearchStats()
     enum(BROOM, {0}, {4}, 2, stats=stats)
