@@ -36,17 +36,13 @@ from .solvers import (
 )
 
 
-class CliError(Exception):
-    pass
-
-
 def _read(what: str, path: str, parse):
     """parse(the text of the file at path); a file that cannot be read,
     parsed, or held in memory raises `cannot read <what> <path>: <reason>`."""
     try:
         return parse(Path(path).read_text())
     except (OSError, ValueError, RecursionError, MemoryError) as e:
-        raise CliError(f"cannot read {what} {path}: {str(e) or type(e).__name__}")
+        raise ValueError(f"cannot read {what} {path}: {str(e) or type(e).__name__}")
 
 
 def _write(what: str, path: str, text: str) -> None:
@@ -55,7 +51,7 @@ def _write(what: str, path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as e:
-        raise CliError(f"cannot write {what} {path}: {str(e) or type(e).__name__}")
+        raise ValueError(f"cannot write {what} {path}: {str(e) or type(e).__name__}")
 
 
 def _load_graph(path: str) -> Graph:
@@ -68,7 +64,7 @@ def _parse_class(spec: str) -> GraphClassSpec:
     if spec.startswith("forbid:"):
         path = spec[len("forbid:") :]
         return _read("family", path, lambda text: GraphClassSpec.forbidden(*parse_family(text)))
-    raise CliError(f"unknown class {spec!r} (use bip or forbid:<path>)")
+    raise ValueError(f"unknown class {spec!r} (use bip or forbid:<path>)")
 
 
 def _parse_vertices(arg: str, n: int) -> frozenset[int]:
@@ -79,11 +75,11 @@ def _parse_vertices(arg: str, n: int) -> frozenset[int]:
     try:
         out = frozenset(int(x) - 1 for x in arg.split(","))
     except ValueError:
-        raise CliError(f"malformed vertex list {arg!r}")
+        raise ValueError(f"malformed vertex list {arg!r}")
     if any(v < 0 for v in out):
-        raise CliError("vertex ids are 1-based")
+        raise ValueError("vertex ids are 1-based")
     if any(v >= n for v in out):
-        raise CliError(f"vertex id {max(out) + 1} exceeds the graph's {n} vertices")
+        raise ValueError(f"vertex id {max(out) + 1} exceeds the graph's {n} vertices")
     return out
 
 
@@ -114,22 +110,22 @@ def _decompose_one(path: str, cls: GraphClassSpec, mode: str, k: int):
         dec, what = res.decomposition, "decomposition"
     errs = dec.validate(g)
     if errs:
-        raise CliError(f"internal: built {what} invalid: " + "; ".join(errs))
+        raise ValueError(f"internal: built {what} invalid: " + "; ".join(errs))
     message = f"DEPTH {dec.depth}" if mode == "ed" else f"WIDTH {dec.width}"
     return message, dec, 0 if res.promise_ok else 2
 
 
 def cmd_decompose(args) -> int:
     if args.k < 0:
-        raise CliError("--k must be nonnegative")
+        raise ValueError("--k must be nonnegative")
     cls = _parse_class(args.cls)
     if args.batch:
         for given, what in ((args.out, "--out"), (args.dot, "--dot"), (args.graph, "a graph file")):
             if given:
-                raise CliError(f"{what} cannot be combined with --batch")
+                raise ValueError(f"{what} cannot be combined with --batch")
         files = sorted(Path(args.batch).glob("*.gr"))
         if not files:
-            raise CliError(f"no .gr files in {args.batch}")
+            raise ValueError(f"no .gr files in {args.batch}")
         worst = 0
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(len(files), os.cpu_count() or 1)
@@ -141,7 +137,7 @@ def cmd_decompose(args) -> int:
             for name in sorted(futures):
                 try:
                     message, _, code = futures[name].result()
-                except CliError as e:
+                except ValueError as e:
                     print(f"{name}: ERROR {e}")
                     worst = max(worst, 1)
                     continue
@@ -180,7 +176,7 @@ def _auto(g: Graph, cls: GraphClassSpec, build):
         res = build(g, k, cls)
         if res.promise_ok:
             return res
-    raise CliError("auto mode failed to satisfy the promise check")
+    raise ValueError("auto mode failed to satisfy the promise check")
 
 
 def _auto_forest(g: Graph, cls: GraphClassSpec) -> EliminationForest:
@@ -191,59 +187,51 @@ def _auto_nice(g: Graph, cls: GraphClassSpec) -> NiceTreeHDecomposition:
     return make_nice(_auto(g, cls, build_tree_h_decomposition).decomposition)
 
 
-def _solved(solver, *args):
-    """Run a solver, which validates its decomposition; its ValueError exits 1."""
-    try:
-        return solver(*args)
-    except ValueError as e:
-        raise CliError(str(e))
-
-
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     if args.problem == "klfree":
         if not 2 <= args.l <= 5:
-            raise CliError("--l must be between 2 and 5")
+            raise ValueError("--l must be between 2 and 5")
         cls = GraphClassSpec.kl_free(args.l)
     else:
         cls = GraphClassSpec.bipartite()
     if args.via == "dp" and args.problem == "klfree":
-        raise CliError("klfree supports --via elim only")
+        raise ValueError("klfree supports --via elim only")
     decomp = None
     if args.decomp != "auto":
         decomp = _read("decomposition", args.decomp, from_json)
         if decomp.cls != cls:
-            raise CliError("decomposition class does not match the problem")
+            raise ValueError("decomposition class does not match the problem")
     if args.via == "elim":
         if decomp is None:
             forest = _auto_forest(g, cls)
         elif isinstance(decomp, EliminationForest):
             forest = decomp
         else:
-            raise CliError("--via elim needs an elimination forest")
+            raise ValueError("--via elim needs an elimination forest")
         if args.problem == "oct":
-            x = _solved(solve_oct_elim, g, forest)
+            x = solve_oct_elim(g, forest)
         elif args.problem == "vc":
-            x = _solved(solve_vc_elim, g, forest)
+            x = solve_vc_elim(g, forest)
         else:
-            x = _solved(solve_klfree_elim, g, forest, args.l)
+            x = solve_klfree_elim(g, forest, args.l)
     else:
         if decomp is None:
             nice = _auto_nice(g, cls)
         elif isinstance(decomp, EliminationForest):
-            raise CliError("--via dp needs a tree decomposition")
+            raise ValueError("--via dp needs a tree decomposition")
         elif isinstance(decomp, NiceTreeHDecomposition):
             nice = decomp
         else:
             # make_nice assumes a valid input
             errs = decomp.validate(g)
             if errs:
-                raise CliError("invalid decomposition: " + "; ".join(errs))
+                raise ValueError("invalid decomposition: " + "; ".join(errs))
             nice = make_nice(decomp)
         if args.problem == "oct":
-            _, x = _solved(solve_oct_dp, g, nice)
+            _, x = solve_oct_dp(g, nice)
         else:
-            _, x = _solved(solve_vc_dp, g, nice)
+            _, x = solve_vc_dp(g, nice)
     sys.stdout.write(solution_block(args.problem, x))
     return 0
 
@@ -262,31 +250,33 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
-    if args.what in ("deletion", "ed") and args.cls is None:
-        raise CliError(f"--what {args.what} needs --class")
+    # the inputs are read before the oracles run, so that only the oracles'
+    # own size guards answer TOO LARGE
+    if args.what in ("deletion", "ed"):
+        if args.cls is None:
+            raise ValueError(f"--what {args.what} needs --class")
+        cls = _parse_class(args.cls)
+    elif args.what == "abc":
+        if args.k < 0:
+            raise ValueError("--k must be nonnegative")
+        b1 = _parse_vertices(args.b1, g.n)
+        b2 = _parse_vertices(args.b2, g.n)
+    else:  # impsep
+        q = ImportantSeparatorQuery(_parse_vertices(args.x, g.n), _parse_vertices(args.y, g.n), args.k)
     try:
         if args.what == "deletion":
-            cls = _parse_class(args.cls)
             size, witness = brute_min_deletion(g, cls)
             sys.stdout.write(solution_block("deletion", witness))
         elif args.what == "ed":
-            cls = _parse_class(args.cls)
             print(f"ED {brute_ed(g, cls)}")
         elif args.what == "abc":
-            if args.k < 0:
-                raise CliError("--k must be nonnegative")
-            b1 = _parse_vertices(args.b1, g.n)
-            b2 = _parse_vertices(args.b2, g.n)
             res = brute_abc(g, b1, b2, args.k)
             if res is None:
                 print("NONE")
             else:
                 sys.stdout.write(solution_block("abc", res))
-        else:  # impsep
-            x = _parse_vertices(args.x, g.n)
-            y = _parse_vertices(args.y, g.n)
+        else:
             out: list[frozenset[int]] = []
-            q = ImportantSeparatorQuery(x, y, args.k)
             if g.n > 16:
                 raise ValueError("graph too large for the oracle guard")
             enumerate_important_separators(q, g, out.append)
@@ -297,7 +287,7 @@ def cmd_oracle(args) -> int:
         if "guard" in str(e) or "too large" in str(e).lower():
             print("TOO LARGE", file=sys.stderr)
             return 1
-        raise CliError(str(e))
+        raise
     return 0
 
 
@@ -361,9 +351,9 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         if args.command == "decompose" and not args.batch and not args.graph:
-            raise CliError("a graph file is required outside --batch mode")
+            raise ValueError("a graph file is required outside --batch mode")
         return args.fn(args)
-    except CliError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -46,7 +46,7 @@ from .separation import (
     _restricted_masks,
     find_extremal_separation,
 )
-from .tree import children, preorder, renumber
+from .tree import children, path_masks, preorder, renumber
 
 #: documented constant for the make_nice size guarantee
 ALPHA = 32
@@ -150,18 +150,15 @@ class EliminationForest:
             errs.append("bags do not partition V(G)")
         if errs:
             return errs
-        # ancestor-descendant condition for edges
+        # ancestor-descendant condition for edges: an end lies on the root
+        # path of the other end's node
         owner = {}
         for i, node in enumerate(self.nodes):
             for v in node.bag:
                 owner[v] = i
-        anc: list[set[int]] = [set() for _ in self.nodes]
-        for i, node in enumerate(self.nodes):
-            if node.parent >= 0:
-                anc[i] = anc[node.parent] | {node.parent}
+        path = path_masks([n.parent for n in self.nodes], [mask_of(n.bag) for n in self.nodes])
         for u, v in g.edges:
-            a, b = owner[u], owner[v]
-            if a != b and a not in anc[b] and b not in anc[a]:
+            if not (path[owner[v]] >> u & 1 or path[owner[u]] >> v & 1):
                 errs.append(f"edge ({u},{v}) crosses unrelated subtrees")
         return errs
 
@@ -333,14 +330,6 @@ class SeparationDecomposition:
     def children(self) -> list[list[int]]:
         return children([node.parent for node in self.nodes])
 
-    def ancestors(self, t: int) -> list[int]:
-        out = []
-        p = self.nodes[t].parent
-        while p >= 0:
-            out.append(p)
-            p = self.nodes[p].parent
-        return out
-
     def validate(self, g: Graph) -> list[str]:
         from .oracles import brute_separable
 
@@ -376,15 +365,15 @@ class SeparationDecomposition:
         for i, node in enumerate(self.nodes):
             for v in node.V:
                 owner[v] = i
-        anc = [set(self.ancestors(i)) for i in range(len(self.nodes))]
+        # path[t]: the node ids on t's root path, t included
+        path = path_masks([n.parent for n in self.nodes], [1 << t for t in range(len(self.nodes))])
         for u, v in g.edges:
             a, b = owner[u], owner[v]
-            if a == b:
-                continue
-            ok = (a in anc[b] and u in self.nodes[a].S) or (
-                b in anc[a] and v in self.nodes[b].S
-            )
-            if not ok:
+            # one end lies in the separator of an ancestor of the other's node
+            if a != b and not (
+                path[b] >> a & 1 and u in self.nodes[a].S
+                or path[a] >> b & 1 and v in self.nodes[b].S
+            ):
                 errs.append(f"edge ({u},{v}) violates the ancestor condition")
         ch = self.children()
         if g.n <= INSEPARABILITY_ORACLE_GUARD:
@@ -393,9 +382,7 @@ class SeparationDecomposition:
                     errs.append(f"node {i}: non-leaf V_t is ({self.k1})-separable")
         if self.restricted:
             for i, node in enumerate(self.nodes):
-                swallowed = sum(
-                    1 for s in self.ancestors(i) if self.nodes[s].V <= node.C
-                )
+                swallowed = sum(1 for s in bits(path[i] ^ 1 << i) if self.nodes[s].V <= node.C)
                 if swallowed > self.k1:
                     errs.append(f"node {i}: {swallowed} ancestors swallowed by C_t")
         return errs
@@ -994,14 +981,10 @@ def ed_forest_from_sepdecomp(
     if quotient_forest.cls is not None:
         raise ValueError("quotient forest must be standard (cls=None)")
     nt = len(dec.nodes)
-    qabove: dict[int, int] = {}  # quotient vertex -> mask of its ancestors
-    path_mask = [0] * len(quotient_forest.nodes)  # root path of a node, inclusive
-    for i, node in enumerate(quotient_forest.nodes):
-        above = path_mask[node.parent] if node.parent >= 0 else 0
-        if not node.leaf:
-            t = next(iter(node.bag))
-            qabove[t] = above
-            path_mask[i] = above | 1 << t
+    qnodes = quotient_forest.nodes
+    path = path_masks([n.parent for n in qnodes], [mask_of(n.bag) for n in qnodes])
+    # quotient vertex -> mask of its ancestors
+    qabove = {t: path[i] ^ 1 << t for i, n in enumerate(qnodes) if not n.leaf for t in n.bag}
     if set(qabove) != set(range(nt)):
         raise ValueError("quotient forest does not match the decomposition")
     vm = [mask_of(n.V) for n in dec.nodes]
@@ -1226,25 +1209,20 @@ def _renumber(dec: TreeHDecomposition) -> TreeHDecomposition:
 def ed_to_tree_decomposition(forest: EliminationForest) -> TreeHDecomposition:
     """In-order leaf path construction: leaves chained as a path, each with a
     pendant child holding its root-path vertices plus its own bag."""
-    ch = forest.children()
-    leaves = []
-    anc_sets: list[frozenset[int]] = [frozenset()] * len(forest.nodes)
-    for i in preorder(ch, forest.roots()):
-        node = forest.nodes[i]
-        if node.leaf:
-            leaves.append(i)
-        for c in ch[i]:
-            anc_sets[c] = anc_sets[i] | node.bag
+    nodes = forest.nodes
+    path = path_masks([n.parent for n in nodes], [mask_of(n.bag) for n in nodes])
+    leaves = [i for i in preorder(forest.children(), forest.roots()) if nodes[i].leaf]
     L = forest.base_vertices()
     if not leaves:
         return TreeHDecomposition([-1], [frozenset()], L, forest.cls)
     parents = []
     bags = []
     for pos, leaf in enumerate(leaves):
+        above = set_of(path[nodes[leaf].parent]) if nodes[leaf].parent >= 0 else frozenset()
         parents.append(-1 if pos == 0 else 2 * (pos - 1))
-        bags.append(anc_sets[leaf])
+        bags.append(above)
         parents.append(2 * pos)
-        bags.append(anc_sets[leaf] | forest.nodes[leaf].bag)
+        bags.append(above | nodes[leaf].bag)
     return TreeHDecomposition(parents, bags, L, forest.cls)
 
 

@@ -29,3 +29,14 @@ def renumber(parents: Sequence[int], order: Sequence[int]) -> list[int]:
     """Parent array of the nodes in `order`, node order[i] renamed i."""
     new = {old: i for i, old in enumerate(order)}
     return [new[parents[old]] if parents[old] >= 0 else -1 for old in order]
+
+
+def path_masks(parents: Sequence[int], masks: Sequence[int]) -> list[int]:
+    """For every node, the union of `masks` over its root path, the node
+    itself included.  Parents must precede their children."""
+    out: list[int] = []
+    for i, p in enumerate(parents):
+        if p >= i:
+            raise ValueError("parents must precede children")
+        out.append(out[p] | masks[i] if p >= 0 else masks[i])
+    return out

@@ -464,6 +464,23 @@ def test_oracle_guard_too_large(files, capsys):
     assert code == 1 and "TOO LARGE" in err
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("--what", "ed", "--class", "forbid:{tmp}/no_guard_here.txt"), "error: cannot read family"),
+        (("--what", "abc", "--b1", "guard"), "error: malformed vertex list"),
+    ],
+    ids=["missing-family-file", "malformed-vertex-list"],
+)
+def test_oracle_input_errors_are_not_size_guards(files, capsys, argv, want):
+    """Only the oracles' own size guards answer TOO LARGE, even when a bad
+    input's message happens to hold the word `guard`."""
+    tmp, put = files
+    p4 = put("p4.gr", write_gr(Graph.path(4)))
+    code, out, err = run(capsys, "oracle", *(a.format(tmp=tmp) for a in argv), p4)
+    assert code == 1 and out == "" and err.splitlines()[0].startswith(want), err
+
+
 def test_batch_mode(files, capsys):
     tmp, put = files
     put("a.gr", write_gr(Graph.cycle(4)))
@@ -505,6 +522,33 @@ def test_batch_mode_reports_an_internal_error_per_file(files, capsys, monkeypatc
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert lines["a.gr"] == "ERROR internal: AssertionError: planted failure"
     assert lines["b.gr"].startswith("WIDTH")
+
+
+def test_batch_mode_reports_a_value_error_by_its_message(files, capsys, monkeypatch):
+    import concurrent.futures
+
+    from hdecomp import cli
+
+    build = cli.build_ed_forest
+
+    def failing(g, k, cls):
+        if g.n == 5:
+            raise ValueError("planted failure")
+        return build(g, k, cls)
+
+    monkeypatch.setattr(cli, "build_ed_forest", failing)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+    tmp, put = files
+    put("a.gr", write_gr(Graph.cycle(5)))
+    put("b.gr", write_gr(Graph.cycle(4)))
+    code, out, _ = run(
+        capsys, "decompose", "--class", "bip", "--mode", "ed", "--k", "1",
+        "--batch", str(tmp),
+    )
+    assert code == 1
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["a.gr"] == "ERROR planted failure"
+    assert lines["b.gr"] == "DEPTH 0"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dot", "graph"])

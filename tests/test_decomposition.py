@@ -20,6 +20,8 @@ from hdecomp.decomposition import (
     EliminationForest,
     ForestNode,
     NiceTreeHDecomposition,
+    SepNode,
+    SeparationDecomposition,
     TD_EXACT_GUARD,
     TW_EXACT_GUARD,
     TreeHDecomposition,
@@ -399,6 +401,70 @@ def test_nonleaf_pieces_inseparable_checked_by_validator():
         for restricted in (False, True):
             dec = build_separation_decomposition(sub, k, BIP, restricted=restricted)
             assert not dec.validate(sub)
+
+
+def _walk_up_ancestor_errors(g, dec):
+    """The separation decomposition's ancestor checks by walking up from
+    every node: each edge meets the separator of an ancestor of the other
+    end's node, and C_t swallows at most k1 ancestors' pieces."""
+
+    def ancestors(t):
+        out = []
+        while dec.nodes[t].parent >= 0:
+            t = dec.nodes[t].parent
+            out.append(t)
+        return out
+
+    errs = []
+    owner = {v: t for t, n in enumerate(dec.nodes) for v in n.V}
+    for u, v in g.edges:
+        a, b = owner[u], owner[v]
+        if a != b and not (
+            (a in ancestors(b) and u in dec.nodes[a].S) or (b in ancestors(a) and v in dec.nodes[b].S)
+        ):
+            errs.append(f"edge ({u},{v}) violates the ancestor condition")
+    if dec.restricted:
+        for t, n in enumerate(dec.nodes):
+            swallowed = sum(1 for s in ancestors(t) if dec.nodes[s].V <= n.C)
+            if swallowed > dec.k1:
+                errs.append(f"node {t}: {swallowed} ancestors swallowed by C_t")
+    return errs
+
+
+def test_ancestor_checks_match_a_walk_up_reference():
+    """Re-parented decompositions pass every per-node check but may break
+    the ancestor conditions; the validator reports exactly what walking up
+    from each node finds.  The graphs lie past the inseparability oracle's
+    guard, so that the ancestor checks are the only ones that can fail."""
+    rng = random.Random(43)
+    failing = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(11, 14), rng.choice([0.2, 0.3]))
+        if len(connected_components(g)) != 1:
+            continue
+        dec = build_separation_decomposition(g, rng.randint(1, 2), BIP, restricted=rng.random() < 0.5)
+        # the pieces in any order, under random parents or in one chain
+        pieces = rng.sample(dec.nodes, len(dec.nodes))
+        chain = rng.random() < 0.5
+        nodes = [
+            SepNode(n.V, n.C, n.S, -1 if t == 0 else t - 1 if chain else rng.randrange(t))
+            for t, n in enumerate(pieces)
+        ]
+        moved = SeparationDecomposition(nodes, dec.k1, dec.k2, dec.restricted, dec.cls)
+        want = _walk_up_ancestor_errors(g, moved)
+        assert moved.validate(g) == want
+        failing += bool(want)
+    assert 0 < failing < 50, failing
+    # built pieces never swallow one another, so a planted C_t swallows: on
+    # the path 0-1-...-10 each C_t is the whole (bipartite) path and each S_t
+    # is empty, so node t swallows its t ancestors and no edge meets an S
+    g = Graph.path(11)
+    everything = frozenset(range(11))
+    nodes = [SepNode(frozenset({t}), everything, frozenset(), t - 1) for t in range(11)]
+    chain = SeparationDecomposition(nodes, 1, 1, True, BIP)
+    want = _walk_up_ancestor_errors(g, chain)
+    assert chain.validate(g) == want
+    assert sum("swallowed" in e for e in want) == 9 and sum("edge" in e for e in want) == 10
 
 
 def test_quotient_examples():
