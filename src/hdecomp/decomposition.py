@@ -581,6 +581,18 @@ def exact_treedepth(g: Graph, cap: Optional[int] = None) -> TreedepthResult:
     return TreedepthResult(forest.depth, forest, exact)
 
 
+def _nbr_tables(g: Graph) -> tuple[list[int], list[int], int, int]:
+    """(lo_nbr, hi_nbr, lo_ids, half), one table per half of the ids: the union
+    of the neighbourhoods of a set x is lo_nbr[x & lo_ids] | hi_nbr[x >> half]."""
+    half = (g.n + 1) // 2
+    lo_nbr, hi_nbr = [0] * (1 << half), [0] * (1 << g.n - half)
+    for first, table in ((0, lo_nbr), (half, hi_nbr)):
+        for x in range(1, len(table)):
+            b = x & -x
+            table[x] = table[x ^ b] | g._adj_masks[first + b.bit_length() - 1]
+    return lo_nbr, hi_nbr, (1 << half) - 1, half
+
+
 def _td_search(g: Graph, ub: int):
     """`exact_treedepth`'s search capped at ub: the function s -> td(G[s])
     when that is at most ub, and ub + 1 otherwise."""
@@ -590,46 +602,59 @@ def _td_search(g: Graph, ub: int):
     # a connected C holding a vertex of degree < ub in g cannot be cut by
     # its least degree
     low = sum(1 << v for v in range(g.n) if adj[v].bit_count() < ub)
-    memo: dict[int, int] = {}
+    lo_nbr, hi_nbr, lo_ids, half = _nbr_tables(g)
+    memo: dict[int, int] = {1 << v: 1 for v in range(g.n)}
 
     def td_conn(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        if mask & (mask - 1) == 0:
-            memo[mask] = 1
-            return 1
-        vs = list(bits(mask))
-        deg = [(adj[v] & mask).bit_count() for v in vs]
+        # one pass over C: hi has the most neighbours in C and lo the
+        # fewest, the smallest id on ties
+        hi, dhi, lo, dlo = 0, -1, 0, g.n
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            d = (adj[b.bit_length() - 1] & mask).bit_count()
+            if d > dhi:
+                hi, dhi = b, d
+            if d < dlo:
+                lo, dlo = b, d
         # td(C) > tw(C) >= the least degree in C
-        if not mask & low and min(deg) >= ub:
+        if not mask & low and dlo >= ub:
             memo[mask] = above
             return above
         # td(C - v) <= td(C) <= 1 + td(C - v) for every v in a connected C:
         # once the best upper bound meets the largest lower bound, the
-        # remaining roots cannot change the value.  The vertex with the most
-        # neighbours in C tends to give the best root, and the one with the
-        # fewest the largest lower bound, so they are tried first.
-        hi, lo = vs[deg.index(max(deg))], vs[deg.index(min(deg))]
+        # remaining roots cannot change the value.  hi tends to give the
+        # best root and lo the largest lower bound, so they are tried
+        # first, then the rest in id order.
         best, lb = above, 0
-        for v in (hi, lo, *(v for v in vs if v != hi and v != lo)):
-            sub = td_parts(mask & ~(1 << v))
-            best = min(best, 1 + sub)
-            lb = max(lb, sub)
+        b, rest = hi, mask ^ hi
+        while b:
+            sub = td_parts(mask ^ b)
+            if sub < best - 1:
+                best = sub + 1
+            if sub > lb:
+                lb = sub
             if best == lb:
                 break
+            b = rest & lo or rest & -rest
+            rest ^= b
         memo[mask] = best
         return best
 
     def td_parts(mask: int) -> int:
-        # the hot loop: inlined, since calling components() here cost
-        # 10-15% on a 16-vertex quotient
+        # the hot loop: grow each component by whole neighbourhoods
         value = 0
         pool = mask
         while pool and value < above:
-            comp = reach_mask(g, pool & -pool, pool)
-            value = max(value, td_conn(comp))
-            pool &= ~comp
+            comp, grown = 0, pool & -pool
+            while grown != comp:
+                comp = grown
+                grown = comp | (lo_nbr[comp & lo_ids] | hi_nbr[comp >> half]) & pool
+            pool ^= comp
+            val = memo.get(comp) or td_conn(comp)
+            if val > value:
+                value = val
         return value
 
     return td_parts
@@ -731,19 +756,7 @@ def _tw_search(g: Graph, ub: int):
     # below[d]: the vertices of degree < d
     below = [sum(1 << v for v in range(n) if adj[v].bit_count() < d) for d in range(n + 1)]
 
-    def union_table(first: int, width: int) -> list[int]:
-        # table[x] = the union of the neighbourhoods of first + i, i in x
-        table = [0] * (1 << width)
-        for x in range(1, 1 << width):
-            b = x & -x
-            table[x] = table[x ^ b] | adj[first + b.bit_length() - 1]
-        return table
-
-    # the union of the neighbourhoods of the vertices of a set x is
-    # lo_nbr[x & lo_ids] | hi_nbr[x >> half], one table per half of the ids
-    half = (n + 1) // 2
-    lo_ids = (1 << half) - 1
-    lo_nbr, hi_nbr = union_table(0, half), union_table(half, n - half)
+    lo_nbr, hi_nbr, lo_ids, half = _nbr_tables(g)
     # memo[s] = f(s), `above` for every f(s) > ub, and -1 while unknown
     memo = [-1] * (1 << n)
 

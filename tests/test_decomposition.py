@@ -198,6 +198,26 @@ def test_promise_decisions_match_the_exact_values():
                     assert to_json(getattr(capped, field)) == to_json(getattr(full, field)), (g.edges, d, field)
 
 
+def test_exact_treedepth_matches_the_reference_up_to_the_guard():
+    """Sparse draws with n = 16 .. TD_EXACT_GUARD, where the neighbourhood
+    tables hold 8-10 ids per half: the uncapped search gives the unpruned
+    reference's value and forest, and the caps td - 1 and td give the
+    verdicts of `test_promise_decisions_match_the_exact_values`.  The
+    reference's time grows fast with the edges (12 s on a G(20, 0.15) with
+    31 edges; Python 3.11, 2 vCPUs), so the densest draws are at the
+    smaller n."""
+    rng = random.Random(43)
+    top = {16: 0.2, 17: 0.2, 18: 0.15, 19: 0.15, TD_EXACT_GUARD: 0.1}
+    for n, p in 2 * [(n, p) for n in top for p in (0.1, 0.15, 0.2) if p <= top[n]]:
+        g = random_graph(rng, n, p)
+        td = exact_treedepth(g)
+        value, forest = treedepth_reference(g)
+        assert (td.value, td.exact, to_json(td.forest)) == (value, True, to_json(forest)), g.edges
+        below, at = exact_treedepth(g, value - 1), exact_treedepth(g, value)
+        assert (below.value, below.exact, below.forest) == (value, True, None), g.edges
+        assert (at.value, at.exact, to_json(at.forest)) == (value, True, to_json(forest)), g.edges
+
+
 def test_passing_tw_build_runs_min_fill_once_per_quotient(monkeypatch):
     """A tree H-decomposition build whose quotients lie within the exact
     guard runs min-fill once per quotient: the capped search that gives
