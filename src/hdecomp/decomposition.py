@@ -912,12 +912,13 @@ def build_separation_decomposition(
         raise ValueError("graph must be connected (split components first)")
     finder, k2 = _extremal_finder(cls, restricted, k)
     nodes: list[SepNode] = []
+    parents: list[int] = []
     saturated: list[bool] = []
     path_union: list[int] = []  # root-path union of V_t & S_t masks
     depth: list[int] = []
+    adj = g._adj_masks
 
-    def choose_parent(region: int) -> int:
-        need = neighborhood_mask(g, region)
+    def choose_parent(need: int) -> int:
         best = -1
         for i in range(len(nodes)):
             if saturated[i]:
@@ -935,17 +936,19 @@ def build_separation_decomposition(
     # is disjoint from every earlier V
     vmask: list[int] = []
     used = 0  # union of the V masks so far
-    stack = [g.full_mask()]
+    # each region is stacked with N(parent region) | Z, which holds N(region)
+    stack = [(g.full_mask(), 0)]
     while stack:
-        region = stack.pop()
+        region, cand = stack.pop()
         if region & used:
             raise ValueError("family sets must be disjoint from Z")
-        parent = -1 if not nodes else choose_parent(region)
+        need = mask_of(v for v in bits(cand) if adj[v] & region)  # N(region)
+        parent = choose_parent(need) if nodes else -1
         family = []  # ancestor V masks, deepest first
         t = parent
         while t >= 0:
             family.append(vmask[t])
-            t = nodes[t].parent
+            t = parents[t]
         zmask, cmask, smask, certified = find_extremal_separation(
             g, region, region & -region, k, family, finder
         )
@@ -957,13 +960,14 @@ def build_separation_decomposition(
         used |= zmask
         vmask.append(zmask)
         nodes.append(SepNode(set_of(zmask), set_of(cmask), set_of(smask), parent))
+        parents.append(parent)
         saturated.append(zmask == region and not certified)
         pu = zmask & smask
         if parent >= 0:
             pu |= path_union[parent]
         path_union.append(pu)
         depth.append(0 if parent < 0 else depth[parent] + 1)
-        stack.extend(reversed(components(g, region & ~zmask)))
+        stack.extend((c, need | zmask) for c in reversed(components(g, region & ~zmask)))
     return SeparationDecomposition(nodes, k, k2, restricted, cls)
 
 

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 class Graph:
     """An immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj_masks", "_hash")
+    # _cut_tree: the block-cut forest, built on first use (separators.py)
+    __slots__ = ("n", "edges", "_adj_masks", "_hash", "_cut_tree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -35,6 +36,7 @@ class Graph:
             masks[v] |= 1 << u
         self._adj_masks = tuple(masks)
         self._hash = hash((n, self.edges))
+        self._cut_tree = None
 
     # -- constructors ------------------------------------------------------
 

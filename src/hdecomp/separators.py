@@ -144,6 +144,87 @@ def _vertex_flow(adj: Sequence[int], alive: int, xmask: int, ymask: int, cap: in
                 fin[s] = fin.get(s, 0) | 1 << p
 
 
+# -- one-vertex cuts -----------------------------------------------------------
+
+
+def _cut_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Parent and order arrays of G's block-cut forest, built on first use
+    and kept in the graph's `_cut_tree` slot (G is immutable).
+
+    Node v < n is vertex v, and the nodes past n are the blocks.  A DFS root
+    is a root, a block's parent is the vertex it hangs from, and any other
+    vertex's parent is the block that holds its DFS tree edge up.  The
+    vertices that separate x from y are then the vertex nodes inside the
+    tree path between them (Hopcroft and Tarjan, CACM 1973).  order[v] is
+    2i + 1 for the i-th vertex found and a block's is its head's + 1, so a
+    node's order exceeds its ancestors'.  The DFS keeps its own stack: a
+    chain of cycles is deeper than the recursion limit.
+    """
+    if g._cut_tree is not None:
+        return g._cut_tree
+    n, adj = g.n, g._adj_masks
+    order, low, parent = [0] * n, [0] * n, [-1] * n
+    found = -1
+    for r in range(n):
+        if order[r]:
+            continue
+        found += 2
+        order[r] = low[r] = found
+        held, frames = [r], [(r, bits(adj[r]))]  # held: found, block still open
+        while frames:
+            u, rest = frames[-1]
+            w = next(rest, -1)
+            if w >= 0 and not order[w]:
+                found += 2
+                order[w] = low[w] = found
+                held.append(w)
+                frames.append((w, bits(adj[w])))
+            elif w >= 0:
+                low[u] = min(low[u], order[w])
+            else:
+                frames.pop()
+                p = frames[-1][0] if frames else r
+                low[p] = min(low[p], low[u])
+                if p != u and low[u] >= order[p]:  # u's subtree and p close a block
+                    parent.append(p)
+                    order.append(order[p] + 1)
+                    while parent[u] < 0:
+                        parent[held.pop()] = len(parent) - 1
+    g._cut_tree = (parent, order)
+    return g._cut_tree
+
+
+def _cut_vertex_cut(g: Graph, xmask: int, ymask: int, k: int) -> Optional[int]:
+    """The farthest minimum (X,Y)-cut in G if it has at most k <= 1
+    vertices, else None; X and Y nonempty, disjoint and each connected.
+
+    G[X] and G[Y] stay connected without any c outside them, so c separates
+    X from Y exactly when it lies inside the tree path between min X and
+    min Y.  These cuts are ordered along the path, and the one nearest Y is
+    the farthest from X.
+    """
+    parent, order = _cut_tree(g)
+    n, xy = g.n, xmask | ymask
+    a = (xmask & -xmask).bit_length() - 1
+    b = (ymask & -ymask).bit_length() - 1
+    near_x = near_y = -1  # the candidate nearest Y on each side of the meeting node
+    while a != b:  # a node found later is no ancestor of the other: it climbs
+        if order[a] >= order[b]:
+            if a < n and not xy >> a & 1:
+                near_x = a
+            a = parent[a]
+        else:
+            if near_y < 0 and b < n and not xy >> b & 1:
+                near_y = b
+            b = parent[b]
+        if a < 0 or b < 0:  # past a root: X and Y lie in different components
+            return 0
+    if near_y < 0 and a < n and not xy >> a & 1:
+        near_y = a
+    cut = near_y if near_y >= 0 else near_x
+    return 1 << cut if cut >= 0 and k >= 1 else None
+
+
 # -- important separators ----------------------------------------------------
 
 
@@ -186,12 +267,18 @@ def _important_masks(
         # X and Y are disjoint, so a one-vertex (X,Y)-separator lies on every
         # X-Y path.  These separators are totally ordered by reach, and the
         # only important one of size <= 1 is the farthest minimum cut (empty
-        # when lambda = 0).
+        # when lambda = 0).  On all of G with connected X and Y, the
+        # block-cut forest gives it without a flow.
         if stats is not None:
             stats.tick()
-        res = _vertex_flow(g._adj_masks, alive0, xmask0, ymask0, k)
-        if res is not None:
-            yield res[1]
+        whole = k >= 0 and alive0 == g.full_mask() and xmask0 and ymask0 and not xmask0 & ymask0
+        if whole and all(reach_mask(g, m & -m, m) == m for m in (xmask0, ymask0)):
+            cut = _cut_vertex_cut(g, xmask0, ymask0, k)
+        else:
+            res = _vertex_flow(g._adj_masks, alive0, xmask0, ymask0, k)
+            cut = None if res is None else res[1]
+        if cut is not None:
+            yield cut
         return
     stack = [(alive0, xmask0, k, 0)]
     while stack:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,29 @@ def test_exact_treedepth_matches_the_reference_up_to_the_guard():
         below, at = exact_treedepth(g, value - 1), exact_treedepth(g, value)
         assert (below.value, below.exact, below.forest) == (value, True, None), g.edges
         assert (at.value, at.exact, to_json(at.forest)) == (value, True, to_json(forest)), g.edges
+
+
+def test_treedepth_search_stops_early():
+    """The search stops trying roots once a set's best upper bound meets
+    its largest lower bound.  Without that stop every value stays exact, so
+    only the work shows it: on this G(18, 0.2) the search evaluates 18,764
+    connected sets with it and 112,649 without the lower-bound update."""
+    import sys
+
+    rng = random.Random(37)
+    g = Graph(18, [e for e in itertools.combinations(range(18), 2) if rng.random() < 0.2])
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "td_conn"
+
+    sys.setprofile(count)
+    try:
+        value = exact_treedepth(g).value
+    finally:
+        sys.setprofile(None)
+    assert value == 8 and calls <= 30_000, calls
 
 
 def test_passing_tw_build_runs_min_fill_once_per_quotient(monkeypatch):

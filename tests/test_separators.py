@@ -5,7 +5,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from hdecomp.graphs import Graph, bits, mask_of, neighborhood_mask, reach_mask, set_of
+from hdecomp import separators
+from hdecomp.decomposition import build_tree_h_decomposition
+from hdecomp.graphs import Graph, GraphClassSpec, bits, mask_of, neighborhood_mask, reach_mask, set_of
 from hdecomp.separators import (
     ImportantSeparatorQuery,
     SearchStats,
@@ -23,6 +25,7 @@ from .conftest import (
     reachable,
     reference_vertex_flow,
 )
+from .test_golden import cycle_tree
 
 PATH3 = Graph.path(3)
 DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -370,3 +373,71 @@ def test_budget_at_most_one_emits_what_the_branching_emits():
                 closest = _vertex_flow(g._adj_masks, alive, ymask, xmask, 1)[1]
                 cases["not closest"] += closest != want[0]
     assert min(cases.values()) > 30 and cases["one"] > 200, cases
+
+
+def connected_terminals(rng, g, size, avoid=0):
+    """A connected vertex set of up to `size` vertices outside `avoid`,
+    grown from a random vertex by random neighbours."""
+    free = [v for v in range(g.n) if not avoid >> v & 1]
+    mask = 1 << rng.choice(free)
+    for _ in range(size - 1):
+        grow = list(bits(neighborhood_mask(g, mask) & ~avoid))
+        if not grow:
+            break
+        mask |= 1 << rng.choice(grow)
+    return mask
+
+
+def test_whole_graph_budget_at_most_one_is_the_block_cut_answer():
+    """On all of G with connected X and Y, budgets 0 and 1 are answered
+    from the block-cut forest: the answer is the forward reference's
+    farthest cut (nothing above the budget or on an X-Y edge).  Random
+    sparse graphs, chains of odd cycles and trees, plus one 5,000-vertex
+    odd cycle with pendant triangles, whose DFS runs far deeper than the
+    recursion limit."""
+    rng = random.Random(47)
+    cases = Counter()
+    big = 4001  # the cycle; a triangle hangs off every 12th cycle vertex by a bridge
+    edges = [(v, (v + 1) % big) for v in range(big)]
+    for i in range(333):
+        a = big + 3 * i
+        edges += [(12 * i, a), (a, a + 1), (a + 1, a + 2), (a, a + 2)]
+    ring = Graph(big + 3 * 333, edges)
+    shapes = ["sparse", "chain", "tree"] * 100 + ["ring"] * 30
+    for shape in shapes:
+        if shape == "sparse":
+            n = rng.randint(2, 40)
+            g = random_graph(rng, n, rng.choice([0.04, 0.07, 0.12]))
+        elif shape == "chain":
+            g = cycle_tree(rng, [rng.choice((3, 5)) for _ in range(rng.randint(1, 12))], False)
+        elif shape == "tree":
+            n = rng.randint(2, 40)
+            g = Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        else:
+            g = ring
+        xmask = connected_terminals(rng, g, rng.randint(1, 3))
+        if xmask == g.full_mask():
+            continue
+        ymask = connected_terminals(rng, g, rng.randint(1, 3), xmask)
+        for k in (0, 1):
+            ref = reference_vertex_flow(g._adj_masks, g.full_mask(), xmask, ymask, k)
+            want = [] if ref is None else [ref[1]]
+            assert list(_important_masks(g, xmask, ymask, k, g.full_mask())) == want, (shape, g.edges, xmask, ymask, k)
+            cases[shape, "none" if not want else "empty" if want == [0] else "one"] += 1
+    assert min(cases[s, "one"] for s in ("sparse", "chain", "tree", "ring")) >= 5, cases
+    assert cases["sparse", "empty"] >= 30 and min(cases[s, "none"] for s in ("sparse", "chain", "ring")) >= 10, cases
+
+
+def test_chain_tw_build_runs_no_separator_flow(monkeypatch):
+    """A k = 1 tw build of a chain of odd cycles asks only for important
+    separators of size <= 1 on the whole graph, so the block-cut forest
+    answers every one of them and the separator kernels run no flow (the
+    bipartite finder's parity flows are its own)."""
+    calls = []
+    inner = separators._vertex_flow
+    monkeypatch.setattr(separators, "_vertex_flow", lambda *a: calls.append(1) or inner(*a))
+    rng = random.Random(5)
+    g = cycle_tree(rng, [rng.choice((3, 5)) for _ in range(20)], False)
+    res = build_tree_h_decomposition(g, 1, GraphClassSpec.bipartite())
+    assert not res.decomposition.validate(g)
+    assert len(calls) == 0
