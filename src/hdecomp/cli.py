@@ -17,11 +17,10 @@ from pathlib import Path
 from .graphs import Graph, GraphClassSpec, is_member, parse_family, parse_gr
 from .decomposition import (
     EliminationForest,
-    NiceTreeHDecomposition,
+    TreeHDecomposition,
     build_ed_forest,
     build_tree_h_decomposition,
     from_json,
-    make_nice,
     to_json,
 )
 from .oracles import brute_abc, brute_ed, brute_min_deletion
@@ -183,8 +182,9 @@ def _auto_forest(g: Graph, cls: GraphClassSpec) -> EliminationForest:
     return _auto(g, cls, build_ed_forest).forest
 
 
-def _auto_nice(g: Graph, cls: GraphClassSpec) -> NiceTreeHDecomposition:
-    return make_nice(_auto(g, cls, build_tree_h_decomposition).decomposition)
+def _auto_nice(g: Graph, cls: GraphClassSpec) -> TreeHDecomposition:
+    """The auto decomposition for the DP, which makes it nice."""
+    return _auto(g, cls, build_tree_h_decomposition).decomposition
 
 
 def cmd_solve(args) -> int:
@@ -217,21 +217,10 @@ def cmd_solve(args) -> int:
             x = solve_klfree_elim(g, forest, args.l)
     else:
         if decomp is None:
-            nice = _auto_nice(g, cls)
+            decomp = _auto_nice(g, cls)
         elif isinstance(decomp, EliminationForest):
             raise ValueError("--via dp needs a tree decomposition")
-        elif isinstance(decomp, NiceTreeHDecomposition):
-            nice = decomp
-        else:
-            # make_nice assumes a valid input
-            errs = decomp.validate(g)
-            if errs:
-                raise ValueError("invalid decomposition: " + "; ".join(errs))
-            nice = make_nice(decomp)
-        if args.problem == "oct":
-            _, x = solve_oct_dp(g, nice)
-        else:
-            _, x = solve_vc_dp(g, nice)
+        _, x = (solve_oct_dp if args.problem == "oct" else solve_vc_dp)(g, decomp)
     sys.stdout.write(solution_block(args.problem, x))
     return 0
 

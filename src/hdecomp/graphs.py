@@ -315,7 +315,15 @@ def _find_embedding_image(g: Graph, pattern: Graph, within_mask: int) -> Optiona
             chosen.pop()
         return False
 
+    # an image vertex has >= min-degree(pattern) neighbours in it: peel to that core
+    delta = min((m.bit_count() for m in padj), default=0)
     rest = within_mask
+    low = [v for v in bits(rest) if (adj[v] & rest).bit_count() < delta]
+    while low:
+        v = low.pop()
+        if rest >> v & 1:
+            rest ^= 1 << v
+            low += [u for u in bits(adj[v] & rest) if (adj[u] & rest).bit_count() < delta]
     while rest.bit_count() >= q:
         v = rest & -rest
         ball = front = v

@@ -16,6 +16,7 @@ The empty set is the mask 0, so infeasibility is tested with `is None`.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +31,7 @@ from .graphs import (
     mask_of,
     set_of,
 )
-from .decomposition import EliminationForest, NiceTreeHDecomposition
+from .decomposition import EliminationForest, NiceTreeHDecomposition, TreeHDecomposition, make_nice
 from .separators import _vertex_flow
 
 INF = np.int64(1) << 40
@@ -136,6 +137,20 @@ def _vc_finish(g: Graph, base: int, ann: tuple[int, ...], budget: int) -> int:
     return _vc_bipartite_within(g, base & ~forced) | forced
 
 
+def _memoized(finish: Callable[[Graph, int, tuple[int, ...], int], Optional[int]]):
+    """finish, called once per base part and side masks within it; its
+    budget must be fixed per base part, as it is within one solve."""
+    memo: dict = {}
+
+    def once(g: Graph, base: int, ann: tuple[int, ...], budget: int) -> Optional[int]:
+        key = base, tuple([a & base for a in ann])
+        if key not in memo:
+            memo[key] = finish(g, base, key[1], budget)
+        return memo[key]
+
+    return once
+
+
 def _independent_join(g: Graph, a: int, v: int) -> Optional[int]:
     """A side annotated by its neighbourhood refuses v when v has a neighbour on it."""
     return None if a >> v & 1 else a | g.adj_mask(v)
@@ -207,8 +222,8 @@ def _branch(
 def solve_oct_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
     """Minimum odd cycle transversal via 3-way branching on a bipartite-class
     elimination forest; base components solved as ABC instances with budget
-    equal to the leaf depth."""
-    return set_of(_branch(g, forest, 2, _independent_join, _oct_finish))
+    equal to the leaf depth, once per distinct annotation."""
+    return set_of(_branch(g, forest, 2, _independent_join, _memoized(_oct_finish)))
 
 
 def solve_vc_elim(g: Graph, forest: EliminationForest) -> frozenset[int]:
@@ -299,14 +314,69 @@ def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozense
 #: before the first allocation
 DP_TABLE_BUDGET = 256 << 20
 
+#: bytes of digit layouts and node plans that `_nice_dp` keeps across calls,
+#: least recently used out first; a plan depends only on its shape and base
+PLAN_CACHE_BYTES = 1 << 20
+_plan_cache: OrderedDict = OrderedDict()  # (base, key) -> (value, its bytes)
+_plan_cache_bytes = 0
+
+
+def _kept(key, make: Callable, local: dict):
+    """make()'s value for key: made once per call, in `local`, and kept across calls while it fits."""
+    global _plan_cache_bytes
+    if key not in local:
+        if key in _plan_cache:
+            _plan_cache.move_to_end(key)
+            local[key] = _plan_cache[key][0]
+        else:
+            local[key] = value = make()
+            arrays = [a for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
+            for a in arrays:
+                a.flags.writeable = False  # shared by every later call
+            size = sum(a.nbytes for a in arrays)
+            if size <= PLAN_CACHE_BYTES:
+                _plan_cache[key] = value, size
+                _plan_cache_bytes += size
+                while _plan_cache_bytes > PLAN_CACHE_BYTES:
+                    _plan_cache_bytes -= _plan_cache.popitem(last=False)[1][1]
+    return local[key]
+
+
+def _make_plan(sides: int, layout: Callable, kind: str, w: int, p: Optional[int], met: tuple, keyed: tuple):
+    """(index map, addend, the digit patterns a leaf finishes) of a node shape;
+    layout(w) gives width w's digits (row p: digit p) and deletion counts."""
+    base = sides + 1
+    digits, deleted = layout(w)
+    if kind == "join":
+        return None, -deleted, None
+    if kind == "identity":
+        return None, None, None
+    if kind == "forget":  # one row per digit inserted at p
+        high, low = np.divmod(np.arange(base**w), base**p)
+        return low + high * base ** (p + 1) + base**p * np.arange(base)[:, None], None, None
+    bad = np.zeros(base**w, dtype=bool)
+    for x in {x for _, x in met}:  # the edges to x that meet here
+        ends = [u for u, y in met if y == x]
+        bad |= (digits[ends] == digits[x]).any(axis=0) & (digits[x] != sides)
+    if kind == "introduce":  # the child cell of each cell
+        high, low = np.divmod(np.arange(base**w), base**p)
+        return low + high // base * base**p, np.where(bad, INF, digits[p] == sides), None
+    # a leaf numbers the digit patterns of its keyed positions (digit i
+    # of the number is that of keyed position i) and finishes the live ones
+    m = len(keyed)
+    pattern = base ** np.arange(m) @ digits[list(keyed)]
+    live = np.flatnonzero(np.bincount(pattern[~bad], minlength=base**m))
+    return pattern, np.where(bad, INF, deleted), live
+
 
 def _nice_dp(
     g: Graph,
-    dec: NiceTreeHDecomposition,
+    dec: TreeHDecomposition,
     sides: int,
     finish: Callable[[Graph, int, tuple[int, ...], int], Optional[int]],
 ) -> tuple[int, frozenset[int]]:
-    """Minimum deletion set by DP over a nice tree H-decomposition.
+    """Minimum deletion set by DP over a tree H-decomposition, validated
+    once and made nice here when it is not.
 
     Each non-base bag vertex gets one digit in base sides+1: digits
     0..sides-1 put it on that side, digit `sides` deletes it.  An edge is bad
@@ -316,18 +386,22 @@ def _nice_dp(
     deletion mask or None and is called once per distinct (b, side_masks).
 
     Each node shape (its step, width, moved position and the positions of
-    the edges that meet there) gets one plan, built once per call: an index
-    map into the child's table (a leaf's: into its finished digit patterns)
-    and an int64 addend that is INF on bad cells, +1 where an introduced
-    digit deletes, -deleted at a join and +deleted at a leaf.  A node is
-    then one gather, add and minimum.  A leaf finishes one cell per live
-    digit pattern of its bag vertices with base neighbours.  Tables, plans
-    and the largest node's working arrays over DP_TABLE_BUDGET bytes raise
-    ValueError before any is allocated.
+    the edges that meet there) gets one plan, kept across calls (`_kept`):
+    an index map into the child's table (a leaf's: into its finished digit
+    patterns) and an int64 addend that is INF on bad cells, +1 where an
+    introduced digit deletes, -deleted at a join and +deleted at a leaf.  A
+    node is then one gather, add and minimum.  A leaf finishes one cell per
+    live digit pattern of its bag vertices with base neighbours.  Tables,
+    plans and the largest node's working arrays over DP_TABLE_BUDGET bytes
+    raise ValueError before any is allocated.
     """
-    errs, steps = dec._check(g)
+    errs, steps = dec._check(g) if isinstance(dec, NiceTreeHDecomposition) else (dec.validate(g), None)
     if errs:
-        raise ValueError("invalid nice tree decomposition: " + "; ".join(errs))
+        raise ValueError("invalid decomposition: " + "; ".join(errs))
+    if steps is None:  # make_nice assumes a valid input
+        dec = make_nice(dec)
+        steps = dec.steps()
+    finish = _memoized(finish)
     base = sides + 1
     ch = dec.children()
     lmask = mask_of(dec.L)
@@ -370,39 +444,11 @@ def _nice_dp(
     if need > DP_TABLE_BUDGET:
         raise ValueError(f"DP tables need {-(-need >> 20)} MiB, over the {DP_TABLE_BUDGET >> 20} MiB budget")
 
-    cache: dict = {}  # digits and deletion counts per width, plans per shape
+    local: dict = {}  # this call's digits and deletion counts per width, and plans per shape
 
-    def cached(key, make):
-        if key not in cache:
-            cache[key] = make()
-        return cache[key]
-
-    def make_plan(kind: str, w: int, p: Optional[int], met: tuple, keyed: tuple):
-        """(index map, addend, the digit patterns a leaf finishes)."""
-        digits = cached(w, lambda: np.indices((base,) * w, dtype=np.int8).reshape(w, base**w)[::-1])  # row p: digit p
-        deleted = cached(("deleted", w), lambda: (digits == sides).sum(axis=0))
-        if kind == "join":
-            return None, -deleted, None
-        if kind == "identity":
-            return None, None, None
-        if kind == "forget":  # one row per digit inserted at p
-            high, low = np.divmod(np.arange(base**w), base**p)
-            return low + high * base ** (p + 1) + base**p * np.arange(base)[:, None], None, None
-        bad = np.zeros(base**w, dtype=bool)
-        for x in {x for _, x in met}:  # the edges to x that meet here
-            ends = [u for u, y in met if y == x]
-            bad |= (digits[ends] == digits[x]).any(axis=0) & (digits[x] != sides)
-        if kind == "introduce":  # the child cell of each cell
-            high, low = np.divmod(np.arange(base**w), base**p)
-            return low + high // base * base**p, np.where(bad, INF, digits[p] == sides), None
-        # a leaf numbers the digit patterns of its keyed positions (digit i
-        # of the number is that of keyed position i) and finishes the live ones
-        m = len(keyed)
-        pattern = base ** np.arange(m) @ digits[list(keyed)]
-        live = np.flatnonzero(np.bincount(pattern[~bad], minlength=base**m))
-        return pattern, np.where(bad, INF, deleted), live
-
-    memo: dict[tuple[int, tuple[int, ...]], Optional[int]] = {}
+    def layout(w: int):
+        digits = _kept((base, w), lambda: np.indices((base,) * w, dtype=np.int8).reshape(w, base**w)[::-1], local)
+        return digits, _kept((base, "deleted", w), lambda: (digits == sides).sum(axis=0), local)
 
     def solve_leaf(t: int, k: int) -> Optional[int]:
         """Finish leaf t at digit pattern k."""
@@ -411,12 +457,9 @@ def _nice_dp(
             d = k // base**i % base
             if d < sides:
                 masks[d] |= m
-        key = (basemasks[t], tuple(masks))
-        if key not in memo:
-            memo[key] = finish(g, *key, key[0].bit_count())
-        return memo[key]
+        return finish(g, basemasks[t], tuple(masks), basemasks[t].bit_count())
 
-    plans = [cached(shape, lambda: make_plan(*shape)) for shape in shapes]
+    plans = [_kept((base, shape), lambda: _make_plan(sides, layout, *shape), local) for shape in shapes]
     tables: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
     for t in range(len(steps) - 1, -1, -1):
         kind, kids = steps[t][0], ch[t]
@@ -468,7 +511,7 @@ def _nice_dp(
     return best, set_of(solution)
 
 
-def solve_oct_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[int]]:
+def solve_oct_dp(g: Graph, dec: TreeHDecomposition) -> tuple[int, frozenset[int]]:
     """Minimum odd cycle transversal by DP over bag triples (L_t, R_t, W_t):
     two sides plus deletion.  Base parts are finished with ABC at the
     leaves, with the base size as budget."""
@@ -477,8 +520,8 @@ def solve_oct_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[
     return _nice_dp(g, dec, 2, _oct_finish)
 
 
-def solve_vc_dp(g: Graph, dec: NiceTreeHDecomposition) -> tuple[int, frozenset[int]]:
-    """Minimum vertex cover by DP over nice decompositions: one side (out of
+def solve_vc_dp(g: Graph, dec: TreeHDecomposition) -> tuple[int, frozenset[int]]:
+    """Minimum vertex cover by DP over tree decompositions: one side (out of
     the cover) plus deletion.  Base parts are finished by Koenig's theorem
     after forcing the neighbors of out-vertices into the cover."""
     return _nice_dp(g, dec, 1, _vc_finish)

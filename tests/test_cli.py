@@ -346,6 +346,29 @@ def test_solve_rejects_decomposition_of_another_graph(files, capsys):
             assert err.startswith("error: invalid "), (other, via, err)
 
 
+def test_solve_via_dp_validates_a_stored_decomposition_once(files, capsys, monkeypatch):
+    """A tree decomposition read by `solve --via dp` is validated once, by
+    the DP, which then makes it nice; a nice one is checked by `_check`."""
+    from hdecomp.decomposition import NiceTreeHDecomposition
+
+    from .test_golden import triangle_chain
+
+    tmp, put = files
+    g = triangle_chain(5)
+    path = put("g.gr", write_gr(g))
+    dec = build_tree_h_decomposition(g, 1, BIP).decomposition
+    calls = []
+    for cls, name in ((TreeHDecomposition, "validate"), (NiceTreeHDecomposition, "_check")):
+        orig = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, g, orig=orig, name=name: calls.append(name) or orig(self, g))
+    for doc, want in ((dec, ["validate"]), (make_nice(dec), ["_check", "validate"])):
+        calls.clear()
+        argv = ("solve", "--problem", "oct", "--via", "dp", "--decomp", put("dec.json", to_json(doc)), path)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[0] == "SOLUTION oct 5"
+        assert calls == want  # _check runs validate's tree checks first
+
+
 def test_solve_vc_on_long_augmenting_path(files, capsys):
     tmp, put = files
     path = put("path.gr", write_gr(long_path(1200)))

@@ -1,5 +1,5 @@
 import random
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +39,7 @@ from hdecomp.separators import _vertex_flow
 from hdecomp.solvers import (
     INF,
     _abc_within,
+    _independent_join,
     _nice_dp,
     _oct_finish,
     _vc_bipartite_within,
@@ -269,6 +270,21 @@ def test_oct_rejects_invalid_forest():
         solve_oct_elim(c5, forest)
 
 
+def test_dp_validates_a_decomposition_that_is_not_nice():
+    """The DP solvers take any tree H-decomposition: one of another graph is
+    refused by validate, and a valid one is made nice and solved."""
+    c5 = Graph.cycle(5)
+    for other in (Graph.path(5), Graph.cycle(7)):
+        dec = build_tree_h_decomposition(other, 1, BIP).decomposition
+        assert not dec.validate(other) and dec.validate(c5)
+        for solve in (solve_oct_dp, solve_vc_dp):
+            with pytest.raises(ValueError, match="^invalid decomposition: "):
+                solve(c5, dec)
+    dec = build_tree_h_decomposition(c5, 1, BIP).decomposition
+    assert solve_oct_dp(c5, dec) == solve_oct_dp(c5, make_nice(dec))
+    assert solve_vc_dp(c5, dec)[0] == 3
+
+
 def test_branch_stops_at_the_first_infeasible_child(monkeypatch):
     """Two triangles on the edge 0-1, forest 0 -> 1 -> leaves {2}, {3}.
     A side refuses 1 when 0 is already on it, so no leaf below either
@@ -296,6 +312,30 @@ def test_branch_stops_at_the_first_infeasible_child(monkeypatch):
     assert len(calls) == 3 * 3 * 2 - 2 * 2
     assert len(x) == brute_min_deletion(g, BIP)[0] == 1
     assert is_member(g, BIP, frozenset(range(g.n)) - x)
+
+
+def test_oct_branching_finishes_each_leaf_annotation_once(monkeypatch):
+    """solve_oct_elim memoizes its ABC finish on (base, side masks within
+    the base): on a depth-5 forest of a planted graph it runs ABC on fewer
+    annotations than the unmemoized branching, with the same set."""
+    from .test_golden import planted
+
+    g = planted(random.Random(3), 16, 2)
+    forest = bip_forest(g, 2)
+    assert forest.depth == 5
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _abc_within(*args)
+
+    monkeypatch.setattr(solvers, "_abc_within", counted)
+    x = solve_oct_elim(g, forest)
+    memo_calls, calls = calls, 0
+    want = set_of(solvers._branch(g, forest, 2, _independent_join, _oct_finish))
+    assert x == want and len(x) == exact_oct_size(g)
+    assert 0 < memo_calls < calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -783,6 +823,74 @@ def test_dp_budget_covers_the_traced_peak(monkeypatch):
         with pytest.raises(ValueError, match="over the .* MiB budget"):
             _nice_dp(g, nice, 2, _oct_finish)
         monkeypatch.undo()
+
+
+def plan_cache_cases():
+    """Seeded nice decompositions of widths 0-9 (the engine cases and two
+    wider plain tree decompositions)."""
+    cases = list(dp_engine_cases())
+    rng = random.Random(31)
+    while max(nice.width for _, nice in cases) < 9:
+        n = rng.randint(10, 13)
+        g = random_graph(rng, n, 0.6)
+        dec = _td_from_elimination_order(g, rng.sample(range(n), n))
+        if dec.width in (8, 9) and dec.width > max(nice.width for _, nice in cases):
+            cases.append((g, make_nice(dec)))
+    return cases
+
+
+def test_dp_plan_cache_keeps_answers_and_its_cap(monkeypatch):
+    """The OCT and VC DPs give the same answers and sets from a cleared plan
+    cache and from a warm one, and the cache's bytes never pass the cap."""
+    cases = plan_cache_cases()
+    assert {nice.width for _, nice in cases} == set(range(10))
+
+    def check_cap():
+        sizes = [size for _, size in solvers._plan_cache.values()]
+        assert sum(sizes) == solvers._plan_cache_bytes <= solvers.PLAN_CACHE_BYTES
+
+    for g, nice in cases:
+        for sides, finish in ((2, _oct_finish), (1, _vc_finish)):
+            monkeypatch.setattr(solvers, "_plan_cache", OrderedDict())
+            monkeypatch.setattr(solvers, "_plan_cache_bytes", 0)
+            cold = _nice_dp(g, nice, sides, finish)
+            check_cap()
+            assert solvers._plan_cache
+            assert _nice_dp(g, nice, sides, finish) == cold
+            check_cap()
+    monkeypatch.undo()
+    for g, nice in cases:  # in the shared cache, one call's plans evict another's
+        for sides, finish in ((2, _oct_finish), (1, _vc_finish)):
+            _nice_dp(g, nice, sides, finish)
+            check_cap()
+
+
+def test_dp_builds_each_shape_once_per_call_under_eviction(monkeypatch):
+    """With a cache far smaller than one call's plans, every call still
+    builds each node shape at most once, and the cache stays under its cap."""
+    made = []
+    make_plan = solvers._make_plan
+
+    def counted(sides, layout, *shape):
+        made.append((sides, shape))
+        return make_plan(sides, layout, *shape)
+
+    monkeypatch.setattr(solvers, "_make_plan", counted)
+    monkeypatch.setattr(solvers, "_plan_cache", OrderedDict())
+    monkeypatch.setattr(solvers, "_plan_cache_bytes", 0)
+    monkeypatch.setattr(solvers, "PLAN_CACHE_BYTES", 4096)
+    evicted = False
+    for g, nice in plan_cache_cases():
+        for sides, finish in ((2, _oct_finish), (1, _vc_finish)):
+            answers = []
+            for _ in range(2):
+                made.clear()
+                answers.append(_nice_dp(g, nice, sides, finish))
+                assert len(made) == len(set(made))
+                assert solvers._plan_cache_bytes <= 4096
+                evicted |= len(made) > len(solvers._plan_cache)
+            assert answers[0] == answers[1]
+    assert evicted
 
 
 def test_solution_block_format():
