@@ -277,40 +277,81 @@ def proper_2_coloring(g: Graph, within: Optional[Iterable[int]] = None) -> Optio
     return {v: 1 if class1 >> v & 1 else 2 for v in bits(pool)}
 
 
+# pattern -> its orbit table; patterns have at most MAX_OBSTRUCTION_SIZE vertices
+_orbit_tables: dict[Graph, tuple[int, ...]] = {}
+
+
+def _orbit_table(pattern: Graph) -> tuple[int, ...]:
+    """allowed[U], for each mask U of pattern vertices: the vertices outside
+    U that are the least in their orbit under the automorphisms fixing each
+    vertex of U.  The automorphisms are found by brute force, and the
+    stabilizer of U is filtered from that of U minus its largest vertex."""
+    table = _orbit_tables.get(pattern)
+    if table is None:
+        q, padj = pattern.n, pattern._adj_masks
+        perms = itertools.permutations(range(q))
+        stab = [[s for s in perms if all(padj[s[u]] >> s[v] & 1 for u, v in pattern.edges)]]
+        allowed = []
+        for used in range(1 << q):
+            if used:
+                top = used.bit_length() - 1
+                stab.append([s for s in stab[used ^ 1 << top] if s[top] == top])
+            allowed.append(mask_of(p for p in range(q) if not used >> p & 1 and all(s[p] >= p for s in stab[used])))
+        table = _orbit_tables[pattern] = tuple(allowed)
+    return table
+
+
 def _find_embedding_image(g: Graph, pattern: Graph, within_mask: int) -> Optional[int]:
     """Mask of the lexicographically smallest vertex set of G[within] that
     induces the connected `pattern`, or None.
 
-    Backtracking over vertex sets in increasing order that keeps every
-    partial isomorphism onto the pattern agreeing with G.  An image is
-    connected, so it lies within distance q - 1 of its smallest vertex v in
-    G[within] restricted to the vertices >= v.
+    Backtracking over vertex sets in increasing order that keeps the
+    partial isomorphisms onto the pattern agreeing with G, and walks only
+    the candidates that extend one of them.  An image is connected, so it
+    lies within distance q - 1 of its smallest vertex v in G[within]
+    restricted to the vertices >= v.
+
+    Only canonical maps are kept: the j-th chosen vertex goes to a vertex
+    of `allowed[U]` (`_orbit_table`), U being the pattern vertices used
+    before it.  This is exact.  Composing any map that agrees with G with
+    automorphisms picked along the stabilizer chain (the j-th fixes the
+    first j images and moves the next to the least of its orbit) gives a
+    canonical map that agrees with G too, and the prefixes of a canonical
+    map are canonical.  So a set keeps some map exactly when it kept one
+    with every map carried; a clique keeps one map in place of l!/(l-k)!.
     """
     q, padj, adj = pattern.n, pattern._adj_masks, g._adj_masks
-    full = (1 << q) - 1
+    allowed = _orbit_table(pattern)
     chosen: list[int] = []
 
     def extend(cand: int, maps: list[tuple[int, tuple[int, ...]]]) -> bool:
         # maps: (pattern vertices used, the pattern bit of each chosen vertex)
-        if len(chosen) == q:
+        k = len(chosen)
+        if k == q:
             return True
-        while cand.bit_count() >= q - len(chosen):
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            hits = [i for i, u in enumerate(chosen) if adj[w] >> u & 1]
-            nxt = []
-            for used, img in maps:
-                need = 0
-                for i in hits:
-                    need |= img[i]
-                free = ~used & full
-                while free:
-                    p = free & -free
-                    free ^= p
-                    if padj[p.bit_length() - 1] & used == need:
-                        nxt.append((used | p, img + (p,)))
-            chosen.append(w)
-            if nxt and extend(cand, nxt):
+        # every allowed extension, with the candidates adjacent to chosen[i]
+        # exactly where its pattern vertex is adjacent to img[i]
+        grown, fit = [], 0
+        for used, img in maps:
+            free = allowed[used]
+            while free:
+                p = free & -free
+                free ^= p
+                pa, ws = padj[p.bit_length() - 1], cand
+                for u, b in zip(chosen, img):
+                    ws &= adj[u] if pa & b else ~adj[u]
+                if ws:
+                    fit |= ws
+                    grown.append((ws, used | p, img + (p,)))
+        while fit:
+            w = fit & -fit
+            cand &= -w
+            if cand.bit_count() < q - k:
+                break
+            cand ^= w
+            fit ^= w
+            chosen.append(w.bit_length() - 1)
+            if extend(cand, [(used, img) for ws, used, img in grown if ws & w]):
                 return True
             chosen.pop()
         return False
@@ -331,7 +372,7 @@ def _find_embedding_image(g: Graph, pattern: Graph, within_mask: int) -> Optiona
             front = neighborhood_mask(g, front, rest & ~ball)
             ball |= front
         chosen.append(v.bit_length() - 1)
-        if extend(ball ^ v, [(1 << p, (1 << p,)) for p in range(q)]):
+        if extend(ball ^ v, [(1 << p, (1 << p,)) for p in bits(allowed[0])]):
             return mask_of(chosen)
         chosen.pop()
         rest ^= v

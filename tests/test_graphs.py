@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hdecomp.graphs import (
     Graph,
     GraphClassSpec,
     _find_embedding_image,
+    _orbit_table,
     connected_components,
     contract_sets,
     find_induced_obstruction,
@@ -28,6 +30,7 @@ from .smallgraphs import (
     GRAPH_COUNTS,
     all_graphs,
     canonical_form,
+    connected_graphs,
     connected_masks,
     from_edge_mask,
 )
@@ -120,6 +123,91 @@ def test_embedding_search_matches_the_scan_reference():
         assert (None if got is None else set_of(got)) == want, (g.edges, within, i)
         found += want is not None
     assert 400 < found < 2000  # both outcomes are exercised
+
+
+def orbit_table_reference(pattern):
+    """allowed[U] by its definition, over every permutation of the pattern."""
+    q = pattern.n
+    autos = [
+        s
+        for s in itertools.permutations(range(q))
+        if all(pattern.has_edge(s[u], s[v]) == pattern.has_edge(u, v) for u, v in itertools.combinations(range(q), 2))
+    ]
+    table = []
+    for used in range(1 << q):
+        stab = [s for s in autos if all(s[u] == u for u in range(q) if used >> u & 1)]
+        table.append(mask_of(p for p in range(q) if not used >> p & 1 and min(s[p] for s in stab) == p))
+    return tuple(table)
+
+
+def labelled_connected(n):
+    labelled = (from_edge_mask(n, m) for m in range(1 << n * (n - 1) // 2))
+    return [g for g in labelled if len(connected_components(g)) == 1]
+
+
+def test_orbit_table_matches_its_definition():
+    rng = random.Random(5)
+    patterns = [g for n in (2, 3, 4) for g in labelled_connected(n)]
+    patterns += rng.sample(labelled_connected(5), 60)
+    patterns += [Graph.complete(6), Graph.cycle(6), Graph(6, [(0, v) for v in range(1, 6)])]
+    assert len(patterns) == 1 + 4 + 38 + 60 + 3
+    for pattern in patterns:
+        assert _orbit_table(pattern) == orbit_table_reference(pattern), pattern.edges
+
+
+def test_orbit_table_keeps_one_vertex_of_a_clique():
+    for ell in range(2, 7):
+        table = _orbit_table(Graph.complete(ell))
+        assert all(table[used].bit_count() == 1 for used in range((1 << ell) - 1))
+        assert table[(1 << ell) - 1] == 0
+    assert _orbit_table(Graph(4, [(0, 1), (0, 2), (0, 3)]))[0] == 0b0011  # centre 0, leaf 1
+    assert _orbit_table(Graph(4, [(2, 0), (2, 1), (2, 3)]))[0] == 0b0101  # leaf 0, centre 2
+
+
+def test_embedding_search_matches_the_reference_on_every_small_pattern():
+    patterns = [g for g in connected_graphs(5) if g.n >= 2]
+    assert len(patterns) == 1 + 2 + 6 + 21
+    rng = random.Random(27)
+    for pattern in patterns:
+        for i in range(16):
+            n = rng.randint(pattern.n, 10)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            within = g.full_mask() if i % 2 else rng.getrandbits(n)
+            got = _find_embedding_image(g, pattern, within)
+            want = embedding_image_reference(g, pattern, within)
+            assert (None if got is None else set_of(got)) == want, (pattern.edges, g.edges, within)
+
+
+def turan(n, r):
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if u % r != v % r])
+
+
+def test_embedding_search_on_turan_hosts():
+    def frames(g, pattern):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and frame.f_code.co_name == "extend"
+
+        sys.setprofile(profile)
+        try:
+            _find_embedding_image(g, pattern, g.full_mask())
+        finally:
+            sys.setprofile(None)
+        return count
+
+    k5, k6 = Graph.complete(5), Graph.complete(6)
+    t20, t25 = turan(20, 4), turan(25, 5)
+    assert _find_embedding_image(t20, k5, t20.full_mask()) is None
+    assert _find_embedding_image(t25, k6, t25.full_mask()) is None
+    # the vertex sets visited do not depend on how many maps each keeps
+    assert frames(t20, k5) == 984
+    # an edge inside a part closes a clique through both of its ends
+    t20 = Graph(20, t20.edges | {(4, 8)})
+    t25 = Graph(25, t25.edges | {(7, 12)})
+    assert _find_embedding_image(t20, k5, t20.full_mask()) == mask_of([1, 2, 3, 4, 8])
+    assert _find_embedding_image(t25, k6, t25.full_mask()) == mask_of([0, 1, 3, 4, 7, 12])
 
 
 def is_isomorphic_p4(g: Graph) -> bool:
