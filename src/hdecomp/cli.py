@@ -183,7 +183,7 @@ def _auto_forest(g: Graph, cls: GraphClassSpec) -> EliminationForest:
 
 
 def _auto_nice(g: Graph, cls: GraphClassSpec) -> TreeHDecomposition:
-    """The auto decomposition for the DP, which makes it nice."""
+    """The auto decomposition for the DP, as built; the DP makes it nice."""
     return _auto(g, cls, build_tree_h_decomposition).decomposition
 
 

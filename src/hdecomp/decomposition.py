@@ -1253,6 +1253,12 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
     Width never increases, L is preserved exactly, and the node count is at
     most ALPHA * k * n for an input of width k-1 on an n-vertex graph
     (k, n >= 1).
+
+    The input must be a valid tree H-decomposition (`_nice_dp` validates
+    first).  Then a contraction leaves every moved child incomparable with
+    its new parent: if x replaces p and c is another child of p, running
+    intersection gives c & x <= p, so c <= x or x <= c would make c and p
+    comparable.  So one ascending pass contracts every comparable pair.
     """
     L = dec.L
     base_parts = [
@@ -1262,39 +1268,32 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
     ]
 
     # -- compress the scaffold: drop L, contract comparable adjacent bags ---
-    sbags = {x: dec.bags[x] - L for x in range(len(dec.bags))}
-    sparent = dict(enumerate(dec.parents))
-    schildren = {x: set(kids) for x, kids in enumerate(dec.children())}
-    # Contract the smallest x comparable with its parent first.  A node's
-    # comparability changes only when its parent does, so the heap holds
-    # every comparable node and stale entries are skipped when popped.
-    heap = list(sbags)
-    while heap:
-        x = heapq.heappop(heap)
-        if x not in sbags or sparent[x] < 0:
-            continue
-        p = sparent[x]
-        if sbags[x] <= sbags[p]:
-            keep, drop = p, x
-        elif sbags[p] < sbags[x]:
-            # x replaces its parent: x adopts p's place in the tree
-            keep, drop = x, p
-            sparent[x] = sparent[p]
-            if sparent[p] >= 0:
-                schildren[sparent[p]].discard(p)
-                schildren[sparent[p]].add(x)
-            schildren[p].discard(x)
-            heapq.heappush(heap, x)
-        else:
-            continue
-        # drop's children move under keep
-        schildren[keep].discard(drop)
-        schildren[keep] |= schildren[drop]
-        for c in schildren[drop]:
-            sparent[c] = keep
-            heapq.heappush(heap, c)
-        del sbags[drop], sparent[drop], schildren[drop]
-    sroot = next(x for x in sbags if sparent[x] < 0)
+    # One pass in ascending id.  A node strictly holding its parent takes the
+    # parent's place and meets the next parent up; a node inside its parent
+    # merges into it.  `into[x]` is the node x gave way to (x while it
+    # survives), read with path halving, so find(up[x]) is x's parent.
+    sbags = [b - L for b in dec.bags]
+    up = list(dec.parents)
+    into = list(range(len(up)))
+
+    def find(x: int) -> int:
+        while x >= 0 and into[x] != x:
+            into[x] = into[into[x]]
+            x = into[x]
+        return x
+
+    for x in range(len(up)):
+        p = find(up[x])
+        while p >= 0 and sbags[p] < sbags[x]:
+            into[p] = x
+            up[x] = up[p]
+            p = find(up[x])
+        if p >= 0 and sbags[x] <= sbags[p]:
+            into[x] = p
+    # node 0 is the input's root (parents precede children), so what it gave
+    # way to is the scaffold's root
+    sroot = find(0)
+    skids = children([find(up[x]) if into[x] == x else -1 for x in range(len(up))])
 
     # -- emit the nice structure -------------------------------------------
     parents: list[int] = []
@@ -1308,27 +1307,20 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
     # A task (parent, bag, items) builds a subtree with top bag `bag` over
     # the gadgets of the scaffold nodes `items`: none makes a leaf, one makes
     # a leg of single-vertex steps down to that item's own task, and more
-    # make an equal-bag join over two halves.
-    tasks = [(-1, sbags[sroot], sorted(schildren[sroot]))]
+    # make an equal-bag join over two halves.  Adjacent scaffold bags are
+    # incomparable, so a leg toggles at least two vertices; its last toggle
+    # reaches the item's bag, which the item's task emits.
+    tasks = [(-1, sbags[sroot], skids[sroot])]
     while tasks:
         parent, bx, items = tasks.pop()
         if len(items) == 1:
             (c,) = items
             bc = sbags[c]
-            if bx != bc:
-                seq = []
-                cur = bx
-                for v in sorted(bx - bc):
-                    cur = cur - {v}
-                    seq.append(cur)
-                for v in sorted(bc - bx):
-                    cur = cur | {v}
-                    seq.append(cur)
+            parent = new_node(bx, parent)
+            for v in (sorted(bx - bc) + sorted(bc - bx))[:-1]:
+                bx = bx ^ {v}
                 parent = new_node(bx, parent)
-                for b in seq[:-1]:
-                    parent = new_node(b, parent)
-                assert len(bags[parent] ^ bc) == 1
-            tasks.append((parent, bc, sorted(schildren[c])))
+            tasks.append((parent, bc, skids[c]))
             continue
         top = new_node(bx, parent)
         if items:

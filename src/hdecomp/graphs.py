@@ -78,10 +78,12 @@ class Graph:
         """
         order = sorted(set(vertices))
         index = {v: i for i, v in enumerate(order)}
+        sel = mask_of(order)
+        # each edge once, from its smaller end: -(2 << u) clears bits 0..u
         edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
+            (i, index[v])
+            for i, u in enumerate(order)
+            for v in bits(self._adj_masks[u] & sel & -(2 << u))
         ]
         return Graph(len(order), edges), order
 
@@ -447,8 +449,8 @@ def write_gr(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: vertices a `.gr` graph may have; a Graph of this size holds 16 MB of
-#: adjacency slots, and a larger p-line is refused before any is allocated
+#: vertices a `.gr` graph may have; a larger p-line is refused before anything
+#: is allocated (this does not bound memory: the masks hold about n^2/16 bytes)
 MAX_GRAPH_VERTICES = 1 << 20
 
 

@@ -53,6 +53,19 @@ def test_graph_dedups_parallel_edges():
     assert len(g.edges) == 1
 
 
+def test_induced_equals_the_edge_filter_definition():
+    rng = random.Random(74)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 14), rng.choice((0.1, 0.3, 0.6, 0.9)))
+        for chosen in (set(), set(range(g.n)), {v for v in range(g.n) if rng.random() < 0.5}):
+            order = sorted(chosen)
+            index = {v: i for i, v in enumerate(order)}
+            want = Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in chosen and v in chosen])
+            # a list with repeats, out of order: only the set matters
+            sub, mapping = g.induced(list(chosen) * 2)
+            assert (sub, mapping) == (want, order)
+
+
 def test_connected_components_examples():
     assert connected_components(Graph(0)) == []
     assert connected_components(Graph.complete(3)) == [frozenset({0, 1, 2})]

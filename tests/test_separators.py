@@ -262,6 +262,34 @@ def test_vertex_flow_cancels_flow_like_the_forward_reference():
     assert seen["None"] >= 100 and all(seen["forced", lam] >= 20 for lam in range(2, 6)), seen
 
 
+def test_vertex_flow_matches_networkx_past_the_brute_force_sizes():
+    """Seeded G(n, p) with n = 20-60, past what the references enumerate:
+    lambda equals networkx's local node connectivity once X and Y are each
+    contracted to one terminal, and the cut has lambda vertices and
+    separates X from Y."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9715)
+    seen = Counter()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(20, 60), rng.choice((0.05, 0.1, 0.2)))
+        vs = list(range(g.n))
+        rng.shuffle(vs)
+        x = vs[: rng.randint(1, 3)]
+        xmask = mask_of(x)
+        ys = [v for v in vs[len(x) :] if not g.adj_mask(v) & xmask]
+        ymask = mask_of(ys[: rng.randint(1, 3)])
+        lam, cut = _vertex_flow(g._adj_masks, g.full_mask(), xmask, ymask, g.n)
+        h = nx.Graph()
+        h.add_nodes_from(["s", "t", *range(g.n)])
+        term = {v: "s" for v in bits(xmask)} | {v: "t" for v in bits(ymask)}
+        h.add_edges_from((term.get(u, u), term.get(v, v)) for u, v in g.edges if term.get(u, u) != term.get(v, v))
+        assert lam == nx.algorithms.connectivity.local_node_connectivity(h, "s", "t")
+        assert cut.bit_count() == lam and not cut & (xmask | ymask)
+        assert not reach_mask(g, xmask, g.full_mask() & ~cut) & ymask
+        seen[min(lam, 3)] += 1
+    assert min(seen[lam] for lam in range(4)) >= 20, seen
+
+
 def test_vertex_flow_refuses_terminals_in_both_sets():
     with pytest.raises(ValueError, match="disjoint"):
         _vertex_flow(PATH3._adj_masks, 0b111, 0b011, 0b110, 2)

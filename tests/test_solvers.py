@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 import numpy as np
 
-from hdecomp.graphs import Graph, GraphClassSpec, bits, is_member, mask_of, proper_2_coloring, set_of
+from hdecomp.graphs import Graph, GraphClassSpec, bits, coloring_mask, is_member, mask_of, proper_2_coloring, set_of
 from hdecomp import solvers
 from hdecomp.decomposition import (
     EliminationForest,
@@ -226,6 +226,28 @@ def test_vc_bipartite_within_is_the_koenig_cover():
         assert got == koenig_reference(g, within), (g.n, g.edges, sorted(within))
         nontrivial += len(got) > 1
     assert nontrivial > 5000
+
+
+def test_vc_bipartite_within_matches_networkx_matching_sizes():
+    """Seeded bipartite graphs of up to 200 vertices, past the brute-force
+    guards: the cover hits every edge of G[within], and by Koenig's theorem
+    its size equals networkx's maximum matching."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2103)
+    sizes = []
+    for i in range(60):
+        g = random_bipartite(rng, rng.randint(40, 200), rng.choice((0.01, 0.03, 0.08)))
+        within = g.full_mask() if i % 2 else mask_of(v for v in range(g.n) if rng.random() < 0.8)
+        cover = _vc_bipartite_within(g, within)
+        assert not cover & ~within
+        edges = [(u, v) for u, v in g.edges if within >> u & within >> v & 1]
+        assert all(cover >> u & 1 or cover >> v & 1 for u, v in edges)
+        h = nx.Graph(edges)
+        h.add_nodes_from(bits(within))
+        top = set_of(coloring_mask(g, within))
+        assert cover.bit_count() == len(nx.bipartite.maximum_matching(h, top_nodes=top)) // 2
+        sizes.append(cover.bit_count())
+    assert max(sizes) >= 50, sizes
 
 
 def long_path(n):
