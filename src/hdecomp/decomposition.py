@@ -290,18 +290,12 @@ class NiceTreeHDecomposition(TreeHDecomposition):
         return out
 
     def validate(self, g: Graph) -> list[str]:
-        return self._check(g)[0]
-
-    def _check(self, g: Graph) -> tuple[list[str], list[tuple[str, int] | str]]:
-        """validate's messages, and the steps once the tree itself is sound
-        (else []), so that the DP takes the steps it checked."""
         errs = super().validate(g)
         if errs:
-            return errs, []
+            return errs
         if self.bags[self.root()] & self.L:
             errs.append("root bag intersects L")
-        steps = self.steps()
-        return errs + [s for s in steps if isinstance(s, str)], steps
+        return errs + [s for s in self.steps() if isinstance(s, str)]
 
 
 @dataclass(frozen=True)
@@ -666,20 +660,14 @@ def _td_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeHDecomposi
     adj = list(g._adj_masks)
     pos = {v: i for i, v in enumerate(order)}
     bags: list[frozenset[int]] = []
-    fill_nbrs: list[int] = []
+    parents: list[int] = []  # the first fill neighbour to go, else the last vertex
     for v in order:
         nb = adj[v]
-        fill_nbrs.append(nb)
         bags.append(frozenset({v}) | set_of(nb))
+        parents.append(min((pos[a] for a in bits(nb)), default=n - 1))
         for a in bits(nb):  # only v's neighbours hold v
             adj[a] = (adj[a] | nb) & ~(1 << a | 1 << v)
-    parents = [-1] * n
-    for i in range(n - 1):
-        nb = fill_nbrs[i]
-        if nb:
-            parents[i] = min(pos[a] for a in bits(nb))
-        else:
-            parents[i] = n - 1
+    parents[-1] = -1
     # reverse so parents precede children (root = last eliminated)
     order = range(n - 1, -1, -1)
     return TreeHDecomposition(renumber(parents, order), bags[::-1], frozenset(), None)
@@ -742,7 +730,7 @@ def exact_treewidth(g: Graph, cap: Optional[int] = None) -> TreewidthResult:
         s ^= b
     order.reverse()
     dec = _td_from_elimination_order(g, order)
-    assert dec.width == value or (n == 1 and value == 0)
+    assert dec.width == value
     return TreewidthResult(value, dec, True)
 
 
@@ -1062,42 +1050,36 @@ def tree_decomp_from_sepdecomp(
     if quotient_td.L:
         raise ValueError("quotient decomposition must be standard")
     nt = len(dec.nodes)
-    vmask = [mask_of(n.V) for n in dec.nodes]
-    smask = [mask_of(n.S) for n in dec.nodes]
-    down = [vmask[t] & smask[t] for t in range(nt)]
+    owner = [0] * g.n  # the piece whose V_t holds each vertex; the V_t partition V(G)
+    down, base = [], []
+    for t, node in enumerate(dec.nodes):
+        for v in node.V:
+            owner[v] = t
+        vm, sm = mask_of(node.V), mask_of(node.S)
+        down.append(vm & sm)
+        base.append(vm & ~sm)
     upbag = list(down)
     for t in range(nt):
-        base_part = vmask[t] & ~smask[t]
-        if not base_part:
-            continue
-        nb = neighborhood_mask(g, base_part)
-        for s in range(nt):
-            if s != t and nb & vmask[s]:
-                upbag[t] |= down[s]
-    qmask = 0
-    for t in range(nt):
-        qmask |= down[t]
-    L = set_of(g.full_mask() & ~qmask)
+        for v in bits(neighborhood_mask(g, base[t])):
+            upbag[t] |= down[owner[v]]
     parents = list(quotient_td.parents)
     bags = []
-    for b in quotient_td.bags:
+    host: dict[int, int] = {}  # each piece's first quotient bag
+    for x, b in enumerate(quotient_td.bags):
         m = 0
         for t in b:
             m |= upbag[t]
+            host.setdefault(t, x)
         bags.append(set_of(m))
-    host: dict[int, int] = {}
-    for x in range(len(quotient_td.bags)):
-        for t in quotient_td.bags[x]:
-            if t not in host:
-                host[t] = x
+    if host.keys() != set(range(nt)):
+        raise ValueError("quotient decomposition does not match the decomposition")
+    L = 0
     for t in range(nt):
-        base_part = vmask[t] & ~smask[t]
-        if not base_part:
-            continue
-        x = host[t]
-        parents.append(x)
-        bags.append(bags[x] | set_of(base_part))
-    return TreeHDecomposition(parents, bags, frozenset(L), dec.cls)
+        if base[t]:
+            L |= base[t]
+            parents.append(host[t])
+            bags.append(bags[host[t]] | set_of(base[t]))
+    return TreeHDecomposition(parents, bags, set_of(L), dec.cls)
 
 
 # ---------------------------------------------------------------------------
@@ -1197,17 +1179,12 @@ def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDec
         parents = [-1]
         bags = [frozenset()]
         L: set[int] = set()
-        for piece in pieces:
+        for piece in pieces:  # each piece's root hangs below the fresh root 0
             offset = len(parents)
-            root = piece.root()
-            for i, p in enumerate(piece.parents):
-                if i == root:
-                    parents.append(0)
-                else:
-                    parents.append(p + offset)
-                bags.append(piece.bags[i])
+            parents += [p + offset if p >= 0 else 0 for p in piece.parents]
+            bags += piece.bags
             L |= piece.L
-        # parents must precede children: renumber by BFS order
+        # number the nodes in depth-first preorder from the fresh root
         return _renumber(TreeHDecomposition(parents, bags, frozenset(L), cls))
 
     return TreeDecompResult(ok, make_decomposition)

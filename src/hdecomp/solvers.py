@@ -395,12 +395,12 @@ def _nice_dp(
     plans and the largest node's working arrays over DP_TABLE_BUDGET bytes
     raise ValueError before any is allocated.
     """
-    errs, steps = dec._check(g) if isinstance(dec, NiceTreeHDecomposition) else (dec.validate(g), None)
+    errs = dec.validate(g)
     if errs:
         raise ValueError("invalid decomposition: " + "; ".join(errs))
-    if steps is None:  # make_nice assumes a valid input
+    if not isinstance(dec, NiceTreeHDecomposition):  # make_nice assumes a valid input
         dec = make_nice(dec)
-        steps = dec.steps()
+    steps = dec.steps()
     finish = _memoized(finish)
     base = sides + 1
     ch = dec.children()

@@ -347,8 +347,10 @@ def test_solve_rejects_decomposition_of_another_graph(files, capsys):
 
 
 def test_solve_via_dp_validates_a_stored_decomposition_once(files, capsys, monkeypatch):
-    """A tree decomposition read by `solve --via dp` is validated once, by
-    the DP, which then makes it nice; a nice one is checked by `_check`."""
+    """A decomposition read by `solve --via dp` is validated once, by the
+    DP's one `validate` call: a tree decomposition by its own, which the DP
+    then makes nice, and a nice one by the nice `validate`, which runs the
+    tree checks through `super()`."""
     from hdecomp.decomposition import NiceTreeHDecomposition
 
     from .test_golden import triangle_chain
@@ -358,15 +360,15 @@ def test_solve_via_dp_validates_a_stored_decomposition_once(files, capsys, monke
     path = put("g.gr", write_gr(g))
     dec = build_tree_h_decomposition(g, 1, BIP).decomposition
     calls = []
-    for cls, name in ((TreeHDecomposition, "validate"), (NiceTreeHDecomposition, "_check")):
-        orig = getattr(cls, name)
-        monkeypatch.setattr(cls, name, lambda self, g, orig=orig, name=name: calls.append(name) or orig(self, g))
-    for doc, want in ((dec, ["validate"]), (make_nice(dec), ["_check", "validate"])):
+    for cls, name in ((TreeHDecomposition, "tree"), (NiceTreeHDecomposition, "nice")):
+        orig = cls.validate
+        monkeypatch.setattr(cls, "validate", lambda self, g, orig=orig, name=name: calls.append(name) or orig(self, g))
+    for doc, want in ((dec, ["tree"]), (make_nice(dec), ["nice", "tree"])):
         calls.clear()
         argv = ("solve", "--problem", "oct", "--via", "dp", "--decomp", put("dec.json", to_json(doc)), path)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.splitlines()[0] == "SOLUTION oct 5"
-        assert calls == want  # _check runs validate's tree checks first
+        assert calls == want
 
 
 def test_solve_vc_on_long_augmenting_path(files, capsys):

@@ -615,6 +615,17 @@ def test_tree_decomposition_requires_restricted():
         tree_decomp_from_sepdecomp(k3, dec, exact_treewidth(q).decomposition)
 
 
+def test_tree_decomposition_rejects_a_quotient_decomposition_that_misses_a_piece():
+    """Two triangles joined by an edge split into two pieces at k = 1; a
+    quotient decomposition whose one bag holds only the first is refused."""
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    dec = build_separation_decomposition(g, 1, BIP, restricted=True)
+    assert len(dec.nodes) == 2
+    partial = TreeHDecomposition([-1], [frozenset({0})], frozenset(), None)
+    with pytest.raises(ValueError, match="quotient decomposition does not match"):
+        tree_decomp_from_sepdecomp(g, dec, partial)
+
+
 def test_build_tree_h_decomposition_examples():
     c4 = Graph.cycle(4)
     res = build_tree_h_decomposition(c4, 0, BIP)
