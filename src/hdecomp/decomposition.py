@@ -106,15 +106,6 @@ class EliminationForest:
                 out |= node.bag
         return frozenset(out)
 
-    def relabel(self, mapping: Sequence[int]) -> "EliminationForest":
-        return EliminationForest(
-            [
-                ForestNode(frozenset(mapping[v] for v in node.bag), node.parent, node.leaf)
-                for node in self.nodes
-            ],
-            self.cls,
-        )
-
     def validate(self, g: Graph) -> list[str]:
         errs = []
         n_nodes = len(self.nodes)
@@ -194,14 +185,6 @@ class TreeHDecomposition:
         if not self.bags:
             return 0
         return max(0, max(len(b - self.L) for b in self.bags) - 1)
-
-    def relabel(self, mapping: Sequence[int]) -> "TreeHDecomposition":
-        return type(self)(
-            self.parents,
-            [frozenset(mapping[v] for v in b) for b in self.bags],
-            frozenset(mapping[v] for v in self.L),
-            self.cls,
-        )
 
     def validate(self, g: Graph) -> list[str]:
         errs = []
@@ -575,31 +558,65 @@ def exact_treedepth(g: Graph, cap: Optional[int] = None) -> TreedepthResult:
     return TreedepthResult(forest.depth, forest, exact)
 
 
-def _nbr_tables(g: Graph) -> tuple[list[int], list[int], int, int]:
-    """(lo_nbr, hi_nbr, lo_ids, half), one table per half of the ids: the union
-    of the neighbourhoods of a set x is lo_nbr[x & lo_ids] | hi_nbr[x >> half]."""
-    half = (g.n + 1) // 2
-    lo_nbr, hi_nbr = [0] * (1 << half), [0] * (1 << g.n - half)
+def _component_search(g: Graph, ub: int, conn):
+    """The search that both quotient parameters share: f(s) is the max of
+    f(C) over the components C of G[s], and conn(C, N(C)) gives f(C) for a
+    connected C, at most ub + 1.  Returns (parts, memo): parts(s) is f(s)
+    when that is at most ub and ub + 1 otherwise, and memo[s] holds each
+    value found, -1 while unknown.  The list memo needs 2^n entries, which
+    the exact guards bound."""
+    n = g.n
+    above = ub + 1
+    # one union table per half of the ids: N(x) is the neighbourhood union
+    # lo_nbr[x & lo_ids] | hi_nbr[x >> half]
+    half = (n + 1) // 2
+    lo_ids = (1 << half) - 1
+    lo_nbr, hi_nbr = [0] * (1 << half), [0] * (1 << n - half)
     for first, table in ((0, lo_nbr), (half, hi_nbr)):
         for x in range(1, len(table)):
             b = x & -x
             table[x] = table[x ^ b] | g._adj_masks[first + b.bit_length() - 1]
-    return lo_nbr, hi_nbr, (1 << half) - 1, half
+    memo = [-1] * (1 << n)
+
+    def parts(mask: int) -> int:
+        value = memo[mask]
+        if value >= 0:
+            return value
+        value = 0
+        pool = mask
+        # conn never exceeds `above`, so the first component there decides
+        while pool and value < above:
+            # the hot loop: grow a component by whole neighbourhoods
+            comp = pool & -pool
+            while True:
+                nb = lo_nbr[comp & lo_ids] | hi_nbr[comp >> half]
+                grown = comp | nb & pool
+                if grown == comp:
+                    break
+                comp = grown
+            pool ^= comp
+            val = memo[comp]
+            if val < 0:
+                val = memo[comp] = conn(comp, nb & ~comp)
+            if val > value:
+                value = val
+        memo[mask] = value
+        return value
+
+    return parts, memo
 
 
 def _td_search(g: Graph, ub: int):
     """`exact_treedepth`'s search capped at ub: the function s -> td(G[s])
     when that is at most ub, and ub + 1 otherwise."""
     adj = g._adj_masks
-    # every td(C) above ub is stored once as `above`
+    # every td(C) above ub is `above`
     above = ub + 1
     # a connected C holding a vertex of degree < ub in g cannot be cut by
     # its least degree
     low = sum(1 << v for v in range(g.n) if adj[v].bit_count() < ub)
-    lo_nbr, hi_nbr, lo_ids, half = _nbr_tables(g)
-    memo: dict[int, int] = {1 << v: 1 for v in range(g.n)}
 
-    def td_conn(mask: int) -> int:
+    def td_conn(mask: int, nbrs: int) -> int:
         # one pass over C: hi has the most neighbours in C and lo the
         # fewest, the smallest id on ties
         hi, dhi, lo, dlo = 0, -1, 0, g.n
@@ -614,13 +631,12 @@ def _td_search(g: Graph, ub: int):
                 lo, dlo = b, d
         # td(C) > tw(C) >= the least degree in C
         if not mask & low and dlo >= ub:
-            memo[mask] = above
             return above
         # td(C - v) <= td(C) <= 1 + td(C - v) for every v in a connected C:
         # once the best upper bound meets the largest lower bound, the
         # remaining roots cannot change the value.  hi tends to give the
         # best root and lo the largest lower bound, so they are tried
-        # first, then the rest in id order.
+        # first, then the rest in id order.  A singleton's one root gives 1.
         best, lb = above, 0
         b, rest = hi, mask ^ hi
         while b:
@@ -633,24 +649,9 @@ def _td_search(g: Graph, ub: int):
                 break
             b = rest & lo or rest & -rest
             rest ^= b
-        memo[mask] = best
         return best
 
-    def td_parts(mask: int) -> int:
-        # the hot loop: grow each component by whole neighbourhoods
-        value = 0
-        pool = mask
-        while pool and value < above:
-            comp, grown = 0, pool & -pool
-            while grown != comp:
-                comp = grown
-                grown = comp | (lo_nbr[comp & lo_ids] | hi_nbr[comp >> half]) & pool
-            pool ^= comp
-            val = memo.get(comp) or td_conn(comp)
-            if val > value:
-                value = val
-        return value
-
+    td_parts, _ = _component_search(g, ub, td_conn)
     return td_parts
 
 
@@ -739,28 +740,25 @@ def _tw_search(g: Graph, ub: int):
     f(s) <= ub, and ub + 1 otherwise."""
     n = g.n
     adj = g._adj_masks
-    # every f(s) above ub is stored once as `above`
+    # every f(s) above ub is `above`
     above = ub + 1
     # below[d]: the vertices of degree < d
     below = [sum(1 << v for v in range(n) if adj[v].bit_count() < d) for d in range(n + 1)]
 
-    lo_nbr, hi_nbr, lo_ids, half = _nbr_tables(g)
-    # memo[s] = f(s), `above` for every f(s) > ub, and -1 while unknown
-    memo = [-1] * (1 << n)
-
-    def tw_conn(c: int, nc: int) -> int:
+    def tw_conn(c: int, nbrs: int) -> int:
         # f(C) for a connected C with |N(C)| = nc. The sandwich: the first
         # vertex of C eliminated keeps its degree, so lo = max(nc, the least
         # degree in C) <= f(C), and once a v meets lo no later v can lower
         # the value. "lo > ub" and "best <= lo" are read off `below`.
+        nc = nbrs.bit_count()
         if nc > ub or not c & below[above]:
-            memo[c] = above
             return above
         best = above
         m = c
         while m:
             b = m & -m
             m ^= b
+            # the memo read first saves a call on a hit
             sub = memo[c ^ b]
             if sub < 0:
                 sub = tw_parts(c ^ b)
@@ -768,35 +766,9 @@ def _tw_search(g: Graph, ub: int):
                 best = sub
                 if best <= nc or not c & below[best]:
                     break
-        val = nc if nc > best else best
-        memo[c] = val
-        return val
+        return nc if nc > best else best
 
-    def tw_parts(mask: int) -> int:
-        # f(mask) = the max over the components of G[mask]
-        value = memo[mask]
-        if value >= 0:
-            return value
-        value = 0
-        pool = mask
-        while pool:
-            # the hot loop: grow a component by whole neighbourhoods
-            comp = pool & -pool
-            while True:
-                nb = lo_nbr[comp & lo_ids] | hi_nbr[comp >> half]
-                grown = comp | nb & pool
-                if grown == comp:
-                    break
-                comp = grown
-            pool ^= comp
-            val = memo[comp]
-            if val < 0:
-                val = tw_conn(comp, (nb & ~comp).bit_count())
-            if val > value:
-                value = val
-        memo[mask] = value
-        return value
-
+    tw_parts, memo = _component_search(g, ub, tw_conn)
     return tw_parts
 
 
@@ -1062,6 +1034,9 @@ def tree_decomp_from_sepdecomp(
     for t in range(nt):
         for v in bits(neighborhood_mask(g, base[t])):
             upbag[t] |= down[owner[v]]
+    # the piece ids are checked before any is read
+    if set().union(*quotient_td.bags) != set(range(nt)):
+        raise ValueError("quotient decomposition does not match the decomposition")
     parents = list(quotient_td.parents)
     bags = []
     host: dict[int, int] = {}  # each piece's first quotient bag
@@ -1071,8 +1046,6 @@ def tree_decomp_from_sepdecomp(
             m |= upbag[t]
             host.setdefault(t, x)
         bags.append(set_of(m))
-    if host.keys() != set(range(nt)):
-        raise ValueError("quotient decomposition does not match the decomposition")
     L = 0
     for t in range(nt):
         if base[t]:
@@ -1144,12 +1117,10 @@ def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
         nodes: list[ForestNode] = []
         for sub, mapping, dec, q, res in parts:
             quotient_forest = (res and res.forest) or exact_treedepth(q).forest
-            forest = ed_forest_from_sepdecomp(sub, dec, quotient_forest).relabel(mapping)
             offset = len(nodes)
-            for node in forest.nodes:
-                nodes.append(
-                    ForestNode(node.bag, node.parent + offset if node.parent >= 0 else -1, node.leaf)
-                )
+            for node in ed_forest_from_sepdecomp(sub, dec, quotient_forest).nodes:
+                parent = node.parent + offset if node.parent >= 0 else -1
+                nodes.append(ForestNode(frozenset(mapping[v] for v in node.bag), parent, node.leaf))
         if g.n == 0:
             nodes.append(ForestNode(frozenset(), -1, True))
         return EliminationForest(nodes, cls)
@@ -1166,24 +1137,18 @@ def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDec
     ok, parts = _decided_parts(g, k, cls, True, exact_treewidth)
 
     def make_decomposition() -> TreeHDecomposition:
-        pieces = [
-            tree_decomp_from_sepdecomp(
-                sub, dec, (res and res.decomposition) or exact_treewidth(q).decomposition
-            ).relabel(mapping)
-            for sub, mapping, dec, q, res in parts
-        ]
-        if not pieces:
-            return TreeHDecomposition([-1], [frozenset()], frozenset(), cls)
-        if len(pieces) == 1:
-            return pieces[0]
         parents = [-1]
         bags = [frozenset()]
-        L: set[int] = set()
-        for piece in pieces:  # each piece's root hangs below the fresh root 0
-            offset = len(parents)
+        L: list[int] = []
+        for sub, mapping, dec, q, res in parts:
+            quotient_td = (res and res.decomposition) or exact_treewidth(q).decomposition
+            piece = tree_decomp_from_sepdecomp(sub, dec, quotient_td)
+            offset = len(parents)  # each piece's root hangs below the fresh root 0
             parents += [p + offset if p >= 0 else 0 for p in piece.parents]
-            bags += piece.bags
-            L |= piece.L
+            bags += [frozenset(mapping[v] for v in b) for b in piece.bags]
+            L += [mapping[v] for v in piece.L]
+        if len(parts) == 1:  # one piece keeps its own root
+            return TreeHDecomposition([p - 1 for p in parents[1:]], bags[1:], frozenset(L), cls)
         # number the nodes in depth-first preorder from the fresh root
         return _renumber(TreeHDecomposition(parents, bags, frozenset(L), cls))
 

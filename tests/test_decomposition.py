@@ -615,13 +615,15 @@ def test_tree_decomposition_requires_restricted():
         tree_decomp_from_sepdecomp(k3, dec, exact_treewidth(q).decomposition)
 
 
-def test_tree_decomposition_rejects_a_quotient_decomposition_that_misses_a_piece():
+@pytest.mark.parametrize("bag", [{0}, {0, 1, 5}, {0, 1, -1}])
+def test_tree_decomposition_rejects_a_quotient_decomposition_that_misses_a_piece(bag):
     """Two triangles joined by an edge split into two pieces at k = 1; a
-    quotient decomposition whose one bag holds only the first is refused."""
+    quotient decomposition whose one bag misses the second piece, or names a
+    piece id out of range, is refused."""
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
     dec = build_separation_decomposition(g, 1, BIP, restricted=True)
     assert len(dec.nodes) == 2
-    partial = TreeHDecomposition([-1], [frozenset({0})], frozenset(), None)
+    partial = TreeHDecomposition([-1], [frozenset(bag)], frozenset(), None)
     with pytest.raises(ValueError, match="quotient decomposition does not match"):
         tree_decomp_from_sepdecomp(g, dec, partial)
 
@@ -915,11 +917,106 @@ def test_validator_reports_uncovered_edge():
     assert dec.validate(g) == ["edge (1,2) not covered by any bag"]
 
 
+def test_validators_name_each_rejection():
+    """Each row changes one thing in a valid structure of a triangle chain,
+    and the validator names that fault."""
+    from dataclasses import replace
+
+    from .test_golden import triangle_chain
+
+    g = triangle_chain(4)
+    forest = build_ed_forest(g, 1, BIP).forest
+    dec = build_tree_h_decomposition(g, 1, BIP).decomposition
+    nice = make_nice(dec)
+    x = next(i for i, node in enumerate(forest.nodes) if not node.leaf)
+    base_leaf = next(i for i, b in enumerate(dec.bags) if b & dec.L)
+    join = next(i for i, kids in enumerate(nice.children()) if len(kids) == 2)
+    outside = min(set().union(*dec.bags) - dec.L - dec.bags[0])
+    k4_free = GraphClassSpec.forbidden(Graph.complete(4))
+
+    def node(i, **change):
+        return EliminationForest(
+            [replace(n, **change) if j == i else n for j, n in enumerate(forest.nodes)], BIP
+        )
+
+    def tree(d, parents=None, bags=None, L=None, cls=BIP):
+        return type(d)(
+            d.parents if parents is None else parents,
+            d.bags if bags is None else bags,
+            d.L if L is None else L,
+            cls,
+        )
+
+    def above(d, bag):
+        # a new root 0 with the given bag over the old root
+        return tree(d, [-1] + [p + 1 if p >= 0 else 0 for p in d.parents], [bag, *d.bags])
+
+    rows = [
+        (forest, node(x, leaf=True), "leaf with children"),
+        (forest, EliminationForest(forest.nodes, None), "standard forest leaf bag must be empty"),
+        (forest, node(x, bag=frozenset()), "internal bag must be a singleton"),
+        (dec, tree(dec, [], []), "decomposition has no nodes"),
+        (dec, tree(dec, bags=dec.bags[:-1]), "parents and bags disagree in length"),
+        (dec, tree(dec, [-1, -1, *dec.parents[2:]]), "not a single rooted tree"),
+        (dec, tree(dec, [-1, 1, *dec.parents[2:]]), "does not precede it"),
+        (dec, above(dec, frozenset({outside})), "occurrence subtree disconnected"),
+        (dec, tree(dec, [*dec.parents, base_leaf], [*dec.bags, frozenset()]), "must live at a leaf"),
+        (dec, tree(dec, cls=None), "standard decomposition must have empty L"),
+        (nice, tree(nice, [*nice.parents, join], [*nice.bags, nice.bags[join]]), "more than two children"),
+        (nice, above(nice, nice.bags[0]), "single-child step is not a legal bag change"),
+        (nice, tree(nice, [-1], [frozenset(range(g.n))], frozenset(range(g.n)), k4_free), "root bag intersects L"),
+    ]
+    for valid, broken, message in rows:
+        assert not valid.validate(g)
+        errs = broken.validate(g)
+        assert any(message in e for e in errs), (message, errs)
+
+
 def test_validator_catches_wrong_graph():
     k3 = Graph.complete(3)
     dec = build_tree_h_decomposition(k3, 1, BIP).decomposition
     other = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
     assert dec.validate(other)
+
+
+def test_the_empty_graph_end_to_end():
+    """Graph(0) through both quotient searches, both builders at k = 0 and
+    1, both conversions to a tree decomposition and all five solvers: one
+    empty leaf at depth 0, one empty bag at width 0."""
+    from hdecomp.solvers import (
+        solve_klfree_elim,
+        solve_oct_dp,
+        solve_oct_elim,
+        solve_vc_dp,
+        solve_vc_elim,
+    )
+
+    g = Graph(0)
+    leaf = '"nodes":[{"bag":[],"id":0,"leaf":true,"parent":-1}]'
+    bip = '"class":{"kind":"bipartite"}'
+    td, tw = exact_treedepth(g), exact_treewidth(g)
+    assert (td.value, td.exact, tw.value, tw.exact) == (0, True, 0, True)
+    assert to_json(td.forest) == '{"class":null,"depth":0,"kind":"elimination-forest",' + leaf + "}\n"
+    assert to_json(tw.decomposition) == (
+        '{"L":[],"class":null,"kind":"tree-h-decomposition",' + leaf + ',"width":0}\n'
+    )
+    for k in (0, 1):
+        ed, th = build_ed_forest(g, k, BIP), build_tree_h_decomposition(g, k, BIP)
+        assert ed.promise_ok and th.promise_ok
+        assert to_json(ed.forest) == "{" + bip + ',"depth":0,"kind":"elimination-forest",' + leaf + "}\n"
+        assert to_json(th.decomposition) == (
+            '{"L":[],' + bip + ',"kind":"tree-h-decomposition",' + leaf + ',"width":0}\n'
+        )
+        assert to_json(make_nice(th.decomposition)) == (
+            '{"L":[],' + bip + ',"kind":"nice",' + leaf + ',"width":0}\n'
+        )
+        assert to_json(ed_to_tree_decomposition(ed.forest)) == (
+            '{"L":[],' + bip + ',"kind":"tree-h-decomposition","nodes":[{"bag":[],"id":0,'
+            '"leaf":false,"parent":-1},{"bag":[],"id":1,"leaf":true,"parent":0}],"width":0}\n'
+        )
+        assert solve_oct_elim(g, ed.forest) == solve_vc_elim(g, ed.forest) == frozenset()
+        assert solve_oct_dp(g, th.decomposition) == solve_vc_dp(g, th.decomposition) == (0, frozenset())
+        assert solve_klfree_elim(g, build_ed_forest(g, k, TRI).forest, 3) == frozenset()
 
 
 # -- JSON -----------------------------------------------------------------------
