@@ -183,7 +183,8 @@ def _auto_forest(g: Graph, cls: GraphClassSpec) -> EliminationForest:
 
 
 def _auto_nice(g: Graph, cls: GraphClassSpec) -> TreeHDecomposition:
-    """The auto decomposition for the DP, as built; the DP makes it nice."""
+    """The auto decomposition for the DP, as built; the DP reads its bags as
+    they are (no nice form is made on the solve path)."""
     return _auto(g, cls, build_tree_h_decomposition).decomposition
 
 

@@ -5,8 +5,9 @@ computes exact treedepth/treewidth of (small) quotient graphs, where a cap
 of k+1 turns the one search into the promise check "quotient
 treedepth/treewidth <= k+1" that keeps its structure when it passes, and
 converts the results into validated elimination forests and tree
-decompositions with base components, including the nice normal form used
-by the dynamic programming solvers.
+decompositions with base components, and into the nice normal form, which
+the API and the JSON reader and validator keep; the dynamic programming
+solvers read any valid tree H-decomposition as it is.
 
 Conventions:
   * elimination forests follow the edge-depth convention; standard forests
@@ -247,7 +248,8 @@ class NiceTreeHDecomposition(TreeHDecomposition):
         ("join", -1) over two equal bags, ("identity", -1) for the strip of
         L just above a base leaf, ("introduce", v) or ("forget", v) for one
         vertex outside L.  A node that takes none of these steps gets its
-        error message (a str) in place of the pair."""
+        error message (a str) in place of the pair.  The nice validator
+        reports those messages; the DP does not read the steps."""
         ch = self.children()
         out: list[tuple[str, int] | str] = []
         for i, kids in enumerate(ch):
@@ -563,8 +565,8 @@ def _component_search(g: Graph, ub: int, conn):
     f(C) over the components C of G[s], and conn(C, N(C)) gives f(C) for a
     connected C, at most ub + 1.  Returns (parts, memo): parts(s) is f(s)
     when that is at most ub and ub + 1 otherwise, and memo[s] holds each
-    value found, -1 while unknown.  The list memo needs 2^n entries, which
-    the exact guards bound."""
+    value found plus one, 0 while unknown: one byte per set, since a value
+    plus one is at most n + 1 <= 21 within the exact guards."""
     n = g.n
     above = ub + 1
     # one union table per half of the ids: N(x) is the neighbourhood union
@@ -576,10 +578,10 @@ def _component_search(g: Graph, ub: int, conn):
         for x in range(1, len(table)):
             b = x & -x
             table[x] = table[x ^ b] | g._adj_masks[first + b.bit_length() - 1]
-    memo = [-1] * (1 << n)
+    memo = bytearray(1 << n)
 
     def parts(mask: int) -> int:
-        value = memo[mask]
+        value = memo[mask] - 1
         if value >= 0:
             return value
         value = 0
@@ -595,12 +597,13 @@ def _component_search(g: Graph, ub: int, conn):
                     break
                 comp = grown
             pool ^= comp
-            val = memo[comp]
+            val = memo[comp] - 1
             if val < 0:
-                val = memo[comp] = conn(comp, nb & ~comp)
+                val = conn(comp, nb & ~comp)
+                memo[comp] = val + 1
             if val > value:
                 value = val
-        memo[mask] = value
+        memo[mask] = value + 1
         return value
 
     return parts, memo
@@ -759,7 +762,7 @@ def _tw_search(g: Graph, ub: int):
             b = m & -m
             m ^= b
             # the memo read first saves a call on a hit
-            sub = memo[c ^ b]
+            sub = memo[c ^ b] - 1
             if sub < 0:
                 sub = tw_parts(c ^ b)
             if sub < best:
@@ -1196,8 +1199,9 @@ def make_nice(dec: TreeHDecomposition) -> NiceTreeHDecomposition:
     most ALPHA * k * n for an input of width k-1 on an n-vertex graph
     (k, n >= 1).
 
-    The input must be a valid tree H-decomposition (`_nice_dp` validates
-    first).  Then a contraction leaves every moved child incomparable with
+    The input must be a valid tree H-decomposition, which this does not
+    check (`validate` does; the DP reads the input's bags and never calls
+    this).  Then a contraction leaves every moved child incomparable with
     its new parent: if x replaces p and c is another child of p, running
     intersection gives c & x <= p, so c <= x or x <= c would make c and p
     comparable.  So one ascending pass contracts every comparable pair.

@@ -5,8 +5,8 @@ solves its annotated polynomial case on a base component for both routes:
 the branching skeleton (`_branch`) down an elimination forest, which deletes
 each ancestor or puts it on a side that does not refuse it (two sides for
 odd cycle transversal, one for vertex cover and clique deletion), and the
-DP engine (`_nice_dp`) over nice tree decompositions, with numpy tables
-indexed by base-3 (OCT) or base-2 (VC) encodings of the bag partition.
+DP engine (`_tree_dp`), which reads a tree H-decomposition's own bags, nice
+or not, with one numpy axis per bag vertex: base 3 (OCT) or base 2 (VC).
 
 Below the public entry points the solvers pass vertex bit masks: a leaf
 solve returns the mask of a deletion set, or None (the failure value
@@ -16,7 +16,6 @@ The empty set is the mask 0, so infeasibility is tested with `is None`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,7 +30,7 @@ from .graphs import (
     mask_of,
     set_of,
 )
-from .decomposition import EliminationForest, NiceTreeHDecomposition, TreeHDecomposition, make_nice
+from .decomposition import EliminationForest, TreeHDecomposition
 from .separators import _vertex_flow
 
 INF = np.int64(1) << 40
@@ -305,208 +304,135 @@ def solve_klfree_elim(g: Graph, forest: EliminationForest, ell: int) -> frozense
 
 
 # ---------------------------------------------------------------------------
-# dynamic programming over nice tree decompositions
+# dynamic programming over tree H-decompositions
 # ---------------------------------------------------------------------------
 
 
-#: bytes that `_nice_dp`'s tables, node plans and the largest node's
-#: working arrays may take; a decomposition that needs more is refused
-#: before the first allocation
+#: bytes that `_tree_dp`'s tables, deletion counts, largest working arrays
+#: and per-node data may take; a decomposition that needs more is refused
+#: before the first table is allocated
 DP_TABLE_BUDGET = 256 << 20
 
-#: bytes of digit layouts and node plans that `_nice_dp` keeps across calls,
-#: least recently used out first; a plan depends only on its shape and base
-PLAN_CACHE_BYTES = 1 << 20
-_plan_cache: OrderedDict = OrderedDict()  # (base, key) -> (value, its bytes)
-_plan_cache_bytes = 0
 
-
-def _kept(key, make: Callable, local: dict):
-    """make()'s value for key: made once per call, in `local`, and kept across calls while it fits."""
-    global _plan_cache_bytes
-    if key not in local:
-        if key in _plan_cache:
-            _plan_cache.move_to_end(key)
-            local[key] = _plan_cache[key][0]
-        else:
-            local[key] = value = make()
-            arrays = [a for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
-            for a in arrays:
-                a.flags.writeable = False  # shared by every later call
-            size = sum(a.nbytes for a in arrays)
-            if size <= PLAN_CACHE_BYTES:
-                _plan_cache[key] = value, size
-                _plan_cache_bytes += size
-                while _plan_cache_bytes > PLAN_CACHE_BYTES:
-                    _plan_cache_bytes -= _plan_cache.popitem(last=False)[1][1]
-    return local[key]
-
-
-def _make_plan(sides: int, layout: Callable, kind: str, w: int, p: Optional[int], met: tuple, keyed: tuple):
-    """(index map, addend, the digit patterns a leaf finishes) of a node shape;
-    layout(w) gives width w's digits (row p: digit p) and deletion counts."""
-    base = sides + 1
-    digits, deleted = layout(w)
-    if kind == "join":
-        return None, -deleted, None
-    if kind == "identity":
-        return None, None, None
-    if kind == "forget":  # one row per digit inserted at p
-        high, low = np.divmod(np.arange(base**w), base**p)
-        return low + high * base ** (p + 1) + base**p * np.arange(base)[:, None], None, None
-    bad = np.zeros(base**w, dtype=bool)
-    for x in {x for _, x in met}:  # the edges to x that meet here
-        ends = [u for u, y in met if y == x]
-        bad |= (digits[ends] == digits[x]).any(axis=0) & (digits[x] != sides)
-    if kind == "introduce":  # the child cell of each cell
-        high, low = np.divmod(np.arange(base**w), base**p)
-        return low + high // base * base**p, np.where(bad, INF, digits[p] == sides), None
-    # a leaf numbers the digit patterns of its keyed positions (digit i
-    # of the number is that of keyed position i) and finishes the live ones
-    m = len(keyed)
-    pattern = base ** np.arange(m) @ digits[list(keyed)]
-    live = np.flatnonzero(np.bincount(pattern[~bad], minlength=base**m))
-    return pattern, np.where(bad, INF, deleted), live
-
-
-def _nice_dp(
+def _tree_dp(
     g: Graph,
     dec: TreeHDecomposition,
     sides: int,
     finish: Callable[[Graph, int, tuple[int, ...], int], Optional[int]],
 ) -> tuple[int, frozenset[int]]:
-    """Minimum deletion set by DP over a tree H-decomposition, validated
-    once and made nice here when it is not.
+    """Minimum deletion set by DP over the bags of a tree H-decomposition,
+    validated once and read as it is, nice or not.
 
     Each non-base bag vertex gets one digit in base sides+1: digits
-    0..sides-1 put it on that side, digit `sides` deletes it.  An edge is bad
-    when both ends carry the same side digit.  At a leaf with base part b,
-    `finish(g, b, side_masks, |b|)` finishes the base part, where
-    side_masks[s] holds the base vertices adjacent to side s; it returns a
-    deletion mask or None and is called once per distinct (b, side_masks).
-
-    Each node shape (its step, width, moved position and the positions of
-    the edges that meet there) gets one plan, kept across calls (`_kept`):
-    an index map into the child's table (a leaf's: into its finished digit
-    patterns) and an int64 addend that is INF on bad cells, +1 where an
-    introduced digit deletes, -deleted at a join and +deleted at a leaf.  A
-    node is then one gather, add and minimum.  A leaf finishes one cell per
-    live digit pattern of its bag vertices with base neighbours.  Tables,
-    plans and the largest node's working arrays over DP_TABLE_BUDGET bytes
-    raise ValueError before any is allocated.
+    0..sides-1 put it on that side, digit `sides` deletes it.  A node's
+    table has one axis per such vertex, the largest id first, so digit p of
+    a flat cell index is that of bag position p in ascending id order.  A
+    cell holds the fewest deletions among the vertices of the node's
+    subtree outside its bag that agree with its digits, INF where an edge
+    whose two ends first meet here (no child holds both) has both ends on
+    one side.  A childless node adds its base part b: `finish(g, b,
+    side_masks, |b|)`, where side_masks[s] holds the base vertices adjacent
+    to side s, returns a deletion mask or None.  It runs once per live digit
+    pattern of the bag vertices with base neighbours, and once per distinct
+    (b, side_masks).  Each child adds its table's minimum over the vertices
+    the node does not hold, each deleted one counted.  The walk back slices
+    each child's table at its parent's digits and takes the first minimum,
+    so on a nice input each forgotten vertex gets the first digit that
+    reaches the optimum, as in a DP by nice steps.  Tables, deletion
+    counts, the largest node's working arrays and the per-node data over
+    DP_TABLE_BUDGET bytes raise ValueError before any table is allocated.
     """
     errs = dec.validate(g)
     if errs:
         raise ValueError("invalid decomposition: " + "; ".join(errs))
-    if not isinstance(dec, NiceTreeHDecomposition):  # make_nice assumes a valid input
-        dec = make_nice(dec)
-    steps = dec.steps()
     finish = _memoized(finish)
     base = sides + 1
     ch = dec.children()
-    lmask = mask_of(dec.L)
-    vms = [mask_of(b) & ~lmask for b in dec.bags]  # the vertices with a digit, in position order
-    ws = [vm.bit_count() for vm in vms]
+    axes = [sorted(b - dec.L, reverse=True) for b in dec.bags]  # the vertices with a digit
+    vms = [mask_of(a) for a in axes]
+    # per leaf: its base part, and each bag vertex with base neighbours, with them
+    bases = {t: mask_of(dec.bags[t] & dec.L) for t, kids in enumerate(ch) if not kids}
+    keyed = {t: [(v, nbr) for v in axes[t] if (nbr := g.adj_mask(v) & b)] for t, b in bases.items()}
 
-    def pos(t: int, v: int) -> int:
-        return (vms[t] & (1 << v) - 1).bit_count()
-
-    # An edge's bad cells are marked where its two ends first meet: inside a
-    # leaf's bag, or where its second end is introduced.  Every node above
-    # holds both ends until one is forgotten, and takes those cells' INF
-    # from its children.
-    basemasks: dict[int, int] = {}  # leaf -> its base part
-    nbr: dict[int, list[int]] = {}  # leaf -> the base neighbours of its keyed positions
-    shapes = []
-    for t, (kind, v) in enumerate(steps):
-        arrive = vms[t] if kind == "leaf" else 1 << v if kind == "introduce" else 0
-        met, here = [], vms[t] & ~arrive
-        for x in bits(arrive):
-            met += [(pos(t, u), pos(t, x)) for u in bits(g.adj_mask(x) & here)]
-            here |= 1 << x
-        move = pos(t, v) if kind == "introduce" else pos(ch[t][0], v) if kind == "forget" else None
-        keyed = ()
-        if kind == "leaf":
-            basemasks[t] = basemask = mask_of(dec.bags[t]) & lmask
-            keys = [(p, m) for p, u in enumerate(bits(vms[t])) if (m := g.adj_mask(u) & basemask)]
-            keyed, nbr[t] = tuple(p for p, _ in keys), [m for _, m in keys]
-        shapes.append((kind, ws[t], move, tuple(met), keyed))
-
+    ws = [len(a) for a in axes]
+    top = max(ws)
     need = sum(8 * base**w for w in ws)  # tables
-    need += sum(base**w * (w + 8) for w in set(ws))  # digits, deletion counts
-    # plans: addends, index maps (a leaf's: the digit pattern of each cell)
-    per_cell = {"leaf": 16, "introduce": 16, "join": 8, "forget": 8 * base}
-    need += sum(base**w * per_cell.get(kind, 0) for kind, w, *_ in set(shapes))
-    # the working arrays of the largest node: a leaf's plan arrays, a
-    # forget's gather of base rows, and elsewhere the sum and its minimum
-    work = {"leaf": 64, "forget": 8 * base + 16}
-    need += max(base**w * work.get(kind, 24) for kind, w, *_ in shapes)
+    need += sum(8 * base**w for w in range(top + 1))  # deletion counts per width
+    need += 24 * base**top  # a child's sum and minimum, a leaf's live cells and finish sizes
+    # Python-side data: the call's own, per node (some of it vertex masks)
+    # and per finished pattern
+    need += 16384 + (1024 + g.n) * len(ws) + sum(128 * base ** len(k) for k in keyed.values())
     if need > DP_TABLE_BUDGET:
         raise ValueError(f"DP tables need {-(-need >> 20)} MiB, over the {DP_TABLE_BUDGET >> 20} MiB budget")
 
-    local: dict = {}  # this call's digits and deletion counts per width, and plans per shape
+    dels = [np.zeros((), np.int64)]  # dels[w]: the deleted digits of each cell of width w
+    for _ in range(top):
+        dels.append(np.add.outer(dels[-1], np.arange(base) == sides))
+    same = np.where(np.eye(base, dtype=bool) & (np.arange(base) != sides), INF, 0)
 
-    def layout(w: int):
-        digits = _kept((base, w), lambda: np.indices((base,) * w, dtype=np.int8).reshape(w, base**w)[::-1], local)
-        return digits, _kept((base, "deleted", w), lambda: (digits == sides).sum(axis=0), local)
+    def shape(t: int, vm: int) -> list[int]:
+        """Node t's axes, size 1 on the vertices outside vm."""
+        return [base if vm >> v & 1 else 1 for v in axes[t]]
 
-    def solve_leaf(t: int, k: int) -> Optional[int]:
-        """Finish leaf t at digit pattern k."""
+    def leaf_finish(t: int, digits: list[int]) -> Optional[int]:
+        """Finish leaf t with these digits of its keyed vertices."""
         masks = [0] * sides
-        for i, m in enumerate(nbr[t]):
-            d = k // base**i % base
+        for (_, m), d in zip(keyed[t], digits):
             if d < sides:
                 masks[d] |= m
-        return finish(g, basemasks[t], tuple(masks), basemasks[t].bit_count())
+        return finish(g, bases[t], tuple(masks), bases[t].bit_count())
 
-    plans = [_kept((base, shape), lambda: _make_plan(sides, layout, *shape), local) for shape in shapes]
-    tables: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
-    for t in range(len(steps) - 1, -1, -1):
-        kind, kids = steps[t][0], ch[t]
-        imap, add, live = plans[t]
-        if kind == "leaf":
-            size = np.full(base ** len(nbr[t]), INF)
+    tables: list[np.ndarray] = [None] * len(ch)  # type: ignore[list-item]
+    for t in range(len(ch) - 1, -1, -1):  # children follow their parents
+        vm = vms[t]
+        table = np.zeros((base,) * ws[t], np.int64)
+        for c in ch[t]:
+            sub, gone = tables[c], vms[c] & ~vm
+            if gone:
+                free = tuple(i for i, v in enumerate(axes[c]) if gone >> v & 1)
+                sub = (sub + dels[len(free)].reshape(shape(c, gone))).min(axis=free)
+            table += sub.reshape(shape(t, vms[c]))
+        for x in axes[t]:  # the edges that first meet here, to a smaller id
+            nb = g.adj_mask(x) & vm & (1 << x) - 1
+            for c in ch[t]:
+                if vms[c] >> x & 1:
+                    nb &= ~vms[c]
+            for u in bits(nb):
+                table += same.reshape(shape(t, 1 << x | 1 << u))
+        if not ch[t]:
+            # the digit patterns of the keyed vertices, the last one lowest
+            m = len(keyed[t])
+            kshape = shape(t, mask_of(v for v, _ in keyed[t]))
+            live = np.flatnonzero((table < INF).any(axis=tuple(i for i, k in enumerate(kshape) if k == 1))).tolist()
+            size = np.full(base**m, INF)
             for k in live:
-                sol = solve_leaf(t, int(k))
+                sol = leaf_finish(t, [k // base ** (m - 1 - j) % base for j in range(m)])
                 size[k] = INF if sol is None else sol.bit_count()
-            tables[t] = np.minimum(size[imap] + add, INF)
-        elif kind == "join":
-            tables[t] = np.minimum(tables[kids[0]] + tables[kids[1]] + add, INF)
-        elif kind == "identity":
-            tables[t] = tables[kids[0]]
-        elif kind == "introduce":
-            tables[t] = np.minimum(tables[kids[0]][imap] + add, INF)
-        else:  # forget: best digit of the forgotten vertex
-            tables[t] = tables[kids[0]][imap].min(axis=0)
+            table += size.reshape(kshape)
+        tables[t] = np.minimum(table, INF, out=table)
 
+    # walk the first minima back down from an empty bag above the root; a
+    # vertex's digit is fixed at the highest node that holds it
     root = dec.root()
-    best_idx = int(np.argmin(tables[root]))
-    best = int(tables[root][best_idx])
+    best = int((tables[root] + dels[ws[root]]).min())
     assert best < INF
-
-    # walk the argmin back down, first minimum on forgets; a vertex's digit
-    # is fixed below the node that forgets it (or the root)
-    solution = mask_of(v for p, v in enumerate(bits(vms[root])) if best_idx // base**p % base == sides)
-    stack = [(root, best_idx)]
+    digit: dict[int, int] = {}
+    solution = 0
+    stack = [(root, 0)]
     while stack:
-        t, idx = stack.pop()
-        (kind, v), kids, imap = steps[t], ch[t], plans[t][0]
-        if kind == "leaf":
-            sol = solve_leaf(t, int(imap[idx]))
+        c, vm = stack.pop()
+        if gone := vms[c] & ~vm:
+            free = [v for v in axes[c] if gone >> v & 1]
+            sub = tables[c][tuple(digit[v] if vm >> v & 1 else slice(None) for v in axes[c])]
+            k = int((sub + dels[len(free)]).argmin())
+            for v in reversed(free):
+                k, digit[v] = divmod(k, base)
+        if not ch[c]:
+            sol = leaf_finish(c, [digit[v] for v, _ in keyed[c]])
             assert sol is not None
             solution |= sol
-        elif kind == "join":
-            stack += [(kids[0], idx), (kids[1], idx)]
-        elif kind == "identity":
-            stack.append((kids[0], idx))
-        elif kind == "introduce":
-            stack.append((kids[0], int(imap[idx])))
-        else:
-            ins = imap[:, idx]
-            d = int(np.argmin(tables[kids[0]][ins]))
-            if d == sides:
-                solution |= 1 << v
-            stack.append((kids[0], int(ins[d])))
+        stack += [(x, vms[c]) for x in ch[c]]
+    solution |= mask_of(v for v, d in digit.items() if d == sides)
     assert solution.bit_count() == best
     return best, set_of(solution)
 
@@ -517,14 +443,14 @@ def solve_oct_dp(g: Graph, dec: TreeHDecomposition) -> tuple[int, frozenset[int]
     leaves, with the base size as budget."""
     if dec.cls is None or dec.cls.kind != GraphClassSpec.BIPARTITE:
         raise ValueError("odd cycle transversal needs a bipartite-class decomposition")
-    return _nice_dp(g, dec, 2, _oct_finish)
+    return _tree_dp(g, dec, 2, _oct_finish)
 
 
 def solve_vc_dp(g: Graph, dec: TreeHDecomposition) -> tuple[int, frozenset[int]]:
     """Minimum vertex cover by DP over tree decompositions: one side (out of
     the cover) plus deletion.  Base parts are finished by Koenig's theorem
     after forcing the neighbors of out-vertices into the cover."""
-    return _nice_dp(g, dec, 1, _vc_finish)
+    return _tree_dp(g, dec, 1, _vc_finish)
 
 
 # ---------------------------------------------------------------------------

@@ -590,10 +590,11 @@ def test_batch_mode_rejects_single_graph_arguments(files, capsys, flag):
     assert not (tmp / "written").exists()
 
 
-#: recorded before auto mode skipped k = 0 on inputs outside the class
+#: recorded before auto mode skipped k = 0 on inputs outside the class; the
+#: DP's vertex cover since it reads the decomposition's own bags
 CHAIN2_SOLUTIONS = {
     ("dp", "oct"): "SOLUTION oct 2\n1\n5\n",
-    ("dp", "vc"): "SOLUTION vc 4\n1\n2\n4\n5\n",
+    ("dp", "vc"): "SOLUTION vc 4\n1\n3\n5\n6\n",
     ("elim", "oct"): "SOLUTION oct 2\n2\n4\n",
     ("elim", "vc"): "SOLUTION vc 4\n2\n3\n4\n6\n",
     ("elim", "klfree"): "SOLUTION klfree 2\n3\n4\n",

@@ -242,6 +242,24 @@ def test_treedepth_search_stops_early():
     assert value == 8 and calls <= 30_000, calls
 
 
+def test_capped_treedepth_that_decides_at_once_stays_small():
+    """Every vertex of this G(20, 0.35) has at least two neighbours, so the
+    call capped at 2 decides on its first set.  Its memo is one byte per
+    set, 1 MiB at n = 20, where a list of 2^20 ints took 8 MiB."""
+    import tracemalloc
+
+    rng = random.Random(8)
+    g = Graph(20, [e for e in itertools.combinations(range(20), 2) if rng.random() < 0.35])
+    tracemalloc.start()
+    try:
+        res = exact_treedepth(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 3 and res.forest is None
+    assert peak < 2 << 20, peak
+
+
 def test_passing_tw_build_runs_min_fill_once_per_quotient(monkeypatch):
     """A tree H-decomposition build whose quotients lie within the exact
     guard runs min-fill once per quotient: the capped search that gives

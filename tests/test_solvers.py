@@ -1,5 +1,5 @@
 import random
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +40,7 @@ from hdecomp.solvers import (
     INF,
     _abc_within,
     _independent_join,
-    _nice_dp,
+    _tree_dp,
     _oct_finish,
     _vc_bipartite_within,
     _vc_finish,
@@ -294,7 +294,8 @@ def test_oct_rejects_invalid_forest():
 
 def test_dp_validates_a_decomposition_that_is_not_nice():
     """The DP solvers take any tree H-decomposition: one of another graph is
-    refused by validate, and a valid one is made nice and solved."""
+    refused by validate, and a valid one is solved on its own bags, to the
+    answer of its nice form."""
     c5 = Graph.cycle(5)
     for other in (Graph.path(5), Graph.cycle(7)):
         dec = build_tree_h_decomposition(other, 1, BIP).decomposition
@@ -685,9 +686,9 @@ def plan_nodes_reference(dec, ch):
 
 
 def nice_dp_reference(g, dec, sides, finish):
-    """_nice_dp before the shared layouts: digit arrays rebuilt at every
-    node, every live leaf cell finished one by one, and finishes memoized
-    per node."""
+    """The per-step DP on nice decompositions, as it ran before the shared
+    layouts: digit arrays rebuilt at every node, every live leaf cell
+    finished one by one, and finishes memoized per node."""
     errs = dec.validate(g)
     if errs:
         raise ValueError("invalid nice tree decomposition: " + "; ".join(errs))
@@ -812,7 +813,7 @@ def test_dp_engine_matches_the_per_node_reference():
         widths.add(nice.width)
         for sides, finish in ((2, _oct_finish), (1, _vc_finish), (2, picky_finish), (1, picky_finish)):
             got_calls, want_calls = [], []
-            got = _nice_dp(g, nice, sides, lambda *a: got_calls.append(a) or finish(*a))
+            got = _tree_dp(g, nice, sides, lambda *a: got_calls.append(a) or finish(*a))
             want = nice_dp_reference(g, nice, sides, lambda *a: want_calls.append(a) or as_set(finish)(*a))
             assert got == want, (g.edges, sides, finish.__name__)
             assert len(got_calls) == len(set(got_calls))
@@ -821,9 +822,11 @@ def test_dp_engine_matches_the_per_node_reference():
 
 
 def test_dp_budget_covers_the_traced_peak(monkeypatch):
-    """The budget counts the largest node's working arrays as well as the
-    tables and layouts: with DP_TABLE_BUDGET one byte below the tracemalloc
-    peak of a width-8 OCT DP, the same DP is refused before it allocates."""
+    """The budget counts the largest node's working arrays and the
+    Python-side data as well as the tables: with DP_TABLE_BUDGET one byte
+    below the tracemalloc peak of a width-8 OCT or VC DP, on a plain tree
+    decomposition or its nice form, the same DP is refused before it
+    allocates."""
     import tracemalloc
 
     rng = random.Random(5)
@@ -833,86 +836,58 @@ def test_dp_budget_covers_the_traced_peak(monkeypatch):
         g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
         dec = _td_from_elimination_order(g, rng.sample(range(n), n))
         if dec.width == 8:
-            cases.append((g, make_nice(dec)))
-    for g, nice in cases:
-        tracemalloc.start()
-        try:
-            _nice_dp(g, nice, 2, _oct_finish)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        monkeypatch.setattr(solvers, "DP_TABLE_BUDGET", peak - 1)
-        with pytest.raises(ValueError, match="over the .* MiB budget"):
-            _nice_dp(g, nice, 2, _oct_finish)
-        monkeypatch.undo()
+            cases.append((g, dec))
+    for g, dec in cases:
+        for d in (dec, make_nice(dec)):
+            for sides, finish in ((2, _oct_finish), (1, _vc_finish)):
+                tracemalloc.start()
+                try:
+                    _tree_dp(g, d, sides, finish)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                monkeypatch.setattr(solvers, "DP_TABLE_BUDGET", peak - 1)
+                with pytest.raises(ValueError, match="over the .* MiB budget"):
+                    _tree_dp(g, d, sides, finish)
+                monkeypatch.undo()
 
 
-def plan_cache_cases():
-    """Seeded nice decompositions of widths 0-9 (the engine cases and two
-    wider plain tree decompositions)."""
-    cases = list(dp_engine_cases())
-    rng = random.Random(31)
-    while max(nice.width for _, nice in cases) < 9:
-        n = rng.randint(10, 13)
-        g = random_graph(rng, n, 0.6)
+def test_dp_on_raw_decompositions_matches_their_nice_form():
+    """The engine reads any valid decomposition as it is.  On tree
+    decompositions from elimination orders (nodes with three or more
+    children, L empty) and on tree H-decompositions with several base
+    leaves, its OCT and VC sizes equal those on the nice form, its sets are
+    feasible, and for n <= 12 the sizes are the brute-force optima."""
+    from .test_golden import cycle_tree
+
+    rng = random.Random(61)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5)))
         dec = _td_from_elimination_order(g, rng.sample(range(n), n))
-        if dec.width in (8, 9) and dec.width > max(nice.width for _, nice in cases):
-            cases.append((g, make_nice(dec)))
-    return cases
-
-
-def test_dp_plan_cache_keeps_answers_and_its_cap(monkeypatch):
-    """The OCT and VC DPs give the same answers and sets from a cleared plan
-    cache and from a warm one, and the cache's bytes never pass the cap."""
-    cases = plan_cache_cases()
-    assert {nice.width for _, nice in cases} == set(range(10))
-
-    def check_cap():
-        sizes = [size for _, size in solvers._plan_cache.values()]
-        assert sum(sizes) == solvers._plan_cache_bytes <= solvers.PLAN_CACHE_BYTES
-
-    for g, nice in cases:
+        if dec.width <= 6:
+            cases.append((g, dec))
+    for _ in range(20):
+        if rng.random() < 0.5:
+            g = cycle_tree(rng, [rng.choice((3, 5)) for _ in range(rng.randint(2, 6))], rng.random() < 0.5)
+        else:
+            g = random_graph(rng, rng.randint(4, 12), rng.choice((0.2, 0.35)))
+        cases.append((g, build_tree_h_decomposition(g, rng.randint(1, 2), BIP).decomposition))
+    assert max(len(kids) for _, dec in cases for kids in dec.children()) >= 3
+    assert max(sum(1 for b in dec.bags if b & dec.L) for _, dec in cases) >= 2
+    for g, dec in cases:
+        full = frozenset(range(g.n))
         for sides, finish in ((2, _oct_finish), (1, _vc_finish)):
-            monkeypatch.setattr(solvers, "_plan_cache", OrderedDict())
-            monkeypatch.setattr(solvers, "_plan_cache_bytes", 0)
-            cold = _nice_dp(g, nice, sides, finish)
-            check_cap()
-            assert solvers._plan_cache
-            assert _nice_dp(g, nice, sides, finish) == cold
-            check_cap()
-    monkeypatch.undo()
-    for g, nice in cases:  # in the shared cache, one call's plans evict another's
-        for sides, finish in ((2, _oct_finish), (1, _vc_finish)):
-            _nice_dp(g, nice, sides, finish)
-            check_cap()
-
-
-def test_dp_builds_each_shape_once_per_call_under_eviction(monkeypatch):
-    """With a cache far smaller than one call's plans, every call still
-    builds each node shape at most once, and the cache stays under its cap."""
-    made = []
-    make_plan = solvers._make_plan
-
-    def counted(sides, layout, *shape):
-        made.append((sides, shape))
-        return make_plan(sides, layout, *shape)
-
-    monkeypatch.setattr(solvers, "_make_plan", counted)
-    monkeypatch.setattr(solvers, "_plan_cache", OrderedDict())
-    monkeypatch.setattr(solvers, "_plan_cache_bytes", 0)
-    monkeypatch.setattr(solvers, "PLAN_CACHE_BYTES", 4096)
-    evicted = False
-    for g, nice in plan_cache_cases():
-        for sides, finish in ((2, _oct_finish), (1, _vc_finish)):
-            answers = []
-            for _ in range(2):
-                made.clear()
-                answers.append(_nice_dp(g, nice, sides, finish))
-                assert len(made) == len(set(made))
-                assert solvers._plan_cache_bytes <= 4096
-                evicted |= len(made) > len(solvers._plan_cache)
-            assert answers[0] == answers[1]
-    assert evicted
+            size, x = _tree_dp(g, dec, sides, finish)
+            assert size == len(x) == _tree_dp(g, make_nice(dec), sides, finish)[0], (g.edges, sides)
+            if sides == 2:
+                assert is_member(g, BIP, full - x)
+            else:
+                assert all(u in x or v in x for u, v in g.edges)
+            if g.n <= 12:
+                want = brute_min_deletion(g, BIP)[0] if sides == 2 else brute_min_vertex_cover(g)[0]
+                assert size == want, (g.edges, sides)
 
 
 def test_solution_block_format():
