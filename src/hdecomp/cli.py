@@ -170,6 +170,12 @@ def _auto(g: Graph, cls: GraphClassSpec, build):
     Hence k = 0 passes only when G is in H.  This holds for the classes solve
     uses: bipartite H in both modes and K_l-free H in ed mode.  It fails for
     forbidden classes in tw mode (a claw under claw-free has treewidth 1).
+
+    At k = 1 in ed mode the promise is "quotient treedepth <= 2", which
+    holds exactly when no quotient edge joins two vertices of degree >= 2
+    (every component is a star).  The nodes built so far induce a subgraph
+    of the quotient, so the first such edge among them decides "no": the
+    verdict is read before the structure, and a failing build stops there.
     """
     for k in range(0 if is_member(g, cls) else 1, g.n + 2):
         res = build(g, k, cls)

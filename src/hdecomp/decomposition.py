@@ -142,15 +142,23 @@ class EliminationForest:
             errs.append("bags do not partition V(G)")
         if errs:
             return errs
-        # ancestor-descendant condition for edges: an end lies on the root
-        # path of the other end's node
-        owner = {}
+        # ancestor-descendant condition for edges: the node of one end lies
+        # on the root path of the other's, i.e. a is above b when b's
+        # preorder number falls in a's subtree interval [tin[a], tin[a] + size[a])
+        owner = [0] * g.n
         for i, node in enumerate(self.nodes):
             for v in node.bag:
                 owner[v] = i
-        path = path_masks([n.parent for n in self.nodes], [mask_of(n.bag) for n in self.nodes])
+        tin = [0] * n_nodes
+        for pos, i in enumerate(preorder(ch, self.roots())):
+            tin[i] = pos
+        size = [1] * n_nodes
+        for i in range(n_nodes - 1, -1, -1):  # parents precede children
+            if self.nodes[i].parent >= 0:
+                size[self.nodes[i].parent] += size[i]
         for u, v in g.edges:
-            if not (path[owner[v]] >> u & 1 or path[owner[u]] >> v & 1):
+            a, b = owner[u], owner[v]
+            if not (tin[a] <= tin[b] < tin[a] + size[a] or tin[b] <= tin[a] < tin[b] + size[b]):
                 errs.append(f"edge ({u},{v}) crosses unrelated subtrees")
         return errs
 
@@ -861,13 +869,17 @@ def build_separation_decomposition(
     k: int,
     cls: GraphClassSpec,
     restricted: bool = False,
+    *,
+    stop: Optional[Callable[[int], bool]] = None,
 ) -> SeparationDecomposition:
     """Recursive construction of a (restricted) (cls, k, k2)-separation
     decomposition of a connected graph; k2 is determined by the class finder.
 
     New regions are attached under the deepest non-saturated node whose
     root-path separator union covers the region's neighborhood (ties by
-    smallest id); the region seed is its smallest vertex.
+    smallest id); the region seed is its smallest vertex.  `stop`, when
+    given, is called with each new node's V mask, and the build ends at
+    the first True, leaving the nodes made so far.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
@@ -930,6 +942,8 @@ def build_separation_decomposition(
             pu |= path_union[parent]
         path_union.append(pu)
         depth.append(0 if parent < 0 else depth[parent] + 1)
+        if stop is not None and stop(zmask):
+            break
         stack.extend((c, need | zmask) for c in reversed(components(g, region & ~zmask)))
     return SeparationDecomposition(nodes, k, k2, restricted, cls)
 
@@ -1063,24 +1077,59 @@ def tree_decomp_from_sepdecomp(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class EdForestResult:
-    """The promise verdict, decided by the build, and the forest, built from
-    `make_forest` when it is first read: its conversion (and, for a failing
-    build, the uncapped quotient search) costs more than the verdict, and
-    auto mode reads it only for the passing k."""
+    """An ed build's promise verdict and forest, each made when first read.
 
-    promise_ok: bool
-    make_forest: Callable[[], EliminationForest]
+    The read order matters at k = 1 only:
+      * `forest` first: one full build, whose capped quotient searches give
+        the verdict that a later `promise_ok` read returns;
+      * `promise_ok` first: the build looks for a star-forest certificate
+        (`_StarCertificate`) as it makes each node, and a failing build stops
+        at the first one and builds no later component; a `forest` read
+        after such a stop builds again in full, while a build with no
+        certificate keeps its parts and a later `forest` read only converts.
+    Auto mode reads the verdict first and the forest only for the passing k;
+    `decompose` reads the forest first."""
+
+    def __init__(self, g: Graph, k: int, cls: GraphClassSpec):
+        self.g, self.k, self.cls = g, k, cls
+
+    @cached_property
+    def _decided(self) -> tuple[bool, list]:
+        return _decided_parts(self.g, self.k, self.cls, False, exact_treedepth)
+
+    @cached_property
+    def promise_ok(self) -> bool:
+        if self.k == 1 and "_decided" not in self.__dict__:
+            ok, parts = _decided_parts(self.g, 1, self.cls, False, exact_treedepth, certify=True)
+            if parts is None:
+                return False
+            self._decided = ok, parts
+        return self._decided[0]
 
     @cached_property
     def forest(self) -> EliminationForest:
-        return self.make_forest()
+        """Per component the conversion, with the uncapped search where the
+        capped one left no forest, mapped into G's ids."""
+        nodes: list[ForestNode] = []
+        for sub, mapping, dec, q, res in self._decided[1]:
+            quotient_forest = (res and res.forest) or exact_treedepth(q).forest
+            offset = len(nodes)
+            for node in ed_forest_from_sepdecomp(sub, dec, quotient_forest).nodes:
+                parent = node.parent + offset if node.parent >= 0 else -1
+                nodes.append(ForestNode(frozenset(mapping[v] for v in node.bag), parent, node.leaf))
+        if self.g.n == 0:
+            nodes.append(ForestNode(frozenset(), -1, True))
+        return EliminationForest(nodes, self.cls)
 
 
 @dataclass
 class TreeDecompResult:
-    """As `EdForestResult`, for a tree H-decomposition."""
+    """A tw build's promise verdict, decided by the build, and its
+    decomposition, built from `make_decomposition` when it is first read:
+    its conversion (and, for a failing build, the uncapped quotient search)
+    costs more than the verdict, and auto mode reads it only for the
+    passing k."""
 
     promise_ok: bool
     make_decomposition: Callable[[], TreeHDecomposition]
@@ -1090,18 +1139,64 @@ class TreeDecompResult:
         return self.make_decomposition()
 
 
-def _decided_parts(g: Graph, k: int, cls: GraphClassSpec, restricted: bool, exact):
+class _StarCertificate:
+    """The promise check of an ed build at k = 1, node by node.
+
+    There the promise is "quotient treedepth <= 2": every component of the
+    quotient is a star, so no quotient edge joins two vertices of degree
+    >= 2.  Fed the V masks of a build in node order, a call returns True
+    once the nodes so far, each V contracted, have such an edge.  They
+    induce a subgraph of the final quotient, and treedepth does not drop
+    when vertices are added, so that edge proves that the promise fails,
+    also past TD_EXACT_GUARD, where the capped search's heuristic value
+    only over-estimates."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.owner = [0] * g.n  # the node whose V holds each covered vertex
+        self.covered = 0
+        self.nbrs: list[int] = []  # quotient neighbours of each node so far
+        self.big = 0  # nodes of quotient degree >= 2
+        self.found = False
+
+    def __call__(self, vmask: int) -> bool:
+        t = len(self.nbrs)
+        nb = mask_of(self.owner[v] for v in bits(neighborhood_mask(self.g, vmask, self.covered)))
+        self.nbrs.append(nb)
+        for v in bits(vmask):
+            self.owner[v] = t
+        self.covered |= vmask
+        for s in bits(nb):
+            self.nbrs[s] |= 1 << t
+        # only t and its neighbours changed degree, so a new such edge has
+        # an end among them
+        changed = nb | 1 << t
+        for s in bits(changed):
+            if self.nbrs[s] & (self.nbrs[s] - 1):
+                self.big |= 1 << s
+        self.found = any(self.nbrs[s] & self.big for s in bits(changed & self.big))
+        return self.found
+
+
+def _decided_parts(
+    g: Graph, k: int, cls: GraphClassSpec, restricted: bool, exact, certify: bool = False
+):
     """Whether every component of g passes the promise, and per component
     (induced subgraph, mapping, separation decomposition, quotient q, the
     result of exact(q, k + 1) or None).  Up to the exact guards that
     capped search decides the verdict exactly and holds the structure when
     it passes; past them it is the heuristic value with its structure.  No
-    verdict is sought once one fails."""
+    verdict is sought once one fails.  With `certify` (an ed build at
+    k = 1), each build also feeds its nodes to a `_StarCertificate`, and the
+    first certificate ends the call with (False, None)."""
     parts = []
     ok = True
     for comp in connected_components(g):
         sub, mapping = g.induced(comp)
-        dec = build_separation_decomposition(sub, k, cls, restricted=restricted)
+        cert = _StarCertificate(sub) if certify else None
+        dec = build_separation_decomposition(sub, k, cls, restricted=restricted, stop=cert)
+        if cert and cert.found:
+            return False, None
         q, _ = quotient(sub, dec)
         res = exact(q, k + 1) if ok else None
         ok = ok and res.value <= k + 1
@@ -1111,24 +1206,11 @@ def _decided_parts(g: Graph, k: int, cls: GraphClassSpec, restricted: bool, exac
 
 def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
     """Per component: separation decomposition, then the promise check
-    "quotient treedepth <= k+1" by `exact_treedepth` capped at k + 1.  The
-    forest (conversion, and the uncapped search where the capped one left
-    no forest) is built on first read."""
-    ok, parts = _decided_parts(g, k, cls, False, exact_treedepth)
-
-    def make_forest() -> EliminationForest:
-        nodes: list[ForestNode] = []
-        for sub, mapping, dec, q, res in parts:
-            quotient_forest = (res and res.forest) or exact_treedepth(q).forest
-            offset = len(nodes)
-            for node in ed_forest_from_sepdecomp(sub, dec, quotient_forest).nodes:
-                parent = node.parent + offset if node.parent >= 0 else -1
-                nodes.append(ForestNode(frozenset(mapping[v] for v in node.bag), parent, node.leaf))
-        if g.n == 0:
-            nodes.append(ForestNode(frozenset(), -1, True))
-        return EliminationForest(nodes, cls)
-
-    return EdForestResult(ok, make_forest)
+    "quotient treedepth <= k+1" by `exact_treedepth` capped at k + 1, or,
+    at k = 1 when the verdict is read first, by a star-forest certificate
+    during the build.  Verdict and forest are made on first read (see
+    `EdForestResult`)."""
+    return EdForestResult(g, k, cls)
 
 
 def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDecompResult:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdecomp.cli import main
-from hdecomp.graphs import MAX_GRAPH_VERTICES, Graph, write_family, write_gr
+from hdecomp.graphs import MAX_GRAPH_VERTICES, Graph, connected_components, write_family, write_gr
 from hdecomp.decomposition import (
     TreeHDecomposition,
     build_ed_forest,
@@ -348,9 +348,9 @@ def test_solve_rejects_decomposition_of_another_graph(files, capsys):
 
 def test_solve_via_dp_validates_a_stored_decomposition_once(files, capsys, monkeypatch):
     """A decomposition read by `solve --via dp` is validated once, by the
-    DP's one `validate` call: a tree decomposition by its own, which the DP
-    then makes nice, and a nice one by the nice `validate`, which runs the
-    tree checks through `super()`."""
+    DP's one `validate` call: a tree decomposition by its own, whose bags
+    the DP then reads as they are, and a nice one by the nice `validate`,
+    which runs the tree checks through `super()`."""
     from hdecomp.decomposition import NiceTreeHDecomposition
 
     from .test_golden import triangle_chain
@@ -625,10 +625,12 @@ def test_auto_mode_builds_once(files, capsys, monkeypatch, via, problem):
 
 @pytest.mark.parametrize("via", ["elim", "dp"])
 def test_auto_mode_builds_structures_only_at_the_passing_k(files, capsys, monkeypatch, via):
-    """Builds that fail the promise stop at the verdict: their quotient
-    searches are capped at k + 1 and return no structure, and no
-    conversion runs for them.  The answer is the one a direct build at the
-    passing k gives."""
+    """Builds that fail the promise stop at the verdict, and no conversion
+    runs for them.  The failing ed build at k = 1 stops at its first
+    star-forest certificate: it runs no quotient search and makes fewer
+    nodes than a full build.  The other failing builds run their quotient
+    searches capped at k + 1, which return no structure.  The answer is
+    the one a direct build at the passing k gives."""
     import random
 
     from hdecomp import cli, decomposition
@@ -640,7 +642,7 @@ def test_auto_mode_builds_structures_only_at_the_passing_k(files, capsys, monkey
     tmp, put = files
     path = put("g.gr", write_gr(g))
     name = "build_ed_forest" if via == "elim" else "build_tree_h_decomposition"
-    ks, reached, searched = [], [], []
+    ks, reached, searched, made = [], [], [], []
     build = getattr(cli, name)
     monkeypatch.setattr(cli, name, lambda g, k, cls: ks.append(k) or build(g, k, cls))
     for fn in ("ed_forest_from_sepdecomp", "tree_decomp_from_sepdecomp"):
@@ -655,13 +657,23 @@ def test_auto_mode_builds_structures_only_at_the_passing_k(files, capsys, monkey
             return res
 
         monkeypatch.setattr(decomposition, fn, search)
+    sepdec = decomposition.build_separation_decomposition
+
+    def counted(*a, **kw):
+        dec = sepdec(*a, **kw)
+        made.append((ks[-1], len(dec.nodes)))
+        return dec
+
+    monkeypatch.setattr(decomposition, "build_separation_decomposition", counted)
     code, out, _ = run(capsys, "solve", "--problem", "oct", "--via", via, path)
     assert code == 0 and ks == [1, 2, 3]
     assert reached and {k for _, k in reached} == {3}
     failing = [(k, cap, structure) for k, cap, structure in searched if k < 3]
-    assert {k for k, _, _ in failing} == {1, 2}
+    assert {k for k, _, _ in failing} == ({2} if via == "elim" else {1, 2})
     assert all(cap == (k + 1,) and structure is None for k, cap, structure in failing)
     if via == "elim":
+        full = sum(len(sepdec(g.induced(comp)[0], 1, BIP).nodes) for comp in connected_components(g))
+        assert 0 < sum(n for k, n in made if k == 1) < full
         x = solve_oct_elim(g, build_ed_forest(g, 3, BIP).forest)
     else:
         x = solve_oct_dp(g, make_nice(build_tree_h_decomposition(g, 3, BIP).decomposition))[1]

@@ -795,6 +795,79 @@ def test_k0_promise_holds_exactly_on_members():
     assert not is_member(claw, claw_free)
 
 
+def k1_verdict_graph(rng, i):
+    """Sparse random graphs, many with several components; one in ten hangs
+    20-26 odd cycles off one hub or chains them, so that its quotients pass
+    TD_EXACT_GUARD."""
+    from .test_golden import cycle_tree
+
+    if i % 10 == 9:
+        return cycle_tree(rng, [rng.choice((3, 5)) for _ in range(rng.randint(20, 26))], rng.random() < 0.5)
+    n = rng.randint(3, 36)
+    return random_graph(rng, n, rng.choice((0.8, 1.2, 2.0, 3.0)) / n)
+
+
+def test_k1_verdict_read_first_is_the_full_builds(monkeypatch):
+    """At k = 1 a `promise_ok` read first, which stops a failing build at
+    its first star-forest certificate, gives the verdict of a build whose
+    forest is read first; a forest read after it is the same forest.  The
+    certificate misses no failing quotient: read first, every quotient
+    search that runs passes."""
+    from hdecomp import decomposition
+
+    searched = []
+    inner = decomposition.exact_treedepth
+
+    def search(q, *cap):
+        res = inner(q, *cap)
+        searched.append((q.n, res.value))
+        return res
+
+    monkeypatch.setattr(decomposition, "exact_treedepth", search)
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    classes = [BIP, TRI, GraphClassSpec.forbidden(claw)]
+    rng = random.Random(71)
+    seen = set()
+    for i in range(1050):
+        g, cls = k1_verdict_graph(rng, i), classes[i % 3]
+        searched.clear()
+        verdict_first = build_ed_forest(g, 1, cls)
+        ok = verdict_first.promise_ok
+        assert all(value <= 2 for _, value in searched), i
+        searched.clear()
+        forest_first = build_ed_forest(g, 1, cls)
+        forest = to_json(forest_first.forest)
+        assert ok == forest_first.promise_ok, i
+        past = max((n for n, _ in searched), default=0) > TD_EXACT_GUARD
+        assert to_json(verdict_first.forest) == forest, i
+        seen.add((ok, "past the guard" if past else len(connected_components(g)) > 1))
+    assert seen == {(ok, kind) for ok in (False, True) for kind in (False, True, "past the guard")}
+
+
+def test_petersen_verdict_first_builds_fewer_nodes(monkeypatch):
+    """The Petersen graph fails at k = 1 and passes at k = 2; read first,
+    the k = 1 verdict comes from fewer separation-decomposition nodes than
+    the full build makes."""
+    from hdecomp import decomposition
+
+    made = []
+    build = decomposition.build_separation_decomposition
+    monkeypatch.setattr(
+        decomposition,
+        "build_separation_decomposition",
+        lambda *a, **kw: (lambda dec: made.append(len(dec.nodes)) or dec)(build(*a, **kw)),
+    )
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    g = Graph(10, outer + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    assert not build_ed_forest(g, 1, BIP).promise_ok
+    early = sum(made)
+    made.clear()
+    res = build_ed_forest(g, 1, BIP)
+    assert not res.forest.validate(g) and not res.promise_ok
+    assert 0 < early < sum(made)
+    assert build_ed_forest(g, 2, BIP).promise_ok
+
+
 def test_ed_to_tree_decomposition_examples():
     c4 = Graph.cycle(4)
     forest = build_ed_forest(c4, 0, BIP).forest
@@ -909,6 +982,30 @@ def test_validator_catches_crossing_edge():
         BIP,
     )
     assert any("crosses" in e for e in forest.validate(g))
+
+
+def test_forest_validator_finds_every_crossing_edge():
+    """The edge check by preorder intervals flags exactly the edges whose
+    ends' nodes are not on one root path, on random branching forests."""
+    rng = random.Random(37)
+    flagged = 0
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        parents = [-1] + [rng.randrange(-1, v) for v in range(1, n)]
+        ch = children(parents)
+        nodes = [ForestNode(frozenset({v}), parents[v], False) for v in range(n)]
+        nodes += [ForestNode(frozenset(), v, True) for v in range(n) if not ch[v]]
+        g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.6)))
+
+        def above(a, b):
+            while b >= 0 and b != a:
+                b = parents[b]
+            return b == a
+
+        want = [f"edge ({u},{v}) crosses unrelated subtrees" for u, v in g.edges if not (above(u, v) or above(v, u))]
+        assert EliminationForest(nodes, None).validate(g) == want
+        flagged += bool(want)
+    assert flagged > 100
 
 
 def test_validator_reports_dangling_parent():
