@@ -5,7 +5,6 @@ from .graphs import (
     Graph,
     GraphClassSpec,
     connected_components,
-    contract_sets,
     find_induced_obstruction,
     is_member,
     parse_family,

@@ -1,13 +1,14 @@
 """Decomposition structures and pipelines.
 
 Builds separation decompositions by repeated extremal separation finding,
-computes exact treedepth/treewidth of (small) quotient graphs, where a cap
-of k+1 turns the one search into the promise check "quotient
-treedepth/treewidth <= k+1" that keeps its structure when it passes, and
-converts the results into validated elimination forests and tree
-decompositions with base components, and into the nice normal form, which
-the API and the JSON reader and validator keep; the dynamic programming
-solvers read any valid tree H-decomposition as it is.
+growing their quotient graphs node by node, computes exact
+treedepth/treewidth of (small) quotients, where a cap of k+1 turns the one
+search into the promise check "quotient treedepth/treewidth <= k+1" that
+keeps its structure when it passes, and converts the results into
+validated elimination forests and tree decompositions with base
+components, and into the nice normal form, which the API and the JSON
+reader and validator keep; the dynamic programming solvers read any valid
+tree H-decomposition as it is.  One lazy build object serves both pipelines.
 
 Conventions:
   * elimination forests follow the edge-depth convention; standard forests
@@ -33,7 +34,6 @@ from .graphs import (
     bits,
     components,
     connected_components,
-    contract_sets,
     is_member,
     mask_of,
     neighborhood_mask,
@@ -398,6 +398,8 @@ def _cls_from_json(obj) -> Optional[GraphClassSpec]:
         return None
     if obj["kind"] == "bipartite":
         return GraphClassSpec.bipartite()
+    if obj["kind"] != "forbidden-induced":
+        raise ValueError(f"unknown class kind {obj['kind']!r}")
     for f in obj["family"]:
         _check_member_size(f["n"])
     family = [Graph(f["n"], [tuple(e) for e in f["edges"]]) for f in obj["family"]]
@@ -948,9 +950,52 @@ def build_separation_decomposition(
     return SeparationDecomposition(nodes, k, k2, restricted, cls)
 
 
+class _Quotient:
+    """The quotient of a separation decomposition, grown as it is built:
+    `add` takes each node's V mask in node order, and node t becomes
+    quotient vertex t.  The V masks must be connected and disjoint."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.owner = [0] * g.n  # the node whose V holds each covered vertex
+        self.covered = 0
+        self.nbrs: list[int] = []  # each node's quotient neighbours
+
+    def add(self, vmask: int) -> None:
+        t = len(self.nbrs)
+        nb = mask_of(self.owner[v] for v in bits(neighborhood_mask(self.g, vmask, self.covered)))
+        self.nbrs.append(nb)
+        for v in bits(vmask):
+            self.owner[v] = t
+        self.covered |= vmask
+        for s in bits(nb):
+            self.nbrs[s] |= 1 << t
+
+    def graph(self) -> Graph:
+        return Graph(len(self.nbrs), [(s, t) for t, nb in enumerate(self.nbrs) for s in bits(nb & (1 << t) - 1)])
+
+
+def _not_star_forest(nbrs: list[int]) -> bool:
+    """Whether a quotient with these neighbour masks, which had no edge
+    between two vertices of degree >= 2 before its newest vertex came, has
+    one now, so that it is not a star forest.  A new such edge is at the
+    newest vertex or at a neighbour of it whose degree grew, so it has an
+    end among those neighbours."""
+
+    def big(s: int) -> int:
+        return nbrs[s] & (nbrs[s] - 1)
+
+    return any(big(s) and any(big(r) for r in bits(nbrs[s])) for s in bits(nbrs[-1]))
+
+
 def quotient(g: Graph, dec: SeparationDecomposition) -> tuple[Graph, list[int]]:
-    """Contract each V_t (in node order) to a single vertex."""
-    return contract_sets(g, [sorted(node.V) for node in dec.nodes])
+    """Contract each V_t (in node order) to a single vertex; `dec` must be
+    valid (`SeparationDecomposition.validate` checks that the V_t are
+    nonempty, connected and partition V(G))."""
+    qt = _Quotient(g)
+    for node in dec.nodes:
+        qt.add(mask_of(node.V))
+    return qt.graph(), qt.owner
 
 
 # ---------------------------------------------------------------------------
@@ -1077,45 +1122,84 @@ def tree_decomp_from_sepdecomp(
 # ---------------------------------------------------------------------------
 
 
-class EdForestResult:
-    """An ed build's promise verdict and forest, each made when first read.
-
-    The read order matters at k = 1 only:
-      * `forest` first: one full build, whose capped quotient searches give
+class _Build:
+    """One build: per component a separation decomposition, its quotient
+    grown node by node (`_Quotient`, fed through the builder's `stop`
+    callback) and, until a verdict fails, the subclass's quotient search
+    capped at k + 1, which decides "quotient parameter <= k + 1" exactly up
+    to the guards (past them it is the heuristic value) and keeps the
+    structure when it passes.  Verdict and structure are each made when
+    first read, and the order matters for an ed build at k = 1:
+      * the structure first: one full build, whose capped searches give
         the verdict that a later `promise_ok` read returns;
-      * `promise_ok` first: the build looks for a star-forest certificate
-        (`_StarCertificate`) as it makes each node, and a failing build stops
-        at the first one and builds no later component; a `forest` read
-        after such a stop builds again in full, while a build with no
-        certificate keeps its parts and a later `forest` read only converts.
-    Auto mode reads the verdict first and the forest only for the passing k;
-    `decompose` reads the forest first."""
+      * `promise_ok` first: the build stops at the first node where the
+        quotient so far, an induced subgraph of the final one, is not a
+        star forest (`_not_star_forest`), which proves treedepth > 2 also
+        past TD_EXACT_GUARD, and builds no later component.  A structure
+        read after such a stop builds again in full.
+    Auto mode reads the verdict first, `decompose` the structure.  A
+    subclass gives `restricted`, `_exact(q, cap)` -> (value, structure or
+    None), and the structure, joined from `_converted`."""
+
+    restricted: bool
 
     def __init__(self, g: Graph, k: int, cls: GraphClassSpec):
         self.g, self.k, self.cls = g, k, cls
 
+    def _decide(self, certify: bool = False):
+        """(verdict, per component (subgraph, mapping, decomposition,
+        quotient, capped search or None)), or (False, None) at a stop."""
+        parts = []
+        ok = True
+        for comp in connected_components(self.g):
+            sub, mapping = self.g.induced(comp)
+            qt = _Quotient(sub)
+            dec = build_separation_decomposition(
+                sub, self.k, self.cls, self.restricted,
+                stop=lambda vmask: qt.add(vmask) or certify and _not_star_forest(qt.nbrs),
+            )
+            if certify and _not_star_forest(qt.nbrs):  # stateless: the last node's answer
+                return False, None
+            q = qt.graph()
+            res = self._exact(q, self.k + 1) if ok else None
+            ok = ok and res[0] <= self.k + 1
+            parts.append((sub, mapping, dec, q, res))
+        return ok, parts
+
     @cached_property
     def _decided(self) -> tuple[bool, list]:
-        return _decided_parts(self.g, self.k, self.cls, False, exact_treedepth)
+        return self._decide()
 
     @cached_property
     def promise_ok(self) -> bool:
-        if self.k == 1 and "_decided" not in self.__dict__:
-            ok, parts = _decided_parts(self.g, 1, self.cls, False, exact_treedepth, certify=True)
+        if self.k == 1 and not self.restricted and "_decided" not in self.__dict__:
+            ok, parts = self._decide(certify=True)
             if parts is None:
                 return False
             self._decided = ok, parts
         return self._decided[0]
 
+    def _converted(self, convert):
+        """Per component, its mapping into G and its conversion, with the
+        uncapped search where the capped one left no structure."""
+        for sub, mapping, dec, q, res in self._decided[1]:
+            yield mapping, convert(sub, dec, (res and res[1]) or self._exact(q)[1])
+
+
+class EdForestResult(_Build):
+    restricted = False
+
+    def _exact(self, q: Graph, cap: Optional[int] = None):
+        res = exact_treedepth(q, cap)
+        return res.value, res.forest
+
     @cached_property
     def forest(self) -> EliminationForest:
-        """Per component the conversion, with the uncapped search where the
-        capped one left no forest, mapped into G's ids."""
+        """The components' forests side by side."""
         nodes: list[ForestNode] = []
-        for sub, mapping, dec, q, res in self._decided[1]:
-            quotient_forest = (res and res.forest) or exact_treedepth(q).forest
+        for mapping, piece in self._converted(ed_forest_from_sepdecomp):
             offset = len(nodes)
-            for node in ed_forest_from_sepdecomp(sub, dec, quotient_forest).nodes:
+            for node in piece.nodes:
                 parent = node.parent + offset if node.parent >= 0 else -1
                 nodes.append(ForestNode(frozenset(mapping[v] for v in node.bag), parent, node.leaf))
         if self.g.n == 0:
@@ -1123,121 +1207,40 @@ class EdForestResult:
         return EliminationForest(nodes, self.cls)
 
 
-@dataclass
-class TreeDecompResult:
-    """A tw build's promise verdict, decided by the build, and its
-    decomposition, built from `make_decomposition` when it is first read:
-    its conversion (and, for a failing build, the uncapped quotient search)
-    costs more than the verdict, and auto mode reads it only for the
-    passing k."""
+class TreeDecompResult(_Build):
+    restricted = True
 
-    promise_ok: bool
-    make_decomposition: Callable[[], TreeHDecomposition]
+    def _exact(self, q: Graph, cap: Optional[int] = None):
+        res = exact_treewidth(q, cap)
+        return res.value, res.decomposition
 
     @cached_property
     def decomposition(self) -> TreeHDecomposition:
-        return self.make_decomposition()
-
-
-class _StarCertificate:
-    """The promise check of an ed build at k = 1, node by node.
-
-    There the promise is "quotient treedepth <= 2": every component of the
-    quotient is a star, so no quotient edge joins two vertices of degree
-    >= 2.  Fed the V masks of a build in node order, a call returns True
-    once the nodes so far, each V contracted, have such an edge.  They
-    induce a subgraph of the final quotient, and treedepth does not drop
-    when vertices are added, so that edge proves that the promise fails,
-    also past TD_EXACT_GUARD, where the capped search's heuristic value
-    only over-estimates."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.owner = [0] * g.n  # the node whose V holds each covered vertex
-        self.covered = 0
-        self.nbrs: list[int] = []  # quotient neighbours of each node so far
-        self.big = 0  # nodes of quotient degree >= 2
-        self.found = False
-
-    def __call__(self, vmask: int) -> bool:
-        t = len(self.nbrs)
-        nb = mask_of(self.owner[v] for v in bits(neighborhood_mask(self.g, vmask, self.covered)))
-        self.nbrs.append(nb)
-        for v in bits(vmask):
-            self.owner[v] = t
-        self.covered |= vmask
-        for s in bits(nb):
-            self.nbrs[s] |= 1 << t
-        # only t and its neighbours changed degree, so a new such edge has
-        # an end among them
-        changed = nb | 1 << t
-        for s in bits(changed):
-            if self.nbrs[s] & (self.nbrs[s] - 1):
-                self.big |= 1 << s
-        self.found = any(self.nbrs[s] & self.big for s in bits(changed & self.big))
-        return self.found
-
-
-def _decided_parts(
-    g: Graph, k: int, cls: GraphClassSpec, restricted: bool, exact, certify: bool = False
-):
-    """Whether every component of g passes the promise, and per component
-    (induced subgraph, mapping, separation decomposition, quotient q, the
-    result of exact(q, k + 1) or None).  Up to the exact guards that
-    capped search decides the verdict exactly and holds the structure when
-    it passes; past them it is the heuristic value with its structure.  No
-    verdict is sought once one fails.  With `certify` (an ed build at
-    k = 1), each build also feeds its nodes to a `_StarCertificate`, and the
-    first certificate ends the call with (False, None)."""
-    parts = []
-    ok = True
-    for comp in connected_components(g):
-        sub, mapping = g.induced(comp)
-        cert = _StarCertificate(sub) if certify else None
-        dec = build_separation_decomposition(sub, k, cls, restricted=restricted, stop=cert)
-        if cert and cert.found:
-            return False, None
-        q, _ = quotient(sub, dec)
-        res = exact(q, k + 1) if ok else None
-        ok = ok and res.value <= k + 1
-        parts.append((sub, mapping, dec, q, res))
-    return ok, parts
-
-
-def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
-    """Per component: separation decomposition, then the promise check
-    "quotient treedepth <= k+1" by `exact_treedepth` capped at k + 1, or,
-    at k = 1 when the verdict is read first, by a star-forest certificate
-    during the build.  Verdict and forest are made on first read (see
-    `EdForestResult`)."""
-    return EdForestResult(g, k, cls)
-
-
-def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDecompResult:
-    """Per component: restricted separation decomposition, then the promise
-    check "quotient treewidth <= k+1" by `exact_treewidth` capped at k + 1.
-    The decomposition (conversion, the uncapped search where the capped one
-    left no decomposition, components joined under a fresh empty root) is
-    built on first read."""
-    ok, parts = _decided_parts(g, k, cls, True, exact_treewidth)
-
-    def make_decomposition() -> TreeHDecomposition:
+        """The components' decompositions under a fresh empty root."""
         parents = [-1]
         bags = [frozenset()]
         L: list[int] = []
-        for sub, mapping, dec, q, res in parts:
-            quotient_td = (res and res.decomposition) or exact_treewidth(q).decomposition
-            piece = tree_decomp_from_sepdecomp(sub, dec, quotient_td)
+        for mapping, piece in self._converted(tree_decomp_from_sepdecomp):
             offset = len(parents)  # each piece's root hangs below the fresh root 0
             parents += [p + offset if p >= 0 else 0 for p in piece.parents]
             bags += [frozenset(mapping[v] for v in b) for b in piece.bags]
             L += [mapping[v] for v in piece.L]
-        if len(parts) == 1:  # one piece keeps its own root
-            return TreeHDecomposition([p - 1 for p in parents[1:]], bags[1:], frozenset(L), cls)
+        if len(self._decided[1]) == 1:  # one piece keeps its own root
+            return TreeHDecomposition([p - 1 for p in parents[1:]], bags[1:], frozenset(L), self.cls)
         # number the nodes in depth-first preorder from the fresh root
-        return _renumber(TreeHDecomposition(parents, bags, frozenset(L), cls))
+        return _renumber(TreeHDecomposition(parents, bags, frozenset(L), self.cls))
 
-    return TreeDecompResult(ok, make_decomposition)
+
+def build_ed_forest(g: Graph, k: int, cls: GraphClassSpec) -> EdForestResult:
+    """The promise check "quotient treedepth <= k+1" by `exact_treedepth`
+    (at k = 1, read first, a star-forest test) and the forest (`_Build`)."""
+    return EdForestResult(g, k, cls)
+
+
+def build_tree_h_decomposition(g: Graph, k: int, cls: GraphClassSpec) -> TreeDecompResult:
+    """The promise check "quotient treewidth <= k+1" by `exact_treewidth`
+    and the decomposition, from restricted separation decompositions (`_Build`)."""
+    return TreeDecompResult(g, k, cls)
 
 
 def _renumber(dec: TreeHDecomposition) -> TreeHDecomposition:

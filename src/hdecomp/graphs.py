@@ -407,38 +407,6 @@ def is_member(g: Graph, cls: GraphClassSpec, within: Optional[Iterable[int]] = N
     return find_induced_obstruction(g, cls, within) is None
 
 
-def contract_sets(g: Graph, parts: Sequence[Iterable[int]]) -> tuple[Graph, list[int]]:
-    """Contract each part to a single vertex (part i becomes vertex i).
-
-    Parts must be nonempty, connected, and partition V(G).  Returns the
-    quotient graph and the map old-vertex -> new-vertex.
-    """
-    masks = []
-    seen = 0
-    for part in parts:
-        m = mask_of(part)
-        if m == 0:
-            raise ValueError("empty part")
-        if m & seen:
-            raise ValueError("overlapping parts")
-        if reach_mask(g, m & -m, m) != m:
-            raise ValueError("disconnected part")
-        seen |= m
-        masks.append(m)
-    if seen != g.full_mask():
-        raise ValueError("parts do not cover V(G)")
-    vmap = [0] * g.n
-    for i, m in enumerate(masks):
-        for v in bits(m):
-            vmap[v] = i
-    edges = set()
-    for u, v in g.edges:
-        a, b = vmap[u], vmap[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return Graph(len(masks), edges), vmap
-
-
 # -- .gr text format ---------------------------------------------------------
 
 

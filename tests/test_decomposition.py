@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -13,6 +14,7 @@ from hdecomp.graphs import (
     components,
     connected_components,
     is_member,
+    mask_of,
     neighborhood_mask,
     reach_mask,
 )
@@ -540,6 +542,101 @@ def test_quotient_examples():
     assert exact_treedepth(q).value <= brute_ed(k3, BIP) + 1
 
 
+def test_quotient_contracts_each_piece():
+    k3 = Graph.complete(3)
+
+    def pieces(*parts):
+        return SeparationDecomposition(
+            [SepNode(frozenset(p), frozenset(), frozenset(), t - 1) for t, p in enumerate(parts)], 1, 1, False, BIP
+        )
+
+    q, vmap = quotient(k3, pieces({0}, {1}, {2}))
+    assert q.edges == k3.edges and vmap == [0, 1, 2]
+    q, vmap = quotient(k3, pieces({0, 1}, {2}))
+    assert q.n == 2 and q.edges == {(0, 1)} and vmap == [0, 0, 1]
+    q, vmap = quotient(k3, pieces({0, 1, 2}))
+    assert q.n == 1 and not q.edges and vmap == [0, 0, 0]
+
+
+def _contracted(g, vsets):
+    """The direct contraction of disjoint vertex sets, set t to vertex t:
+    the quotient's edges and each covered vertex's set."""
+    owner = {v: t for t, vs in enumerate(vsets) for v in vs}
+    edges = {(min(owner[u], owner[v]), max(owner[u], owner[v])) for u, v in g.edges if u in owner and v in owner}
+    return {e for e in edges if e[0] != e[1]}, owner
+
+
+def _grown_quotient_cases():
+    """Seeded graphs under the bipartite, K3-free and claw-free classes,
+    with k = 1 or 2."""
+    from .test_golden import cycle_tree
+
+    claw = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    classes = [BIP, TRI, GraphClassSpec.forbidden(claw)]
+    rng = random.Random(37)
+    for i in range(45):
+        if i % 5 == 4:
+            g = cycle_tree(rng, [rng.choice((3, 5)) for _ in range(rng.randint(2, 6))], rng.random() < 0.5)
+        else:
+            n = rng.randint(3, 16)
+            g = random_graph(rng, n, rng.choice((1.5, 2.5, 4.0)) / n)
+        yield g, 1 + i % 2, classes[i % 3]
+
+
+def test_grown_quotient_is_the_contraction(monkeypatch):
+    """`quotient` equals the direct contraction of the pieces, and the
+    quotient each build searches, grown as the build makes its nodes,
+    equals `quotient` of that build's own decomposition."""
+    from hdecomp import decomposition
+
+    searched = []
+    for name in ("exact_treedepth", "exact_treewidth"):
+        inner = getattr(decomposition, name)
+        monkeypatch.setattr(
+            decomposition, name, lambda q, *cap, inner=inner: searched.append(q) or inner(q, *cap)
+        )
+    seen = 0
+    for g, k, cls in _grown_quotient_cases():
+        for build in (build_ed_forest, build_tree_h_decomposition):
+            searched.clear()
+            parts = build(g, k, cls)._decided[1]
+            assert searched and len(searched) <= len(parts)
+            for (sub, _, dec, _, _), q in itertools.zip_longest(parts, searched):
+                edges, owner = _contracted(sub, [node.V for node in dec.nodes])
+                got, vmap = quotient(sub, dec)
+                assert got.n == len(dec.nodes) and got.edges == edges
+                assert vmap == [owner[v] for v in range(sub.n)]
+                if q is not None:
+                    assert (q.n, q.edges) == (got.n, got.edges)
+                    seen += bool(q.edges)
+    assert seen
+
+
+def test_not_star_forest_fires_at_the_first_failing_prefix():
+    """Fed a build's nodes one by one, `_not_star_forest` fires exactly at
+    the first prefix whose contracted quotient has an edge between two
+    vertices of degree >= 2."""
+    from hdecomp.decomposition import _not_star_forest, _Quotient
+
+    fired = passed = 0
+    for g, k, cls in _grown_quotient_cases():
+        for sub in (g.induced(c)[0] for c in connected_components(g)):
+            dec = build_separation_decomposition(sub, 1, cls)
+            qt = _Quotient(sub)
+            for t, node in enumerate(dec.nodes):
+                qt.add(mask_of(node.V))
+                edges, _ = _contracted(sub, [n.V for n in dec.nodes[: t + 1]])
+                degree = collections.Counter(v for e in edges for v in e)
+                brute = any(degree[a] >= 2 and degree[b] >= 2 for a, b in edges)
+                assert _not_star_forest(qt.nbrs) == brute, (sorted(sub.edges), t)
+                if brute:
+                    fired += 1
+                    break
+            else:
+                passed += 1
+    assert fired >= 10 and passed >= 10, (fired, passed)
+
+
 def test_quotient_treedepth_bound():
     rng = random.Random(8)
     for _ in range(30):
@@ -1048,11 +1145,17 @@ def test_validators_name_each_rejection():
     join = next(i for i, kids in enumerate(nice.children()) if len(kids) == 2)
     outside = min(set().union(*dec.bags) - dec.L - dec.bags[0])
     k4_free = GraphClassSpec.forbidden(Graph.complete(4))
+    # pieces V_t: {0..3}, {4, 5, 6}, {7}, {8}, {9}, {10, 11}
+    sep = build_separation_decomposition(g, 1, BIP, restricted=True)
 
     def node(i, **change):
         return EliminationForest(
             [replace(n, **change) if j == i else n for j, n in enumerate(forest.nodes)], BIP
         )
+
+    def piece(t, V):
+        nodes = [replace(n, V=frozenset(V)) if j == t else n for j, n in enumerate(sep.nodes)]
+        return SeparationDecomposition(nodes, sep.k1, sep.k2, sep.restricted, sep.cls)
 
     def tree(d, parents=None, bags=None, L=None, cls=BIP):
         return type(d)(
@@ -1080,6 +1183,10 @@ def test_validators_name_each_rejection():
         (nice, tree(nice, [*nice.parents, join], [*nice.bags, nice.bags[join]]), "more than two children"),
         (nice, above(nice, nice.bags[0]), "single-child step is not a legal bag change"),
         (nice, tree(nice, [-1], [frozenset(range(g.n))], frozenset(range(g.n)), k4_free), "root bag intersects L"),
+        (sep, piece(2, ()), "empty V_t"),
+        (sep, piece(1, {3, 4, 5, 6}), "V_t overlaps earlier pieces"),
+        (sep, piece(1, {4, 6}), "V_t not connected"),
+        (sep, piece(5, {10}), "pieces do not cover V(G)"),
     ]
     for valid, broken, message in rows:
         assert not valid.validate(g)
@@ -1186,6 +1293,10 @@ def test_json_rejects_malformed_documents():
         broken = dict(doc)
         del broken[key]
         with pytest.raises(ValueError):
+            from_json(_json.dumps(broken))
+    for kind in ("bogus", "odd-cycle-free"):
+        broken = dict(doc, **{"class": {"kind": kind, "family": [{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}]}})
+        with pytest.raises(ValueError, match="unknown class kind"):
             from_json(_json.dumps(broken))
     broken = dict(doc)
     broken["kind"] = "mystery"

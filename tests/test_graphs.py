@@ -12,7 +12,6 @@ from hdecomp.graphs import (
     _find_embedding_image,
     _orbit_table,
     connected_components,
-    contract_sets,
     find_induced_obstruction,
     is_member,
     mask_of,
@@ -24,6 +23,8 @@ from hdecomp.graphs import (
     write_family,
     write_gr,
 )
+from hdecomp.decomposition import _Quotient
+
 from .conftest import connected_graphs_st, graphs, random_graph
 from .smallgraphs import (
     CONNECTED_GRAPH_COUNTS,
@@ -236,26 +237,6 @@ def test_proper_2_coloring_examples():
     assert proper_2_coloring(Graph(2)) == {0: 1, 1: 1}
 
 
-def test_contract_sets_examples():
-    g = Graph.complete(3)
-    q, vmap = contract_sets(g, [[0], [1], [2]])
-    assert q.edges == g.edges and vmap == [0, 1, 2]
-    q, vmap = contract_sets(g, [[0, 1], [2]])
-    assert q.n == 2 and q.edges == {(0, 1)} and vmap == [0, 0, 1]
-    q, vmap = contract_sets(g, [[0, 1, 2]])
-    assert q.n == 1 and not q.edges
-
-
-def test_contract_sets_rejects_bad_parts():
-    g = Graph(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        contract_sets(g, [[0, 2], [1]])  # disconnected part
-    with pytest.raises(ValueError):
-        contract_sets(g, [[0, 1], [1, 2]])  # overlap
-    with pytest.raises(ValueError):
-        contract_sets(g, [[0, 1]])  # not covering
-
-
 def test_membership_is_hereditary(all6):
     for g in all6:
         for cls in (BIP, TRI, P3_CLASS):
@@ -286,9 +267,10 @@ def test_contraction_of_connected_stays_connected(g):
     hmask = mask_of(half)
     if reach_mask(g, hmask & -hmask, hmask) != hmask:
         return
-    parts = [half] + [[v] for v in m if v not in half]
-    q, _ = contract_sets(g, parts)
-    assert len(connected_components(q)) == 1
+    qt = _Quotient(g)
+    for part in [half] + [[v] for v in m if v not in half]:
+        qt.add(mask_of(part))
+    assert len(connected_components(qt.graph())) == 1
 
 
 def test_family_members_must_be_connected():
